@@ -16,7 +16,7 @@ import pytest
 
 from repro.bench.platform_model import PENTIUM_II_450
 from repro.bench.reporting import Table
-from repro.bench.testbed import ProtocolGroup, SecureTestbed
+from repro.testbed import ProtocolGroup, SecureTestbed
 from repro.crypto.counters import ExpCounter
 from repro.secure.session import CryptoCostModel
 

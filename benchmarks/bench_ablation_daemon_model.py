@@ -13,7 +13,7 @@ from repro.crypto.dh import DHParams
 from repro.secure.daemon_model import secure_all_daemons
 from repro.secure.events import SecureMembershipEvent
 from repro.bench.reporting import Table
-from repro.bench.testbed import SecureTestbed
+from repro.testbed import SecureTestbed
 from repro.spread.events import MembershipEvent
 from repro.types import ServiceType
 

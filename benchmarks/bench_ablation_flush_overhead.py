@@ -14,7 +14,7 @@ and the per-message data-path overhead of the flush wrapper.
 import pytest
 
 from repro.bench.reporting import Table
-from repro.bench.testbed import SecureTestbed
+from repro.testbed import SecureTestbed
 from repro.spread.client import SpreadClient
 from repro.spread.events import MembershipEvent
 from repro.spread.flush import FlushClient

@@ -16,7 +16,7 @@ ordering the paper claims.
 import pytest
 
 from repro.bench.reporting import Table
-from repro.bench.testbed import SecureTestbed
+from repro.testbed import SecureTestbed
 from repro.spread.client import SpreadClient
 from repro.spread.events import MembershipEvent
 from repro.types import MembershipCause

@@ -16,7 +16,7 @@ distinguish the designs:
 import pytest
 
 from repro.bench.reporting import Table
-from repro.bench.testbed import SecureTestbed
+from repro.testbed import SecureTestbed
 from repro.spread.client import SpreadClient
 from repro.spread.events import DataEvent
 from repro.types import ServiceType

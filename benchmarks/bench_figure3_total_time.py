@@ -18,7 +18,7 @@ import pytest
 
 from repro.bench.platform_model import PENTIUM_II_450
 from repro.bench.reporting import Table
-from repro.bench.testbed import SecureTestbed
+from repro.testbed import SecureTestbed
 from repro.secure.session import CryptoCostModel
 from repro.spread.client import SpreadClient
 from repro.spread.events import MembershipEvent

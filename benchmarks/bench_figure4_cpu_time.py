@@ -25,7 +25,7 @@ from repro.bench.platform_model import (
     calibrate_local_machine,
 )
 from repro.bench.reporting import Table
-from repro.bench.testbed import ProtocolGroup
+from repro.testbed import ProtocolGroup
 from repro.crypto.dh import DHParams
 
 from benchmarks.conftest import join_counts, leave_counts

@@ -12,7 +12,7 @@ confirmations, heartbeats within the operation window).
 import pytest
 
 from repro.bench.reporting import Table
-from repro.bench.testbed import SecureTestbed
+from repro.testbed import SecureTestbed
 
 SIZES = [3, 5, 8]
 

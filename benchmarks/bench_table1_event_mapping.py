@@ -23,7 +23,7 @@ from repro.types import (
     ViewId,
 )
 
-from repro.bench.testbed import SecureTestbed
+from repro.testbed import SecureTestbed
 
 
 def last_operation(member, group="g"):

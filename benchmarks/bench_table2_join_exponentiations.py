@@ -14,7 +14,7 @@ from repro.bench.expcount import (
     table2_cliques_new_member,
 )
 from repro.bench.reporting import Table
-from repro.bench.testbed import ProtocolGroup
+from repro.testbed import ProtocolGroup
 from repro.crypto.dh import DHParams
 
 from benchmarks.conftest import join_counts

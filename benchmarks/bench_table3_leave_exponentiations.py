@@ -13,7 +13,7 @@ from repro.bench.expcount import (
     table3_cliques,
 )
 from repro.bench.reporting import Table
-from repro.bench.testbed import ProtocolGroup
+from repro.testbed import ProtocolGroup
 from repro.crypto.dh import DHParams
 
 from benchmarks.conftest import leave_counts

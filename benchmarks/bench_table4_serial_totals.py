@@ -16,7 +16,7 @@ import pytest
 
 from repro.bench.expcount import table4
 from repro.bench.reporting import Table
-from repro.bench.testbed import ProtocolGroup
+from repro.testbed import ProtocolGroup
 from repro.crypto.dh import DHParams
 
 from benchmarks.conftest import join_counts, leave_counts

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from repro.bench.reporting import Table
-from repro.bench.testbed import ProtocolGroup
+from repro.testbed import ProtocolGroup
 from repro.crypto.dh import DHParams
 
 

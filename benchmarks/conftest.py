@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.testbed import ProtocolGroup
+from repro.testbed import ProtocolGroup
 
 
 def join_counts(protocol: str, n: int, params=None):

@@ -19,4 +19,4 @@ case " $* " in
 esac
 
 PYTHONPATH="$repo_root/src${PYTHONPATH:+:$PYTHONPATH}" \
-    exec python -m repro.bench.wansoak "$@"
+    exec python -m repro.chaos.wansoak "$@"

@@ -14,10 +14,10 @@ Run:  python examples/daemon_model.py
 
 from repro.crypto.dh import DHParams
 from repro.secure.daemon_model import secure_all_daemons
-from repro.bench.testbed import SecureTestbed
 from repro.spread.client import SpreadClient
 from repro.spread.events import DataEvent, MembershipEvent
 from repro.spread.messages import DataMessage
+from repro.testbed import SecureTestbed
 from repro.types import ServiceType
 
 

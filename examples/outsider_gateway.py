@@ -12,11 +12,11 @@ request, and receives the group's answer.
 Run:  python examples/outsider_gateway.py
 """
 
-from repro.bench.testbed import SecureTestbed
 from repro.crypto.dh import DHKeyPair
 from repro.crypto.random_source import DeterministicSource
 from repro.secure.nonmember import GroupGateway, OutsiderChannel
 from repro.spread.client import SpreadClient
+from repro.testbed import SecureTestbed
 
 GROUP = "control-room"
 

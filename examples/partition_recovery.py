@@ -12,8 +12,8 @@ merge -> MERGE / LEAVE-then-MERGE).
 Run:  python examples/partition_recovery.py
 """
 
-from repro.bench.testbed import SecureTestbed
 from repro.secure.events import SecureDataEvent
+from repro.testbed import SecureTestbed
 
 GROUP = "ops"
 

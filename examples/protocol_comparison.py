@@ -16,7 +16,7 @@ Run:  python examples/protocol_comparison.py
 from repro.bench.expcount import table4
 from repro.bench.platform_model import PENTIUM_II_450, SUN_ULTRA2
 from repro.bench.reporting import Table
-from repro.bench.testbed import ProtocolGroup
+from repro.testbed import ProtocolGroup
 
 SIZES = [3, 5, 10, 15]
 

@@ -9,8 +9,8 @@ when membership changes.
 Run:  python examples/quickstart.py
 """
 
-from repro.bench.testbed import SecureTestbed
 from repro.secure.events import SecureDataEvent, SecureMembershipEvent
+from repro.testbed import SecureTestbed
 
 
 def payloads(member, group="chat"):

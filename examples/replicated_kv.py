@@ -21,8 +21,8 @@ Run:  python examples/replicated_kv.py
 
 import json
 
-from repro.bench.testbed import SecureTestbed
 from repro.secure.events import SecureDataEvent, SecureMembershipEvent
+from repro.testbed import SecureTestbed
 
 GROUP = "kv-store"
 

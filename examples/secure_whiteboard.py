@@ -19,8 +19,8 @@ Run:  python examples/secure_whiteboard.py
 
 import json
 
-from repro.bench.testbed import SecureTestbed
 from repro.secure.events import SecureDataEvent
+from repro.testbed import SecureTestbed
 
 GROUP = "whiteboard"
 

@@ -10,16 +10,22 @@ The package rebuilds the whole system the paper describes:
   the Flush/View-Synchrony layer);
 * :mod:`repro.crypto` — from-scratch Blowfish, SHA-1/HMAC, safe-prime
   Diffie-Hellman, with exponentiation counting;
-* :mod:`repro.cliques` / :mod:`repro.ckd` — the two group key
-  management protocols the paper evaluates;
+* :mod:`repro.cliques` / :mod:`repro.ckd` / :mod:`repro.tgdh` — the two
+  group key management protocols the paper evaluates, plus tree-based
+  group DH;
 * :mod:`repro.secure` — the paper's contribution: the secure group
   communication layer;
-* :mod:`repro.bench` — the harness regenerating every table and figure
-  of the paper's evaluation.
+* :mod:`repro.transport` — the same stack over real asyncio TCP sockets;
+* :mod:`repro.testbed` — the paper's deployment, pre-wired;
+* :mod:`repro.chaos` / :mod:`repro.obs` — fault crucibles and
+  observability;
+* :mod:`repro.bench` — what regenerates every table and figure of the
+  paper's evaluation (stack performance is measured by
+  ``benchmarks/e2e/run.py``, see ``BENCHMARK.json``).
 
 Quickest start::
 
-    from repro.bench.testbed import SecureTestbed
+    from repro.testbed import SecureTestbed
     testbed = SecureTestbed()
     alice = testbed.add_member("alice", "d0", group="chat")
     testbed.wait_secure_view(["alice"], group="chat")

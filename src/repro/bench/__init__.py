@@ -1,21 +1,23 @@
-"""Benchmark harness: everything needed to regenerate the paper's
-tables and figures.
+"""Everything needed to regenerate the paper's tables and figures.
+
+Performance of the stack itself is measured by ``benchmarks/e2e/run.py``
+(see ``BENCHMARK.json``), not here.
 
 * :mod:`repro.bench.platform_model` — per-exponentiation cost models for
   the paper's two platforms (SUN Ultra-2, Pentium II 450) plus live
   calibration of the machine running the benchmark.
 * :mod:`repro.bench.expcount` — the analytic serial-exponentiation
   formulas of Tables 2-4.
-* :mod:`repro.bench.testbed` — a simulated deployment (3 daemons, as in
-  the paper's setup) with secure members, used by the figure benches.
-* :mod:`repro.bench.runner` — batched measurement (50 repetitions per
-  batch, averaged, as in Section 6).
 * :mod:`repro.bench.reporting` — aligned text tables with
   paper-vs-measured columns.
+* :mod:`repro.bench.report` — prints the whole evaluation standalone.
 * :mod:`repro.bench.keyagree` — the control-plane A/B harness (fast
   fixed-base backend vs ``pow`` reference, interleaved).
 * :mod:`repro.bench.sweep` — the parallel experiment-sweep runner
   (independent figure cells fanned across a process pool).
+
+The deployments these drive (:class:`~repro.testbed.SecureTestbed`,
+:class:`~repro.testbed.ProtocolGroup`) live in :mod:`repro.testbed`.
 """
 
 from repro.bench.platform_model import (
@@ -27,8 +29,6 @@ from repro.bench.platform_model import (
 from repro.bench.expcount import table2, table3, table4
 from repro.bench.keyagree import run_harness as run_keyagree_harness
 from repro.bench.sweep import run_sweep
-from repro.bench.testbed import ProtocolGroup, SecureTestbed
-from repro.bench.runner import BatchTimer
 from repro.bench.reporting import Table
 
 __all__ = [
@@ -39,9 +39,6 @@ __all__ = [
     "table2",
     "table3",
     "table4",
-    "ProtocolGroup",
-    "SecureTestbed",
-    "BatchTimer",
     "Table",
     "run_keyagree_harness",
     "run_sweep",

@@ -4,9 +4,8 @@ and the three-way protocol comparison.
 Measures whole paper-512 join and leave key-agreement operations with
 the fixed-base/multi-exponentiation backend enabled against the bare
 ``pow`` reference backend, **interleaved in the same timing window**
-(iterations alternate backends, exactly like the data plane's
-:mod:`repro.bench.fastpath`), so the recorded speedups survive host CPU
-drift.  Results land in ``BENCH_keyagree.json`` at the repository root
+(iterations alternate backends), so the recorded speedups survive host
+CPU drift.  Results land in ``BENCH_keyagree.json`` at the repository root
 — usually via :mod:`repro.bench.sweep`, which combines this harness
 with the parallel figure sweep.
 
@@ -46,11 +45,11 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.testbed import ProtocolGroup
 from repro.crypto import fixed_base
 from repro.crypto.counters import ExpCounter
 from repro.crypto.dh import DHParams
 from repro.sim.rng import stable_seed
+from repro.testbed import ProtocolGroup
 
 SCHEMA = "keyagree-fastpath/1"
 COMPARISON_SCHEMA = "keyagree-comparison/1"

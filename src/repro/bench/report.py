@@ -19,8 +19,8 @@ from repro.bench.platform_model import (
     calibrate_local_machine,
 )
 from repro.bench.reporting import Table
-from repro.bench.testbed import ProtocolGroup, SecureTestbed
 from repro.secure.session import CryptoCostModel
+from repro.testbed import ProtocolGroup, SecureTestbed
 
 TABLE_SIZES = [3, 5, 10, 15, 30]
 FIGURE3_SIZES = [2, 4, 6, 8, 10, 12, 14]

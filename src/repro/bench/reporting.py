@@ -1,4 +1,4 @@
-"""Plain-text table/series rendering for the benchmark reports.
+"""Plain-text table rendering for the benchmark reports.
 
 The benches print the same rows and series the paper's tables and
 figures report, with paper-expected values alongside measured ones, so
@@ -8,7 +8,7 @@ of the evaluation section.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 
 class Table:
@@ -52,18 +52,3 @@ def _fmt(cell) -> str:
         return f"{cell:.4f}"
     return str(cell)
 
-
-def series_block(
-    title: str,
-    x_label: str,
-    xs: Iterable,
-    series: dict,
-    unit: str = "",
-) -> str:
-    """Render a figure as aligned columns: one x column, one column per
-    series (how we 'plot' in a text report)."""
-    table = Table(title, [x_label] + list(series.keys()))
-    columns = list(series.values())
-    for i, x in enumerate(xs):
-        table.add(x, *[col[i] for col in columns])
-    return table.render() + (f"\n(unit: {unit})" if unit else "")

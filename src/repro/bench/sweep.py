@@ -8,11 +8,11 @@ and extends the regeneration to group sizes ≥ 64.
 
 Cell kinds:
 
-* ``figure3`` — the full-stack :class:`~repro.bench.testbed.SecureTestbed`
+* ``figure3`` — the full-stack :class:`~repro.testbed.SecureTestbed`
   (3 simulated machines, the paper's placement, the Pentium cost model):
   virtual seconds for a join and a leave at group size ``n``.
 * ``figure4`` — pure-protocol exponentiation counts
-  (:class:`~repro.bench.testbed.ProtocolGroup`) converted to modeled CPU
+  (:class:`~repro.testbed.ProtocolGroup`) converted to modeled CPU
   seconds on both published platforms; counts-based, so it scales to
   n = 128 in milliseconds.
 
@@ -45,9 +45,9 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.bench import keyagree
 from repro.bench.platform_model import PENTIUM_II_450, SUN_ULTRA2
-from repro.bench.testbed import ProtocolGroup, SecureTestbed
 from repro.secure.session import CryptoCostModel
 from repro.sim.rng import stable_seed
+from repro.testbed import ProtocolGroup, SecureTestbed
 
 #: Figure 4 is counts-based: extending past the paper's n=30 to 128 is
 #: cheap and shows the asymptotic gap between the protocols.

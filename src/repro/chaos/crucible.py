@@ -58,7 +58,6 @@ def soak(
     progress: bool = True,
     trace_cap: Optional[int] = SOAK_TRACE_CAP,
     dump_dir: Optional[str] = None,
-    scheduler: Optional[str] = None,
 ) -> Dict:
     """Run every (seed, module) combination; return the BENCH document."""
     runs: List[ChaosResult] = []
@@ -66,7 +65,7 @@ def soak(
         for module in modules:
             result = run_chaos(
                 seed, module, quick=quick, trace_cap=trace_cap,
-                dump_dir=dump_dir, scheduler=scheduler,
+                dump_dir=dump_dir,
             )
             runs.append(result)
             if progress:
@@ -99,7 +98,6 @@ def soak(
             "seeds": seeds,
             "modules": modules,
             "quick": quick,
-            "scheduler": scheduler or "default",
         },
         "summary": {
             "runs": len(runs),
@@ -122,12 +120,10 @@ def replay(
     shrink: bool = False,
     max_shrink_runs: int = 60,
     dump_dir: Optional[str] = None,
-    scheduler: Optional[str] = None,
 ) -> int:
     """Replay one seed twice (fingerprint check), optionally shrinking."""
-    first = run_chaos(seed, module, quick=quick, dump_dir=dump_dir,
-                      scheduler=scheduler)
-    second = run_chaos(seed, module, quick=quick, scheduler=scheduler)
+    first = run_chaos(seed, module, quick=quick, dump_dir=dump_dir)
+    second = run_chaos(seed, module, quick=quick)
     identical = first.fingerprint == second.fingerprint
     print(f"seed={seed} module={module} ok={first.ok}")
     print(f"fingerprint run 1: {first.fingerprint}")
@@ -208,11 +204,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         " (inspect with: python -m repro.obs.inspect DIR)",
     )
     parser.add_argument(
-        "--scheduler", choices=("heap", "calendar"), default=None,
-        help="kernel event-queue structure (results and fingerprints are"
-        " identical under either; default: REPRO_SIM_SCHEDULER or heap)",
-    )
-    parser.add_argument(
         "--trace-cap", type=int, default=None, metavar="N",
         help="soak mode: retain at most N trace events per run"
         f" (ring buffer; default {SOAK_TRACE_CAP}, 0 = unlimited)",
@@ -223,8 +214,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.module is None:
             parser.error("--replay requires --module")
         return replay(args.replay, args.module, quick=args.quick,
-                      shrink=args.shrink, dump_dir=args.dump_dir,
-                      scheduler=args.scheduler)
+                      shrink=args.shrink, dump_dir=args.dump_dir)
 
     modules = [m.strip() for m in args.modules.split(",") if m.strip()]
     for module in modules:
@@ -237,7 +227,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         trace_cap = args.trace_cap if args.trace_cap > 0 else None
     document = soak(
         seeds, modules, quick=args.quick, trace_cap=trace_cap,
-        dump_dir=args.dump_dir, scheduler=args.scheduler,
+        dump_dir=args.dump_dir,
     )
     summary = document["summary"]
     print(

@@ -25,17 +25,12 @@ from repro.chaos.invariants import (
     InvariantReport,
 )
 from repro.obs.bus import TraceBus
-from repro.crypto.dh import DHParams
 from repro.errors import DeadlockError, ReproError
 from repro.net.fault import FaultInjector, FaultSchedule
 from repro.net.link import LinkModel
-from repro.net.network import Network
 from repro.secure.events import SecureDataEvent
-from repro.sim.kernel import Kernel
 from repro.sim.rng import DeterministicRng, stable_seed
-from repro.spread.config import SpreadConfig
-from repro.spread.daemon import SpreadDaemon
-from repro.bench.testbed import SecureTestbed
+from repro.testbed import SecureTestbed
 
 #: Key agreement modules every soak covers.
 MODULES = ("cliques", "ckd", "tgdh")
@@ -89,7 +84,7 @@ class ChaosResult:
 
 
 class ChaosHarness(SecureTestbed):
-    """A :class:`~repro.bench.testbed.SecureTestbed` with the chaos
+    """A :class:`~repro.testbed.SecureTestbed` with the chaos
     apparatus attached: full tracing, a spare (crashable) daemon, a
     fault injector over every daemon, guarded background traffic, and
     scripted client churn.
@@ -98,6 +93,10 @@ class ChaosHarness(SecureTestbed):
     spare ``d3`` carries no members, so crash faults can exercise daemon
     fail-stop without severing any client (client/daemon IPC does not
     survive a daemon crash).
+
+    ``link`` swaps the substrate (the packing A/B test runs on a
+    jitter-free deterministic link); ``config_overrides`` forwards
+    SpreadConfig fields, e.g. ``{"packing": True}``.
     """
 
     def __init__(
@@ -107,7 +106,6 @@ class ChaosHarness(SecureTestbed):
         member_count: int = 3,
         daemon_count: int = 4,
         trace_cap: Optional[int] = None,
-        scheduler: Optional[str] = None,
         link: Optional[LinkModel] = None,
         config_overrides: Optional[Dict[str, Any]] = None,
     ) -> None:
@@ -115,56 +113,28 @@ class ChaosHarness(SecureTestbed):
             raise ValueError(f"unknown key agreement module {module!r}")
         self.seed = seed
         self.module = module
-        # Deliberately NOT calling SecureTestbed.__init__: the testbed
-        # hard-wires a disabled tracer and no spare daemon.  We rebuild
-        # the same attribute surface so every inherited helper works.
+        kernel_seed = stable_seed("chaos", seed, module)
         # ``trace_cap`` bounds retention (ring buffer) for long soaks;
         # the replay fingerprint stays exact because the tracer folds it
         # in incrementally, but the invariant checker only sees retained
         # events — so replay/shrink runs must stay uncapped.
-        self.tracer = TraceBus(
-            enabled=True,
-            keep=lambda kind: kind != "kernel.event",
-            max_events=trace_cap,
-        )
-        kernel_seed = stable_seed("chaos", seed, module)
-        # ``scheduler`` selects the kernel's event-queue structure; the
-        # trace fingerprint must be byte-identical under either (the
-        # scale bench's A/B equivalence stage asserts exactly that).
-        self.kernel = Kernel(
-            seed=kernel_seed, tracer=self.tracer, scheduler=scheduler
-        )
-        # ``link`` swaps the substrate (the data-plane bench runs its
-        # packing A/B on a jitter-free deterministic link);
-        # ``config_overrides`` forwards SpreadConfig fields, e.g.
-        # ``{"packing": True}``.
-        self.network = Network(
-            self.kernel,
-            default_link=(
-                link if link is not None else LinkModel.ethernet_100base_t()
+        super().__init__(
+            daemon_count=daemon_count,
+            link=link,
+            seed=kernel_seed,
+            config_overrides=config_overrides,
+            tracer=TraceBus(
+                enabled=True,
+                keep=lambda kind: kind != "kernel.event",
+                max_events=trace_cap,
             ),
         )
-        names = tuple(f"d{i}" for i in range(daemon_count))
-        self.config = SpreadConfig(daemons=names, **(config_overrides or {}))
-        self.daemons: Dict[str, SpreadDaemon] = {}
-        for name in names:
-            daemon = SpreadDaemon(self.kernel, name, self.network, self.config)
-            daemon.start()
-            self.daemons[name] = daemon
-        self.params = DHParams.tiny_test()
-        self.cost_model = None
-        from repro.cliques.directory import KeyDirectory
-
-        self.directory = KeyDirectory()
-        self.members = {}
-        self._seed = kernel_seed
         self.injector = FaultInjector(self.kernel, self.network, self.daemons)
         self.rng = DeterministicRng(kernel_seed, label="chaos")
         self.member_count = member_count
         self.traffic_sent = 0
         self.traffic_blocked = 0
         self._traffic_on = False
-        self.settle()
 
     # -- setup -----------------------------------------------------------------
 
@@ -414,7 +384,6 @@ def run_chaos(
     churn: Optional[List[ChurnOp]] = None,
     trace_cap: Optional[int] = None,
     dump_dir: Optional[str] = None,
-    scheduler: Optional[str] = None,
 ) -> ChaosResult:
     """Execute one seeded chaos run and return its verdict.
 
@@ -426,10 +395,8 @@ def run_chaos(
     ``trace_cap`` bounds trace retention (soak mode); ``dump_dir``
     writes an observability run dump (trace, metrics, spans) under
     ``dump_dir/seed{seed}-{module}/`` for ``repro.obs.inspect``.
-    ``scheduler`` picks the kernel event queue ("heap"/"calendar");
-    results and fingerprints are identical under either.
     """
-    harness = ChaosHarness(seed, module, trace_cap=trace_cap, scheduler=scheduler)
+    harness = ChaosHarness(seed, module, trace_cap=trace_cap)
     harness.establish_group()
     chaos_span = 4.0 if quick else 8.0
     start = harness.kernel.now + CHAOS_LEAD_IN

@@ -75,7 +75,7 @@ def delivery_fingerprint(events: Iterable[TraceEvent]) -> str:
     different daemons interleave in the global trace (a pure artifact of
     kernel scheduling), so it is the right equality for A/B comparisons
     that change network event timing without changing semantics — the
-    packing on/off gate in ``repro.bench.dataplane``.
+    packing on/off gate in ``tests/chaos/test_packing_equivalence.py``.
     """
     per_daemon: Dict[str, "hashlib._Hash"] = {}
     for event in events:

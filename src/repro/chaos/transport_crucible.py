@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.bench.transport import _SecureMember
 from repro.chaos.invariants import EndState, InvariantChecker, InvariantReport
 from repro.cliques.directory import KeyDirectory
 from repro.crypto.dh import DHKeyPair, DHParams
@@ -50,7 +49,7 @@ from repro.crypto.random_source import DeterministicSource
 from repro.errors import ReproError
 from repro.obs import MetricsRegistry, TraceBus, collect_session, collect_transport
 from repro.obs.metrics import collect_netem
-from repro.secure.events import SecureDataEvent
+from repro.secure.events import SecureDataEvent, SecureMembershipEvent
 from repro.secure.session import SecureClient
 from repro.sim.rng import DeterministicRng, stable_seed
 from repro.spread.config import SpreadConfig
@@ -63,7 +62,7 @@ MODULES = ("cliques", "ckd", "tgdh")
 
 GROUP = "crucible"
 
-#: Real-time daemon timers (the transport bench's values): tight enough
+#: Real-time daemon timers (the daemon CLI's defaults): tight enough
 #: that blackhole windows trip failure detection, loose enough that a
 #: loaded CI worker does not.
 HELLO_INTERVAL = 0.25
@@ -75,6 +74,22 @@ PROBE_TIMEOUT = 20.0
 
 #: Disruptions a WAN window may contain (see generate_wan_schedule).
 WAN_WINDOW_KINDS = ("asym", "reset", "stall", "blackhole", "corrupt", "quiet")
+
+
+class _SecureMember:
+    """One SecureClient riding a TcpSpreadClient."""
+
+    def __init__(self, name: str, client: TcpSpreadClient, secure: SecureClient):
+        self.name = name
+        self.client = client
+        self.secure = secure
+
+    def view_of(self, group: str) -> set:
+        events = [
+            e for e in self.secure.queue
+            if isinstance(e, SecureMembershipEvent) and str(e.group) == group
+        ]
+        return {str(m) for m in events[-1].members} if events else set()
 
 
 def peer_link_name(dialer: str, target: str) -> str:

@@ -1,7 +1,7 @@
 """The WAN soak benchmark behind ``BENCH_wansoak.json``.
 
-Where :mod:`repro.bench.transport` measures the TCP backend on *clean*
-loopback wires, this bench measures it on *hostile* ones: every wire
+Where ``benchmarks/e2e`` measures the TCP backend on *clean* loopback
+wires, this soak measures it on *hostile* ones: every wire
 routed through a :class:`~repro.transport.netem.NetemLink`, shaped to a
 matrix of loss × latency × asymmetry profiles, with the full secure
 stack (daemons, clients, key agreement) living on top.  One cell of the
@@ -30,9 +30,9 @@ Each cell ends with the full trace handed to the *same*
 uses: a cell is ``ok`` only when view synchrony, key agreement, secrecy
 and convergence all held while the wires were hostile.
 
-Run ``PYTHONPATH=src python -m repro.bench.wansoak`` for the full
+Run ``PYTHONPATH=src python -m repro.chaos.wansoak`` for the full
 matrix (3 loss levels × 3 latency profiles × 3 key-agreement modules),
-``--smoke --check`` for the CI ``wansoak-smoke`` shape (one module, two
+``--smoke --check`` for the CI ``crucible-smoke`` shape (one module, two
 cells, structural gates: zero invariant violations, all sealed payloads
 delivered, recovery under the bound — never wall-clock rates).  With
 ``--dump-dir`` every cell writes an obs dump that satisfies

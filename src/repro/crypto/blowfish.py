@@ -12,7 +12,7 @@ The round function is fully unrolled and operates on local 32-bit words
 (no per-round method calls, one mask per Feistel evaluation), and the
 cipher exposes whole-buffer CBC / CTR primitives that chain with integer
 XOR instead of per-byte generators.  A slow, readable per-block oracle
-lives in :mod:`repro.crypto.reference`; the test suite pins this
+lives in ``tests/crypto/reference.py``; the test suite pins this
 implementation against it.  Key schedules are expensive (521 block
 encryptions) — reuse instances via :mod:`repro.crypto.cipher_cache`
 rather than re-keying per message.

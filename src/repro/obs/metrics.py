@@ -358,7 +358,7 @@ def exp_counts_match(registry: MetricsRegistry, counter, **labels: Any) -> bool:
 
 
 def collect_testbed(registry: MetricsRegistry, testbed) -> MetricsRegistry:
-    """Sample an entire :class:`~repro.bench.testbed.SecureTestbed`-shaped
+    """Sample an entire :class:`~repro.testbed.SecureTestbed`-shaped
     deployment (kernel + network + daemons + secure members) — the
     one-call collector the chaos harness and benches use."""
     collect_kernel(registry, testbed.kernel)

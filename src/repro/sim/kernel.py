@@ -15,67 +15,43 @@ Typical use::
 Higher layers rarely touch the kernel directly; they use
 :class:`~repro.sim.process.SimProcess` and :class:`~repro.sim.timers.Timer`.
 
-Hot-path design (this kernel executes millions of events in the larger
-benches):
+Hot-path design (pending events wait in one ``heapq`` binary heap; this
+kernel executes millions of events in the larger sweeps):
 
 * :class:`Event` is a ``__slots__`` class with a hand-written ``__lt__``
   — no dataclass descriptor machinery, no per-comparison tuple field
-  walk beyond the one the scheduler needs.
+  walk beyond the one the heap needs.
 * Cancellation is lazy: cancelled events are skipped when they surface
-  at a queue head; the scheduler structure is never rebuilt.  A live
-  event counter makes :attr:`Kernel.pending_events` O(1) — ``cancel()``
-  and dispatch each decrement it exactly once.
+  at a queue head; the heap is never rebuilt.  A live event counter
+  makes :attr:`Kernel.pending_events` O(1) — ``cancel()`` and dispatch
+  each decrement it exactly once.
 * ``call_at(now, ...)`` / ``call_later(0, ...)`` at default priority
-  append to a FIFO *ready* deque instead of the scheduler.  Because
-  virtual time never moves backwards and sequence numbers grow
-  monotonically, the deque is always sorted by ``(time, priority,
-  seq)``; the dispatch loop two-way-merges the deque head with the
-  scheduler head, so ordering is exactly what one global queue would
-  produce.
+  append to a FIFO *ready* deque instead of the heap.  Because virtual
+  time never moves backwards and sequence numbers grow monotonically,
+  the deque is always sorted by ``(time, priority, seq)``; the dispatch
+  loop two-way-merges the deque head with the heap head, so ordering is
+  exactly what one global queue would produce.
 * The run loop pops exactly once per dispatched event — no separate
   peek pass re-draining cancelled heads — and hands the popped event to
   the ``step(event=...)`` fast path.  An event popped but not run (the
   ``until`` horizon passed) is stashed and re-served first.  Held
-  popped-but-unrun events (the stash and the merge's scheduler head)
-  are only served without re-checking the queues because ``call_at``
-  flushes them back into the scheduler the moment a new event sorts
-  before them — otherwise an event scheduled between runs (or from a
-  callback while the head is held) would dispatch after a later-timed
-  held event and the clock would move backwards.
-
-Two interchangeable scheduler structures sit behind the ``scheduler=``
-flag:
-
-* ``"heap"`` (default) — a binary heap (``heapq``) of events, the
-  reference implementation.
-* ``"calendar"`` — the :class:`~repro.sim.calqueue.CalendarQueue`
-  bucketed scheduler: O(1) amortized enqueue/dequeue with automatic
-  bucket-width resize, measurably faster once many events are pending.
-
-Both dispatch in identical ``(time, priority, seq)`` order — asserted
-by the A/B equivalence harness (``repro.bench.scale --equivalence`` and
-``tests/sim/test_scheduler_equivalence.py``) — so every simulation,
-trace fingerprint included, is byte-identical under either.  The
-``REPRO_SIM_SCHEDULER`` environment variable overrides the default for
-a whole process (how CI runs entire suites under the calendar queue).
+  popped-but-unrun events (the stash and the merge's heap head) are
+  only served without re-checking the queues because ``call_at``
+  flushes them back into the heap the moment a new event sorts before
+  them — otherwise an event scheduled between runs (or from a callback
+  while the head is held) would dispatch after a later-timed held event
+  and the clock would move backwards.
 """
 
 from __future__ import annotations
 
-import heapq
-import os
 from collections import deque
+from heapq import heappop, heappush
 from typing import Callable, Deque, List, Optional
 
 from repro.errors import ClockError, DeadlockError
 from repro.sim.rng import DeterministicRng
 from repro.sim.trace import Tracer
-
-#: The selectable scheduler structures.
-SCHEDULERS = ("heap", "calendar")
-
-#: Environment override for the default scheduler choice.
-SCHEDULER_ENV = "REPRO_SIM_SCHEDULER"
 
 
 class Event:
@@ -114,9 +90,6 @@ class Event:
             return self.priority < other.priority
         return self.seq < other.seq
 
-    def sort_key(self):
-        return (self.time, self.priority, self.seq)
-
     def cancel(self) -> None:
         """Prevent the event from firing.  Safe to call more than once."""
         if self.cancelled:
@@ -135,38 +108,6 @@ class Event:
         )
 
 
-class _HeapScheduler:
-    """The reference scheduler: a binary heap of events."""
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: List[Event] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, event)
-
-    def pop(self) -> Optional[Event]:
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)
-
-
-def _make_scheduler(name: str):
-    if name == "heap":
-        return _HeapScheduler()
-    if name == "calendar":
-        from repro.sim.calqueue import CalendarQueue
-
-        return CalendarQueue()
-    raise ValueError(
-        f"unknown scheduler {name!r}; choose from {', '.join(SCHEDULERS)}"
-    )
-
-
 class Kernel:
     """A deterministic discrete-event simulation kernel.
 
@@ -178,29 +119,23 @@ class Kernel:
         from :attr:`rng` (or a child of it) so runs are reproducible.
     tracer:
         Optional :class:`~repro.sim.trace.Tracer` recording kernel activity.
-    scheduler:
-        ``"heap"`` (default) or ``"calendar"`` — the event-queue
-        structure.  ``None`` reads the ``REPRO_SIM_SCHEDULER``
-        environment variable, falling back to ``"heap"``.  Dispatch
-        order is identical under either.
     """
+
+    #: Which clock runs the stack (the real-time one says "realtime");
+    #: the end-to-end benchmark stamps it into every result.
+    scheduler = "heap"
 
     def __init__(
         self,
         seed: int = 0,
         tracer: Optional[Tracer] = None,
-        scheduler: Optional[str] = None,
     ) -> None:
-        if scheduler is None:
-            scheduler = os.environ.get(SCHEDULER_ENV) or "heap"
-        self.scheduler = scheduler
-        self._sched = _make_scheduler(scheduler)
-        self._sched_push = self._sched.push
+        self._heap: List[Event] = []
         self._ready: Deque[Event] = deque()
-        # The scheduler's popped-but-unconsumed head (the two-way merge
+        # The heap's popped-but-unconsumed head (the two-way merge
         # needs to look at it without losing it), and the globally
         # popped event the run loop pushed back at an ``until`` horizon.
-        self._sched_head: Optional[Event] = None
+        self._heap_head: Optional[Event] = None
         self._stashed: Optional[Event] = None
         self._next_seq = 0
         #: Current virtual time in seconds.  A plain attribute (not a
@@ -263,31 +198,31 @@ class Kernel:
         event._owner = self
         self._pending += 1
         # The dispatch loop serves held popped-but-unrun events (the
-        # run-horizon stash, the merge's scheduler head) without
-        # re-checking the scheduler, which is only sound while they
-        # sort before everything queued.  A new event that undercuts a
-        # held one flushes it back into the scheduler so both re-enter
-        # the merge.  Seq is monotone, so ties never undercut and the
-        # comparison needs no seq term.
+        # run-horizon stash, the merge's heap head) without re-checking
+        # the heap, which is only sound while they sort before
+        # everything queued.  A new event that undercuts a held one
+        # flushes it back into the heap so both re-enter the merge.
+        # Seq is monotone, so ties never undercut and the comparison
+        # needs no seq term.
         stash = self._stashed
         if stash is not None and (
             when < stash.time or (when == stash.time and priority < stash.priority)
         ):
             self._stashed = None
-            self._sched_push(stash)
-        head = self._sched_head
+            heappush(self._heap, stash)
+        head = self._heap_head
         if head is not None and (
             when < head.time or (when == head.time and priority < head.priority)
         ):
-            self._sched_head = None
-            self._sched_push(head)
+            self._heap_head = None
+            heappush(self._heap, head)
         if when == self.now and priority == 0:
             # Immediate default-priority work (the dominant schedule in
             # dispatch chains): the ready deque stays sorted because now
-            # and seq are both monotone, so no scheduler insert is needed.
+            # and seq are both monotone, so no heap insert is needed.
             self._ready.append(event)
         else:
-            self._sched_push(event)
+            heappush(self._heap, event)
         return event
 
     def call_later(
@@ -307,11 +242,11 @@ class Kernel:
     def _pop_runnable(self) -> Optional[Event]:
         """Pop the globally next non-cancelled event, or None when drained.
 
-        Two-way merge of the ready deque and the scheduler, discarding
+        Two-way merge of the ready deque and the heap, discarding
         cancelled events lazily as they surface at either head.  An
-        event stashed back by :meth:`run` is served first.  The
-        scheduler's popped-but-unconsumed head is held in
-        ``_sched_head`` so peeking at it never loses it.
+        event stashed back by :meth:`run` is served first.  The heap's
+        popped-but-unconsumed head is held in ``_heap_head`` so peeking
+        at it never loses it.
         """
         stashed = self._stashed
         if stashed is not None:
@@ -323,27 +258,25 @@ class Kernel:
         while ready and ready[0].cancelled:
             ready.popleft()
             self._events_cancelled += 1
-        head = self._sched_head
+        head = self._heap_head
         if head is not None and head.cancelled:
             self._events_cancelled += 1
             head = None
         if head is None:
-            pop = self._sched.pop
-            while True:
-                head = pop()
-                if head is None:
+            heap = self._heap
+            while heap:
+                head = heappop(heap)
+                if not head.cancelled:
                     break
-                if head.cancelled:
-                    self._events_cancelled += 1
-                    continue
-                break
+                self._events_cancelled += 1
+                head = None
         if not ready:
-            self._sched_head = None
+            self._heap_head = None
             return head
         if head is None or ready[0] < head:
-            self._sched_head = head
+            self._heap_head = head
             return ready.popleft()
-        self._sched_head = None
+        self._heap_head = None
         return head
 
     def _peek_runnable(self) -> Optional[Event]:
@@ -389,7 +322,7 @@ class Kernel:
         # dispatch body are inlined (no per-event Python calls beyond
         # the callback itself).  Must mirror _pop_runnable + step.
         ready = self._ready
-        sched_pop = self._sched.pop
+        heap = self._heap
         try:
             while True:
                 if max_events is not None and executed >= max_events:
@@ -404,26 +337,27 @@ class Kernel:
                     while ready and ready[0].cancelled:
                         ready.popleft()
                         self._events_cancelled += 1
-                    head = self._sched_head
+                    head = self._heap_head
                     if head is not None and head.cancelled:
                         self._events_cancelled += 1
                         head = None
                     if head is None:
-                        while True:
-                            head = sched_pop()
-                            if head is None or not head.cancelled:
+                        while heap:
+                            head = heappop(heap)
+                            if not head.cancelled:
                                 break
                             self._events_cancelled += 1
+                            head = None
                     if not ready:
-                        self._sched_head = None
+                        self._heap_head = None
                         event = head
                         if event is None:
                             break
                     elif head is None or ready[0] < head:
-                        self._sched_head = head
+                        self._heap_head = head
                         event = ready.popleft()
                     else:
-                        self._sched_head = None
+                        self._heap_head = None
                         event = head
                 if until is not None and event.time > until:
                     # Beyond the horizon: push back for the next run call.

@@ -243,10 +243,10 @@ class SecureTestbed:
         params: Optional[DHParams] = None,
         seed: int = 42,
         config_overrides: Optional[dict] = None,
-        scheduler: Optional[str] = None,
+        tracer: Optional[Tracer] = None,
     ) -> None:
-        self.tracer = Tracer(enabled=False)
-        self.kernel = Kernel(seed=seed, tracer=self.tracer, scheduler=scheduler)
+        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
+        self.kernel = Kernel(seed=seed, tracer=self.tracer)
         self.network = Network(
             self.kernel, default_link=link or LinkModel.ethernet_100base_t()
         )

@@ -76,7 +76,7 @@ class _AuthDisabled:
 
 
 #: Pass as ``auth=`` to force authentication *off* even when
-#: ``REPRO_TRANSPORT_KEYFILE`` is set (used by auth-overhead benches).
+#: ``REPRO_TRANSPORT_KEYFILE`` is set (keyless deployments and probes).
 AUTH_DISABLED = _AuthDisabled()
 
 #: What callers may pass wherever an ``auth`` argument is accepted.

@@ -9,7 +9,7 @@ command each box of a real multi-host deployment runs against the same
 copied config file.
 
 :class:`LaunchedDeployment` is the library face of the same lifecycle;
-the multihost bench and the CI smoke job drive it directly::
+``tests/transport/test_launch.py`` drives it directly::
 
     deployment = load_deployment("deploy.toml")
     with LaunchedDeployment(deployment) as launched:

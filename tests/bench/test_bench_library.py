@@ -1,5 +1,5 @@
-"""The benchmark harness library itself: models, formulas, runner,
-reporting, workloads, report tool."""
+"""The paper-regeneration library itself: platform models, count
+formulas, reporting, the protocol driver, the report tool."""
 
 import pytest
 
@@ -17,15 +17,8 @@ from repro.bench.platform_model import (
     PlatformModel,
     calibrate_local_machine,
 )
-from repro.bench.reporting import Table, series_block
-from repro.bench.runner import BatchTimer
-from repro.bench.testbed import ProtocolGroup
-from repro.bench.workloads import (
-    WorkloadEventKind,
-    WorkloadSpec,
-    generate_events,
-)
-from repro.sim.rng import DeterministicRng
+from repro.bench.reporting import Table
+from repro.testbed import ProtocolGroup
 
 
 # -- platform models -----------------------------------------------------------------
@@ -75,32 +68,6 @@ def test_table4_consistent_with_tables_2_and_3(n):
     assert t4["Cliques"]["Leave"] == dict(table3_cliques(n))["Total"]
 
 
-# -- batch timer ------------------------------------------------------------------------
-
-
-def test_batch_timer_averages():
-    values = iter([1.0] * 50 + [3.0] * 50)
-    timer = BatchTimer(batches=2, per_batch=50)
-    result = timer.measure(lambda: next(values))
-    assert result.mean == pytest.approx(2.0)
-    assert result.batch_means == [1.0, 3.0]
-    assert result.samples == 100
-    assert "batches" in result.describe()
-
-
-def test_batch_timer_validation():
-    with pytest.raises(ValueError):
-        BatchTimer(batches=0)
-    with pytest.raises(ValueError):
-        BatchTimer(per_batch=0)
-
-
-def test_batch_timer_zero_stdev_single_batch():
-    timer = BatchTimer(batches=1, per_batch=3)
-    result = timer.measure(lambda: 0.5)
-    assert result.stdev == 0.0
-
-
 # -- reporting --------------------------------------------------------------------------------
 
 
@@ -117,50 +84,6 @@ def test_table_rejects_wrong_arity():
     table = Table("T", ["a", "b"])
     with pytest.raises(ValueError):
         table.add(1)
-
-
-def test_series_block():
-    text = series_block("S", "x", [1, 2], {"y": [10, 20]}, unit="ms")
-    assert "S" in text and "(unit: ms)" in text
-
-
-# -- workloads -----------------------------------------------------------------------------------
-
-
-def test_workload_spec_validation():
-    with pytest.raises(ValueError):
-        WorkloadSpec(duration=0)
-    with pytest.raises(ValueError):
-        WorkloadSpec(join_rate=-1)
-    with pytest.raises(ValueError):
-        WorkloadSpec(min_members=5, max_members=2)
-
-
-def test_generate_events_reproducible():
-    spec = WorkloadSpec(duration=10.0)
-    a = generate_events(spec, DeterministicRng(5))
-    b = generate_events(spec, DeterministicRng(5))
-    assert a == b
-
-
-def test_generate_events_sorted_and_bounded():
-    spec = WorkloadSpec(duration=10.0, partition_rate=0.2, heal_delay=1.0)
-    events = generate_events(spec, DeterministicRng(6))
-    times = [e.at for e in events]
-    assert times == sorted(times)
-    membership = [e for e in events if e.kind in (
-        WorkloadEventKind.JOIN, WorkloadEventKind.LEAVE)]
-    assert all(0 <= e.at < 10.0 for e in membership)
-    partitions = [e for e in events if e.kind == WorkloadEventKind.PARTITION]
-    heals = [e for e in events if e.kind == WorkloadEventKind.HEAL]
-    assert len(partitions) == len(heals)
-
-
-def test_zero_rates_mean_no_events():
-    spec = WorkloadSpec(
-        duration=5.0, join_rate=0, leave_rate=0, send_rate=0, partition_rate=0
-    )
-    assert generate_events(spec, DeterministicRng(1)) == []
 
 
 # -- testbed drivers -----------------------------------------------------------------------------

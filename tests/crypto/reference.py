@@ -3,17 +3,10 @@
 :mod:`repro.crypto.blowfish` and :mod:`repro.crypto.modes` are optimized
 (unrolled rounds, whole-buffer integer chaining).  This module preserves
 the straightforward textbook formulation that the optimized code
-replaced: a per-round-loop Blowfish and per-byte-XOR CBC/CTR.  It exists
-for two reasons:
-
-* **Equivalence tests** pin every optimized output against this oracle
-  (plus the published Eric Young vectors), so a fast-path bug cannot
-  pass silently.
-* The **perf-regression harness** (:mod:`repro.bench.fastpath`) measures
-  it as the pre-optimization baseline, which is how the recorded
-  speedups stay honest across machines.
-
-Never use this module on a hot path.
+replaced: a per-round-loop Blowfish and per-byte-XOR CBC/CTR.  The
+equivalence tests pin every optimized output against this oracle (plus
+the published Eric Young vectors), so a fast-path bug cannot pass
+silently.
 """
 
 from __future__ import annotations

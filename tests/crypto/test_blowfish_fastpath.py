@@ -8,7 +8,7 @@ Three layers of defense around the optimized cipher core:
   sweep recorded from the pre-optimization implementation, so the
   unrolled rewrite provably changed no bit of any output.
 * **Oracle equivalence** — property tests against the slow reference
-  implementation in :mod:`repro.crypto.reference`.
+  implementation in ``tests/crypto/reference.py``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ from repro.crypto.modes import (
     pkcs7_pad,
     pkcs7_unpad,
 )
-from repro.crypto.reference import (
+from repro.crypto.sha1 import SHA1, sha1
+from repro.errors import CipherError
+from tests.crypto.reference import (
     ReferenceBlowfish,
     ReferenceSHA1,
     reference_cbc_decrypt,
@@ -37,8 +39,6 @@ from repro.crypto.reference import (
     reference_ctr_xor,
     reference_hmac_digest,
 )
-from repro.crypto.sha1 import SHA1, sha1
-from repro.errors import CipherError
 
 
 class FixedSource:

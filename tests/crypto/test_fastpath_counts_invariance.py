@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.expcount import table4
-from repro.bench.testbed import ProtocolGroup
+from repro.testbed import ProtocolGroup
 from repro.crypto import fixed_base
 from repro.crypto.dh import DHParams
 

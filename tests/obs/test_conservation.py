@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.testbed import SecureTestbed
+from repro.testbed import SecureTestbed
 from repro.obs.metrics import MetricsRegistry, collect_testbed, exp_counts_match
 
 MODULES = ("cliques", "ckd", "tgdh")

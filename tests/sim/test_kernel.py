@@ -1,9 +1,11 @@
 """Unit tests for the discrete-event kernel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ClockError, DeadlockError
-from repro.sim.kernel import SCHEDULERS, Kernel
+from repro.sim.kernel import Kernel
 
 
 def test_clock_starts_at_zero():
@@ -166,16 +168,15 @@ def test_nested_scheduling_during_event():
 # -- held popped-but-unrun events must re-enter the dispatch merge --------
 #
 # The run loop holds events it popped but did not run: an event past the
-# run(until=...) horizon (the stash) and the scheduler head that lost
+# run(until=...) horizon (the stash) and the heap head that lost
 # the merge to a ready event.  An event scheduled afterwards that sorts
 # before a held one must still dispatch first — regression tests for a
 # bug where the held event was served unconditionally, dispatching after
 # it and rolling the clock backwards.
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_event_scheduled_between_runs_beats_horizon_stash(scheduler):
-    kernel = Kernel(scheduler=scheduler)
+def test_event_scheduled_between_runs_beats_horizon_stash():
+    kernel = Kernel()
     fired = []
     kernel.call_at(5.0, lambda: fired.append(("late", kernel.now)))
     kernel.run(until=3.0)
@@ -186,11 +187,10 @@ def test_event_scheduled_between_runs_beats_horizon_stash(scheduler):
     assert kernel.now == 5.0
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_ready_event_scheduled_between_runs_beats_horizon_stash(scheduler):
+def test_ready_event_scheduled_between_runs_beats_horizon_stash():
     # The between-runs event lands on the ready deque (time == now,
-    # default priority), not the scheduler — same ordering requirement.
-    kernel = Kernel(scheduler=scheduler)
+    # default priority), not the heap — same ordering requirement.
+    kernel = Kernel()
     fired = []
     kernel.call_at(5.0, lambda: fired.append(("late", kernel.now)))
     kernel.run(until=3.0)
@@ -199,11 +199,10 @@ def test_ready_event_scheduled_between_runs_beats_horizon_stash(scheduler):
     assert fired == [("now", 3.0), ("late", 5.0)]
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_callback_schedule_beats_held_scheduler_head(scheduler):
+def test_callback_schedule_beats_held_scheduler_head():
     # While the t=5 head is held by the merge (a ready event won), the
     # ready callback schedules t=1 work; it must run before the head.
-    kernel = Kernel(scheduler=scheduler)
+    kernel = Kernel()
     fired = []
 
     def ready_callback():
@@ -216,9 +215,8 @@ def test_callback_schedule_beats_held_scheduler_head(scheduler):
     assert fired == [("ready", 0.0), ("timer", 1.0), ("head", 5.0)]
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_clock_never_moves_backwards_across_horizon_runs(scheduler):
-    kernel = Kernel(scheduler=scheduler)
+def test_clock_never_moves_backwards_across_horizon_runs():
+    kernel = Kernel()
     observed = []
     for when in (2.0, 4.0, 6.0, 8.0):
         kernel.call_at(when, lambda: observed.append(kernel.now))
@@ -231,11 +229,10 @@ def test_clock_never_moves_backwards_across_horizon_runs(scheduler):
     assert observed == [2.0, 3.5, 4.0, 5.5, 6.0, 8.0]
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_cancelled_stash_and_undercutting_event_accounting(scheduler):
+def test_cancelled_stash_and_undercutting_event_accounting():
     # Cancel the stashed horizon event, then undercut it: it must not
     # fire, and counters stay consistent.
-    kernel = Kernel(scheduler=scheduler)
+    kernel = Kernel()
     fired = []
     handle = kernel.call_at(5.0, lambda: fired.append("late"))
     kernel.run(until=3.0)
@@ -246,3 +243,68 @@ def test_cancelled_stash_and_undercutting_event_accounting(scheduler):
     assert kernel.pending_events == 0
     assert kernel.events_processed == 1
     assert kernel.events_cancelled == 1
+
+
+@given(
+    times=st.lists(
+        st.floats(min_value=0.0, max_value=5.0,
+                  allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=40,
+    )
+)
+@settings(max_examples=40, deadline=None)
+def test_tied_times_dispatch_in_seq_order(times):
+    """Duplicate timestamps must resolve by scheduling order."""
+    kernel = Kernel(seed=1)
+    log = []
+    for index, when in enumerate(sorted(times)):
+        kernel.call_at(when, lambda i=index: log.append(i))
+    kernel.run()
+    assert log == sorted(log)
+
+
+#: A horizon-split program: per-segment event offsets (relative to the
+#: segment's start clock) plus the horizon gap to the next ``run(until)``
+#: call.  Events scheduled between runs can legally sort before an event
+#: popped-then-stashed at an earlier horizon — the regression surface.
+_SEGMENTS = st.lists(
+    st.tuples(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=10.0,
+                          allow_nan=False, allow_infinity=False),
+                st.integers(min_value=0, max_value=2),
+            ),
+            min_size=0,
+            max_size=8,
+        ),
+        st.floats(min_value=0.1, max_value=4.0,
+                  allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(segments=_SEGMENTS)
+@settings(max_examples=60, deadline=None)
+def test_horizon_split_runs_dispatch_in_global_order(segments):
+    """Interleaving ``run(until=...)`` with fresh scheduling must still
+    dispatch every event in global ``(time, priority, seq)`` order,
+    checked against a sorted ground-truth oracle."""
+    kernel = Kernel(seed=3)
+    log = []
+    expected = []
+    for offsets, gap in segments:
+        for offset, priority in offsets:
+            when = kernel.now + offset
+            handle = kernel.call_at(
+                when, lambda: log.append(kernel.now), priority=priority
+            )
+            expected.append((when, priority, handle.seq))
+        kernel.run(until=kernel.now + gap)
+    kernel.run()
+    assert log == sorted(log), "clock moved backwards"
+    assert log == [time for time, __, __ in sorted(expected)]
+    assert kernel.pending_events == 0

@@ -1,0 +1,77 @@
+"""Lint: the dependency arrow between the library and ``repro.bench``
+points one way.
+
+``repro.bench`` regenerates the paper's tables and figures *from* the
+library; the library never reaches back into it.  And ``repro.bench`` is
+the paper's evaluation only — stack performance is ``benchmarks/e2e`` —
+so it stays off the fault crucibles and the real transport, and a new
+module in it is a decision, not a drive-by.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+from typing import Iterator, Tuple
+
+SRC_ROOT = Path(__file__).resolve().parents[1] / "src"
+BENCH = SRC_ROOT / "repro" / "bench"
+
+#: What regenerates the paper, and nothing else.
+BENCH_MODULES = {
+    "__init__", "expcount", "platform_model", "reporting", "report",
+    "keyagree", "sweep",
+}
+
+
+def _imports(path: Path) -> Iterator[Tuple[int, str]]:
+    """(line, absolute module name) for every import in ``path``,
+    function-local ones included."""
+    package = list(path.relative_to(SRC_ROOT).with_suffix("").parts[:-1])
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            yield node.lineno, module
+            # ``from repro import bench`` names the submodule as an alias.
+            for alias in node.names:
+                yield node.lineno, f"{module}.{alias.name}"
+
+
+def _offenders(paths, forbidden: Tuple[str, ...]) -> list:
+    found = {}
+    for path in sorted(paths):
+        for line, module in _imports(path):
+            if any(module == f or module.startswith(f + ".") for f in forbidden):
+                found.setdefault(f"{path.relative_to(SRC_ROOT)}:{line}", module)
+    return [f"{where}: {module}" for where, module in found.items()]
+
+
+def test_library_does_not_import_bench():
+    library = [
+        p for p in (SRC_ROOT / "repro").rglob("*.py") if BENCH not in p.parents
+    ]
+    offenders = _offenders(library, ("repro.bench",))
+    assert not offenders, (
+        "library code imports repro.bench — move what it needs into the"
+        " library instead:\n" + "\n".join(offenders)
+    )
+
+
+def test_bench_stays_off_the_crucibles_and_the_transport():
+    offenders = _offenders(
+        BENCH.rglob("*.py"), ("repro.chaos", "repro.transport")
+    )
+    assert not offenders, (
+        "repro.bench regenerates the paper on the simulator; fault and"
+        " socket measurements belong to repro.chaos and benchmarks/e2e:\n"
+        + "\n".join(offenders)
+    )
+
+
+def test_bench_contains_only_the_paper_modules():
+    assert {p.stem for p in BENCH.glob("*.py")} == BENCH_MODULES
+    assert not [p for p in BENCH.iterdir() if p.is_dir() and p.name != "__pycache__"]

@@ -4,7 +4,7 @@ Everything here is hermetic against port collisions: hosts and netem
 proxies bind port 0 and publish the ephemeral port the kernel handed
 back, so suites can run in parallel on one machine.  On platforms
 without loopback sockets :func:`run` skips rather than fails — the
-same escape hatch the CI ``transport-smoke`` job uses.
+same escape hatch the transport crucible CLI uses.
 """
 
 import asyncio

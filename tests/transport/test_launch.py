@@ -119,9 +119,20 @@ def test_child_env_prepends_src_and_drops_ambient_keyfile(monkeypatch):
     assert KEYFILE_ENV not in env
 
 
-def test_authenticated_deployment_end_to_end(tmp_path):
-    """Key file in config → daemons speak MAC'd frames → a keyed client
-    round-trips and a keyless probe is cut off."""
+@pytest.mark.parametrize(
+    "deployment_keyed,imposter",
+    [(True, "wrong_key"), (True, "keyless"), (False, "keyed")],
+    ids=[
+        "wrong_key_client",
+        "keyless_client",
+        "keyed_client_vs_keyless_deployment",
+    ],
+)
+def test_authenticated_deployment_end_to_end(tmp_path, deployment_keyed, imposter):
+    """Key file in config → daemons speak MAC'd frames.  A client whose
+    key setting differs from the deployment's is cut off within the
+    timeout, and the honest client still round-trips afterwards in the
+    same deployment."""
     import asyncio
 
     from repro.transport.client import TcpSpreadClient
@@ -131,29 +142,28 @@ def test_authenticated_deployment_end_to_end(tmp_path):
 
     keyfile = tmp_path / "deploy.key"
     generate_keyfile(keyfile)
-    deployment = load_deployment(write_config(tmp_path, 1, keyfile=keyfile))
+    wrong_key = tmp_path / "wrong.key"
+    generate_keyfile(wrong_key)
+    honest_auth = str(keyfile) if deployment_keyed else AUTH_DISABLED
+    imposter_auth = {
+        "wrong_key": str(wrong_key),
+        "keyless": AUTH_DISABLED,
+        "keyed": str(keyfile),
+    }[imposter]
+    deployment = load_deployment(
+        write_config(tmp_path, 1, keyfile=keyfile if deployment_keyed else None)
+    )
     with LaunchedDeployment(
         deployment, log_dir=tmp_path / "logs"
     ) as launched:
         launched.wait_ready(timeout=30.0)
         spec = deployment.daemons[0]
 
-        async def keyed_round_trip():
-            clock = RealtimeClock(asyncio.get_running_loop())
-            client = TcpSpreadClient(
-                spec.client_address, "ok", clock=clock, auth=str(keyfile)
-            )
-            pid = await client.connect()
-            await client.close()
-            return str(pid)
-
-        assert asyncio.run(keyed_round_trip()) == "#ok#d0"
-
-        async def keyless_probe():
+        async def imposter_is_cut_off():
             clock = RealtimeClock(asyncio.get_running_loop())
             client = TcpSpreadClient(
                 spec.client_address, "bad", clock=clock,
-                auth=AUTH_DISABLED, reconnect=False,
+                auth=imposter_auth, reconnect=False,
             )
             try:
                 await asyncio.wait_for(client.connect(timeout=3.0), 6.0)
@@ -163,4 +173,15 @@ def test_authenticated_deployment_end_to_end(tmp_path):
                 await client.close()
             return False
 
-        assert asyncio.run(keyless_probe())
+        assert asyncio.run(imposter_is_cut_off())
+
+        async def honest_round_trip():
+            clock = RealtimeClock(asyncio.get_running_loop())
+            client = TcpSpreadClient(
+                spec.client_address, "ok", clock=clock, auth=honest_auth
+            )
+            pid = await client.connect()
+            await client.close()
+            return str(pid)
+
+        assert asyncio.run(honest_round_trip()) == "#ok#d0"

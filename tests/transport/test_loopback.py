@@ -2,7 +2,7 @@
 
 These tests bind TCP listeners on 127.0.0.1; on a platform without
 loopback sockets they skip rather than fail (the same escape hatch the
-CI ``transport-smoke`` job uses).
+transport crucible CLI uses).
 """
 
 import asyncio
