@@ -7,7 +7,8 @@
 # violations, complete sealed delivery, bounded recovery), --module M
 # to restrict to one module, and --dump-dir DIR to keep per-cell obs
 # dumps.  The full matrix measures wall-clock timing: run it solo.
-# Exits 0 with a note on platforms without loopback sockets.
+# Exits 0 with a note where 127.0.0.1 cannot be bound; a hang or
+# timeout is a failure.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)

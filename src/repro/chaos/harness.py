@@ -1,21 +1,33 @@
-"""The chaos harness: a full secure-Spread deployment under fire.
+"""The crucible driver and its simulator backend.
 
-One chaos run is: build the paper's deployment (daemons across a LAN,
-one secure group spread over them), derive a randomized fault schedule
-and client churn plan from a seed, keep application traffic flowing
-through the whole storm, then repair everything, wait for quiescence,
-probe, and hand the recorded trace to the
-:class:`~repro.chaos.invariants.InvariantChecker`.
+One chaos run is: bring up the paper's deployment (daemons, one secure
+group spread over them), arm a randomized fault schedule derived from a
+seed, keep application traffic flowing through the whole storm, then
+repair everything, wait for quiescence, probe, and hand the recorded
+trace to the :class:`~repro.chaos.invariants.InvariantChecker`.
 
-Everything — fault times, partition shapes, churn, payloads, link
-adversary draws — derives from :class:`~repro.sim.rng.DeterministicRng`
-streams keyed by the seed, so a failing run replays to a byte-identical
-trace (:func:`~repro.chaos.invariants.trace_fingerprint`) and the
-shrinker can re-execute candidate schedules faithfully.
+:class:`Crucible` owns that sequence once.  A backend supplies only what
+really differs: the deployment, the fault schedule (its type, generator
+and ``arm``) and **time** — ``run(duration)`` / ``run_until(predicate,
+timeout)`` over a ``kernel`` with ``now`` / ``call_later`` / ``call_at``.
+:class:`ChaosHarness` here is the simulator backend
+(:class:`~repro.testbed.SecureTestbed` + :class:`~repro.net.fault
+.FaultInjector`, virtual time); :class:`repro.chaos.transport_crucible
+.TransportCrucible` is the TCP one (real sockets through netem proxies,
+wall-clock time).  This module imports neither ``asyncio`` nor
+``repro.transport``: the sim crucible runs where sockets do not exist.
+
+On the simulator everything — fault times, partition shapes, churn,
+payloads, link adversary draws — derives from
+:class:`~repro.sim.rng.DeterministicRng` streams keyed by the seed, so a
+failing run replays to a byte-identical trace
+(:func:`~repro.chaos.invariants.trace_fingerprint`) and the shrinker can
+re-execute candidate schedules faithfully.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -25,11 +37,13 @@ from repro.chaos.invariants import (
     InvariantReport,
 )
 from repro.obs.bus import TraceBus
+from repro.obs.metrics import MetricsRegistry, collect_testbed
 from repro.errors import DeadlockError, ReproError
 from repro.net.fault import FaultInjector, FaultSchedule
 from repro.net.link import LinkModel
 from repro.secure.events import SecureDataEvent
 from repro.sim.rng import DeterministicRng, stable_seed
+from repro.spread.membership import STATE_OP
 from repro.testbed import SecureTestbed
 
 #: Key agreement modules every soak covers.
@@ -37,129 +51,144 @@ MODULES = ("cliques", "ckd", "tgdh")
 
 GROUP = "crucible"
 
-#: Offsets (seconds) relative to the post-setup clock.
+#: Seconds between group establishment and the chaos window.
 CHAOS_LEAD_IN = 0.3
-QUIESCE_TIMEOUT = 90.0
-PROBE_TIMEOUT = 30.0
-
-
-@dataclass
-class ChurnOp:
-    """One scripted client-membership change during the chaos window."""
-
-    at: float
-    op: str  # "join" | "leave"
-    member: str
-    daemon: str = "d2"
 
 
 @dataclass
 class ChaosResult:
-    """Verdict and evidence for one seeded chaos run."""
+    """Verdict and evidence for one seeded chaos run, on either backend.
 
+    ``elapsed`` is in the backend's time (virtual seconds on the
+    simulator, wall-clock on TCP).  ``fingerprint`` and ``churn`` are
+    evidence only the simulator produces, ``netem`` / ``transport`` only
+    the TCP backend; the other backend leaves them empty.
+    """
+
+    backend: str
     seed: int
     module: str
     ok: bool
     violations: List[str]
     stats: Dict[str, int]
-    fingerprint: str
     schedule: List[str]
-    churn: List[str]
-    virtual_time: float
+    elapsed: float
+    traffic_sent: int
+    traffic_blocked: int
+    fingerprint: str = ""
+    churn: List[str] = field(default_factory=list)
+    netem: Dict[str, int] = field(default_factory=dict)
+    transport: Dict[str, int] = field(default_factory=dict)
     report: InvariantReport = field(repr=False, default=None)
-    schedule_obj: FaultSchedule = field(repr=False, default=None)
+    schedule_obj: Any = field(repr=False, default=None)
 
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "module": self.module,
-            "ok": self.ok,
-            "violations": self.violations,
-            "stats": self.stats,
-            "fingerprint": self.fingerprint,
-            "schedule": self.schedule,
-            "churn": self.churn,
-            "virtual_time": round(self.virtual_time, 6),
-        }
+        """The run as recorded in a BENCH document: the verdict plus the
+        evidence this backend produces."""
+        keys = ("seed", "module", "ok", "violations", "stats", "schedule")
+        if self.backend == "sim":
+            keys += ("fingerprint", "churn")
+            clock = "virtual_time"
+        else:
+            keys += ("netem", "transport", "traffic_sent", "traffic_blocked")
+            clock = "wall_time_s"
+        document = {key: getattr(self, key) for key in keys}
+        document[clock] = round(self.elapsed, 6)
+        return document
 
 
-class ChaosHarness(SecureTestbed):
-    """A :class:`~repro.testbed.SecureTestbed` with the chaos
-    apparatus attached: full tracing, a spare (crashable) daemon, a
-    fault injector over every daemon, guarded background traffic, and
-    scripted client churn.
+class Crucible:
+    """The one chaos driver: establish group → arm schedule → traffic →
+    repair → quiescence → probes → :class:`EndState` →
+    :class:`InvariantChecker` → :class:`ChaosResult` → dump.
 
-    Daemons ``d0``..``d2`` host the members (the paper's placement); the
-    spare ``d3`` carries no members, so crash faults can exercise daemon
-    fail-stop without severing any client (client/daemon IPC does not
-    survive a daemon crash).
+    Every step is written once against what a backend provides:
 
-    ``link`` swaps the substrate (the packing A/B test runs on a
-    jitter-free deterministic link); ``config_overrides`` forwards
-    SpreadConfig fields, e.g. ``{"packing": True}``.
+    * ``kernel`` (``now``, ``call_later``), ``run(duration)`` and
+      ``run_until(predicate, timeout)`` raising
+      :class:`~repro.errors.DeadlockError` on timeout;
+    * ``daemons`` (name → :class:`~repro.spread.daemon.SpreadDaemon`) and
+      ``members`` (name → :class:`~repro.secure.session.SecureClient`),
+      with ``add_member`` / ``placement`` / ``wait_secure_view`` as on
+      :class:`~repro.testbed.SecureTestbed`;
+    * ``arm``, ``evidence``, ``collect_metrics`` and the class constants
+      below.
+
+    Two steps differ by policy, not mechanism, and stay backend
+    overrides: how a probe round is sent (``send_probes`` /
+    ``PROBE_ROUND``) and whether in-flight deliveries must drain before
+    the snapshot (``drain_deliveries``).
     """
 
-    def __init__(
-        self,
-        seed: int,
-        module: str,
-        member_count: int = 3,
-        daemon_count: int = 4,
-        trace_cap: Optional[int] = None,
-        link: Optional[LinkModel] = None,
-        config_overrides: Optional[Dict[str, Any]] = None,
-    ) -> None:
+    backend: str
+    #: Chaos window length, seconds: (full, quick).
+    SPAN: tuple
+    QUIESCE_TIMEOUT: float
+    PROBE_TIMEOUT: float
+    #: How long one probe round may take before the next is sent.
+    PROBE_ROUND: float
+    MEMBERS = 3
+
+    def __init__(self, seed: int, module: str, trace_cap: Optional[int]) -> None:
         if module not in MODULES:
             raise ValueError(f"unknown key agreement module {module!r}")
         self.seed = seed
         self.module = module
-        kernel_seed = stable_seed("chaos", seed, module)
         # ``trace_cap`` bounds retention (ring buffer) for long soaks;
         # the replay fingerprint stays exact because the tracer folds it
         # in incrementally, but the invariant checker only sees retained
         # events — so replay/shrink runs must stay uncapped.
-        super().__init__(
-            daemon_count=daemon_count,
-            link=link,
-            seed=kernel_seed,
-            config_overrides=config_overrides,
-            tracer=TraceBus(
-                enabled=True,
-                keep=lambda kind: kind != "kernel.event",
-                max_events=trace_cap,
-            ),
+        self.tracer = TraceBus(
+            enabled=True,
+            keep=lambda kind: kind != "kernel.event",
+            max_events=trace_cap,
         )
-        self.injector = FaultInjector(self.kernel, self.network, self.daemons)
-        self.rng = DeterministicRng(kernel_seed, label="chaos")
-        self.member_count = member_count
         self.traffic_sent = 0
         self.traffic_blocked = 0
-        self._traffic_on = False
+
+    @classmethod
+    def run_seed(
+        cls,
+        seed: int,
+        module: str,
+        quick: bool = False,
+        schedule: Any = None,
+        trace_cap: Optional[int] = None,
+        dump_dir: Optional[str] = None,
+    ) -> ChaosResult:
+        """Build the deployment, execute one run, tear it down."""
+        crucible = cls(seed, module, trace_cap=trace_cap)
+        try:
+            return crucible.execute(quick, schedule, dump_dir)
+        finally:
+            crucible.close()
+
+    def close(self) -> None:
+        """Release what the deployment holds (nothing, on the simulator)."""
 
     # -- setup -----------------------------------------------------------------
 
     def establish_group(self) -> List[str]:
         """Bring up the initial secure group (pre-chaos, clean network)."""
         names = []
-        for index in range(self.member_count):
+        for index in range(self.MEMBERS):
             name = f"m{index}"
             self.add_member(name, self.placement(index), GROUP, self.module)
             names.append(name)
-            self.wait_secure_view(names, GROUP)
+            self.wait_secure_view(names, GROUP, timeout=self.QUIESCE_TIMEOUT)
         return names
 
     # -- background traffic ------------------------------------------------------
 
     def start_traffic(self, until: float, period: float = 0.15) -> None:
-        """Application sends through the whole chaos window, rotating
-        over members; sends that cannot go out (no key yet, flush in
-        progress, daemon gone) are counted and skipped — exactly how a
-        robust application behaves over secure Spread."""
-        self._traffic_on = True
+        """Application sends until the chaos window closes at ``until``,
+        rotating over members; sends that cannot go out (no key yet,
+        flush in progress, daemon gone) are counted and skipped —
+        exactly how a robust application behaves over secure Spread."""
         counter = {"n": 0}
 
         def tick() -> None:
-            if not self._traffic_on or self.kernel.now > until:
+            if self.kernel.now > until:
                 return
             current = sorted(self.members)
             if current:
@@ -175,16 +204,263 @@ class ChaosHarness(SecureTestbed):
 
         self.kernel.call_later(period, tick, label="chaos.traffic")
 
-    def stop_traffic(self) -> None:
-        self._traffic_on = False
+    # -- convergence and probing ---------------------------------------------------
 
-    # -- churn --------------------------------------------------------------------
+    def quiescent(self) -> bool:
+        """Live daemons share one OP view and every member is
+        connected, keyed and not flushing."""
+        alive = [d for d in self.daemons.values() if d.alive]
+        views = {d.view for d in alive}
+        if len(views) != 1 or any(d.engine.state != STATE_OP for d in alive):
+            return False
+        return all(
+            m.has_key(GROUP)
+            and not m.flush.flushing(GROUP)
+            and m.flush.client.connected
+            for m in self.members.values()
+        )
 
-    def arm_churn(self, plan: List[ChurnOp]) -> None:
-        for op in plan:
+    def wait_quiescence(self, timeout: Optional[float] = None) -> Optional[str]:
+        """Run until :meth:`quiescent`; returns None on success, a
+        failure description on timeout."""
+        timeout = self.QUIESCE_TIMEOUT if timeout is None else timeout
+        try:
+            self.run_until(self.quiescent, timeout=timeout)
+            return None
+        except DeadlockError:
+            alive = {n: str(d.view) for n, d in self.daemons.items() if d.alive}
+            keyed = {n: m.has_key(GROUP) for n, m in self.members.items()}
+            return f"no quiescence within {timeout}s: views={alive} keyed={keyed}"
+
+    def probe_counts(self, tag: bytes = b"probe:") -> Dict[str, int]:
+        """Per member, how many distinct payloads starting with ``tag``
+        the application layer received."""
+        counts = {}
+        for name, member in self.members.items():
+            seen = {
+                bytes(e.payload)
+                for e in member.queue
+                if isinstance(e, SecureDataEvent)
+                and bytes(e.payload).startswith(tag)
+            }
+            counts[name] = len(seen)
+        return counts
+
+    def run_probes(
+        self, tag: bytes = b"probe:", timeout: Optional[float] = None
+    ) -> Optional[str]:
+        """Every member multicasts a fresh probe ``tag + name``; all
+        members (sender included) must receive all of them over the
+        repaired network.  Receivers count *distinct* payloads, so a
+        backend that re-sends the round is harmless."""
+        timeout = self.PROBE_TIMEOUT if timeout is None else timeout
+        expected = len(self.members)
+        deadline = self.kernel.now + timeout
+
+        def landed() -> bool:
+            return all(
+                count >= expected for count in self.probe_counts(tag).values()
+            )
+
+        while True:
+            failure = self.send_probes(tag, deadline)
+            if failure is not None:
+                return failure
+            try:
+                self.run_until(landed, timeout=self.PROBE_ROUND)
+                return None
+            except DeadlockError:
+                if self.kernel.now >= deadline:
+                    return f"probe deliveries incomplete: {self.probe_counts(tag)}"
+
+    def drain_deliveries(self, timeout: Optional[float] = None) -> Optional[str]:
+        """Wait for in-flight reliable deliveries before the snapshot.
+        Nothing to wait for on the simulator: its kernel is stopped
+        while the end state is read."""
+        return None
+
+    # -- verdict -------------------------------------------------------------------
+
+    def end_state(self, failure: Optional[str], tag: bytes = b"probe:") -> EndState:
+        views = {n: str(d.view) for n, d in self.daemons.items() if d.alive}
+        keyed = {n: m.has_key(GROUP) for n, m in self.members.items()}
+        fingerprints = {}
+        for name, member in self.members.items():
+            session = member.sessions.get(GROUP)
+            if session is not None and session.has_key:
+                fingerprints[name] = session._session_keys.fingerprint()
+        return EndState(
+            daemon_views=views,
+            member_keyed=keyed,
+            member_fingerprints=fingerprints,
+            probes_expected=len(self.members),
+            probes_received=self.probe_counts(tag),
+            converged=failure is None,
+            detail=failure or "",
+        )
+
+    def dump(self, directory: str, meta: Dict[str, Any]) -> str:
+        """Write the observability dump (trace, metrics, spans) for
+        ``repro.obs.inspect``."""
+        from repro.obs.dump import DUMP_SCHEMA, dump_run
+
+        tracer = self.tracer
+        registry = self.collect_metrics()
+        for layer, count in sorted(tracer.events_by_layer().items()):
+            registry.counter("trace.retained_events", layer=layer).inc(count)
+        registry.counter("trace.dropped_events").inc(tracer.dropped_events)
+        return dump_run(
+            directory,
+            tracer.events,
+            metrics=registry,
+            meta={
+                "schema": DUMP_SCHEMA,
+                "backend": self.backend,
+                **meta,
+                "trace_retained": len(tracer),
+                "trace_recorded": tracer.recorded_total,
+                "trace_dropped": tracer.dropped_events,
+            },
+        )
+
+    # -- one run, end to end -------------------------------------------------------
+
+    def execute(
+        self,
+        quick: bool = False,
+        schedule: Any = None,
+        dump_dir: Optional[str] = None,
+    ) -> ChaosResult:
+        """One seeded chaos run on this deployment.
+
+        With ``schedule`` given, the generated one is replaced — the
+        replay/shrink path — while every other random stream still
+        derives from the seed, so the run around the schedule is
+        unchanged.  ``dump_dir`` writes an observability dump under
+        ``dump_dir/seed{seed}-{module}/``.
+        """
+        self.establish_group()
+        start = self.kernel.now + CHAOS_LEAD_IN
+        end = start + self.SPAN[quick]
+        schedule = self.arm(schedule, start, end, windows=2 if quick else 4)
+        self.start_traffic(until=end)
+        self.run(end - self.kernel.now + 0.05)
+        failure = (
+            self.wait_quiescence()
+            or self.run_probes()
+            or self.drain_deliveries()
+        )
+        report = InvariantChecker(self.tracer.events).run(self.end_state(failure))
+        result = ChaosResult(
+            backend=self.backend,
+            seed=self.seed,
+            module=self.module,
+            ok=report.ok,
+            violations=[str(v) for v in report.violations],
+            stats=report.stats,
+            schedule=schedule.describe(),
+            elapsed=self.kernel.now,
+            traffic_sent=self.traffic_sent,
+            traffic_blocked=self.traffic_blocked,
+            report=report,
+            schedule_obj=schedule,
+            **self.evidence(),
+        )
+        if dump_dir is not None:
+            self.dump(
+                os.path.join(dump_dir, f"seed{self.seed}-{self.module}"),
+                result.to_json(),
+            )
+        return result
+
+
+# ---------------------------------------------------------------------------
+# the simulator backend
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class ChurnOp:
+    """One scripted client-membership change during the chaos window."""
+
+    at: float
+    op: str  # "join" | "leave"
+    member: str
+    daemon: str = "d2"
+
+
+class ChaosHarness(Crucible, SecureTestbed):
+    """The simulator backend: a :class:`~repro.testbed.SecureTestbed`
+    under a :class:`~repro.net.fault.FaultInjector`, with scripted
+    client churn, on virtual time.
+
+    Daemons ``d0``..``d2`` host the members (the paper's placement); the
+    spare ``d3`` carries no members, so crash faults can exercise daemon
+    fail-stop without severing any client (client/daemon IPC does not
+    survive a daemon crash).
+
+    ``link`` swaps the substrate (the packing A/B test runs on a
+    jitter-free deterministic link); ``config_overrides`` forwards
+    SpreadConfig fields, e.g. ``{"packing": True}``.
+    """
+
+    backend = "sim"
+    SPAN = (8.0, 4.0)
+    QUIESCE_TIMEOUT = 90.0
+    PROBE_TIMEOUT = 30.0
+    #: One round: every member's probe is sent exactly once (see
+    #: send_probes), then the whole timeout is the wait.
+    PROBE_ROUND = PROBE_TIMEOUT
+
+    #: The churn plan armed with the schedule; None derives it from the
+    #: seed (``run_chaos(churn=...)`` replaces it).
+    churn: Optional[List[ChurnOp]] = None
+
+    def __init__(
+        self,
+        seed: int,
+        module: str,
+        trace_cap: Optional[int] = None,
+        link: Optional[LinkModel] = None,
+        config_overrides: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        Crucible.__init__(self, seed, module, trace_cap)
+        kernel_seed = stable_seed("chaos", seed, module)
+        SecureTestbed.__init__(
+            self,
+            daemon_count=4,
+            link=link,
+            seed=kernel_seed,
+            config_overrides=config_overrides,
+            tracer=self.tracer,
+        )
+        self.injector = FaultInjector(self.kernel, self.network, self.daemons)
+        self.rng = DeterministicRng(kernel_seed, label="chaos")
+
+    def arm(
+        self, schedule: Optional[FaultSchedule], start: float, end: float, windows: int
+    ) -> FaultSchedule:
+        """Arm ``schedule`` (None: derive one from the seed) and the
+        churn plan.  A supplied schedule is armed at its own absolute
+        times: the virtual clock reaches ``start`` at the same instant
+        in every run of a seed."""
+        if schedule is None:
+            schedule = generate_schedule(
+                self.rng.child("schedule"),
+                start,
+                end,
+                daemons=sorted(self.daemons),
+                spare="d3",
+                windows=windows,
+            )
+        if self.churn is None:
+            self.churn = generate_churn(self.rng.child("churn"), start, end)
+        self.injector.arm(schedule)
+        for op in self.churn:
             self.kernel.call_at(
                 op.at, self._churn_runner(op), label=f"chaos.churn.{op.op}"
             )
+        return schedule
 
     def _churn_runner(self, op: ChurnOp):
         def run() -> None:
@@ -200,93 +476,35 @@ class ChaosHarness(SecureTestbed):
 
         return run
 
-    # -- convergence and probing ---------------------------------------------------
+    def send_probes(self, tag: bytes, deadline: float) -> Optional[str]:
+        """Each member's probe goes out exactly once: a send refused by
+        a trailing re-key (still flushing when quiescence was sampled)
+        is retried for that member alone after 0.25 s virtual."""
+        for name in sorted(self.members):
+            while True:
+                try:
+                    self.members[name].send(GROUP, tag + name.encode())
+                    break
+                except ReproError as exc:
+                    if self.kernel.now >= deadline:
+                        return f"probe send from {name} failed: {exc}"
+                    self.run(0.25)
+        return None
 
-    def wait_quiescence(self, timeout: float = QUIESCE_TIMEOUT) -> Optional[str]:
-        """Run until live daemons share one OP view and every member is
-        keyed; returns None on success, a failure description on timeout."""
-        from repro.spread.membership import STATE_OP
+    def evidence(self) -> Dict[str, Any]:
+        return {
+            # The tracer's incremental fingerprint: identical to
+            # trace_fingerprint(events) when uncapped, and still exact
+            # when a trace_cap has rotated early events out of retention.
+            "fingerprint": self.tracer.fingerprint(),
+            "churn": [
+                f"t={op.at:.3f}: {op.op} {op.member}@{op.daemon}"
+                for op in self.churn
+            ],
+        }
 
-        def converged() -> bool:
-            alive = [d for d in self.daemons.values() if d.alive]
-            views = {d.view for d in alive}
-            if len(views) != 1 or any(d.engine.state != STATE_OP for d in alive):
-                return False
-            return all(
-                m.has_key(GROUP) and not m.flush.flushing(GROUP)
-                for m in self.members.values()
-            )
-
-        try:
-            self.run_until(converged, timeout=timeout)
-            return None
-        except DeadlockError:
-            alive = {n: str(d.view) for n, d in self.daemons.items() if d.alive}
-            keyed = {n: m.has_key(GROUP) for n, m in self.members.items()}
-            return (
-                f"no quiescence within {timeout}s virtual:"
-                f" views={alive} keyed={keyed}"
-            )
-
-    def _probe_counts(self) -> Dict[str, int]:
-        counts = {}
-        for name, member in self.members.items():
-            seen = {
-                bytes(e.payload)
-                for e in member.queue
-                if isinstance(e, SecureDataEvent)
-                and bytes(e.payload).startswith(b"probe:")
-            }
-            counts[name] = len(seen)
-        return counts
-
-    def run_probes(self, timeout: float = PROBE_TIMEOUT) -> Optional[str]:
-        """Every member multicasts a fresh probe; all members (sender
-        included) must receive all of them over the repaired network."""
-        expected = len(self.members)
-        unsent = sorted(self.members)
-        deadline = self.kernel.now + timeout
-        while unsent:
-            name = unsent[0]
-            try:
-                self.members[name].send(GROUP, f"probe:{name}".encode())
-                unsent.pop(0)
-            except ReproError as exc:
-                # A trailing re-key can still be flushing when quiescence
-                # is first sampled; give it a moment and retry.
-                if self.kernel.now >= deadline:
-                    return f"probe send from {name} failed: {exc}"
-                self.run(0.25)
-        try:
-            self.run_until(
-                lambda: all(
-                    count >= expected for count in self._probe_counts().values()
-                ),
-                timeout=timeout,
-            )
-            return None
-        except DeadlockError:
-            return f"probe deliveries incomplete: {self._probe_counts()}"
-
-    # -- verdict -------------------------------------------------------------------
-
-    def end_state(self, failure: Optional[str]) -> EndState:
-        views = {n: str(d.view) for n, d in self.daemons.items() if d.alive}
-        keyed = {n: m.has_key(GROUP) for n, m in self.members.items()}
-        fingerprints = {}
-        for name, member in self.members.items():
-            session = member.sessions.get(GROUP)
-            if session is not None and session.has_key:
-                fingerprints[name] = session._session_keys.fingerprint()
-        return EndState(
-            daemon_views=views,
-            member_keyed=keyed,
-            member_fingerprints=fingerprints,
-            probes_expected=len(self.members),
-            probes_received=self._probe_counts(),
-            converged=failure is None,
-            detail=failure or "",
-        )
+    def collect_metrics(self) -> MetricsRegistry:
+        return collect_testbed(MetricsRegistry(), self)
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +589,6 @@ def generate_churn(
     return plan
 
 
-# ---------------------------------------------------------------------------
-# one run, end to end
-# ---------------------------------------------------------------------------
-
-
 def run_chaos(
     seed: int,
     module: str,
@@ -385,92 +598,9 @@ def run_chaos(
     trace_cap: Optional[int] = None,
     dump_dir: Optional[str] = None,
 ) -> ChaosResult:
-    """Execute one seeded chaos run and return its verdict.
-
-    With ``schedule`` (and optionally ``churn``) given, the generated
-    ones are replaced — the replay/shrink path — while every other
-    random stream still derives from the seed, so the run around the
-    schedule is unchanged.
-
-    ``trace_cap`` bounds trace retention (soak mode); ``dump_dir``
-    writes an observability run dump (trace, metrics, spans) under
-    ``dump_dir/seed{seed}-{module}/`` for ``repro.obs.inspect``.
-    """
+    """One seeded run on the simulator: :meth:`Crucible.run_seed` plus
+    the sim-only ``churn`` plan (replaced like ``schedule`` when given).
+    ``trace_cap`` bounds trace retention (soak mode)."""
     harness = ChaosHarness(seed, module, trace_cap=trace_cap)
-    harness.establish_group()
-    chaos_span = 4.0 if quick else 8.0
-    start = harness.kernel.now + CHAOS_LEAD_IN
-    end = start + chaos_span
-    if schedule is None:
-        schedule = generate_schedule(
-            harness.rng.child("schedule"),
-            start,
-            end,
-            daemons=sorted(harness.daemons),
-            spare="d3",
-            windows=2 if quick else 4,
-        )
-    if churn is None:
-        churn = generate_churn(harness.rng.child("churn"), start, end)
-    harness.injector.arm(schedule)
-    harness.arm_churn(churn)
-    harness.start_traffic(until=end)
-    harness.run(end - harness.kernel.now + 0.05)
-    harness.stop_traffic()
-    failure = harness.wait_quiescence()
-    if failure is None:
-        failure = harness.run_probes()
-    end_state = harness.end_state(failure)
-    report = InvariantChecker(harness.tracer.events).run(end_state)
-    result = ChaosResult(
-        seed=seed,
-        module=module,
-        ok=report.ok,
-        violations=[str(v) for v in report.violations],
-        stats=report.stats,
-        # The tracer's incremental fingerprint: identical to
-        # trace_fingerprint(events) when uncapped, and still exact when
-        # a trace_cap has rotated early events out of retention.
-        fingerprint=harness.tracer.fingerprint(),
-        schedule=schedule.describe(),
-        churn=[f"t={op.at:.3f}: {op.op} {op.member}@{op.daemon}" for op in churn],
-        virtual_time=harness.kernel.now,
-        report=report,
-        schedule_obj=schedule,
-    )
-    if dump_dir is not None:
-        dump_chaos_run(dump_dir, harness, result)
-    return result
-
-
-def dump_chaos_run(dump_dir: str, harness: ChaosHarness, result: ChaosResult) -> str:
-    """Write the observability dump for one finished chaos run."""
-    import os
-
-    from repro.obs.dump import DUMP_SCHEMA, dump_run
-    from repro.obs.metrics import MetricsRegistry, collect_testbed
-
-    registry = collect_testbed(MetricsRegistry(), harness)
-    for layer, count in sorted(harness.tracer.events_by_layer().items()):
-        registry.counter("trace.retained_events", layer=layer).inc(count)
-    registry.counter("trace.dropped_events").inc(harness.tracer.dropped_events)
-    directory = os.path.join(
-        dump_dir, f"seed{result.seed}-{result.module}"
-    )
-    return dump_run(
-        directory,
-        harness.tracer.events,
-        metrics=registry,
-        meta={
-            "schema": DUMP_SCHEMA,
-            "seed": result.seed,
-            "module": result.module,
-            "ok": result.ok,
-            "violations": result.violations,
-            "virtual_time": round(result.virtual_time, 6),
-            "fingerprint": result.fingerprint,
-            "trace_retained": len(harness.tracer),
-            "trace_recorded": harness.tracer.recorded_total,
-            "trace_dropped": harness.tracer.dropped_events,
-        },
-    )
+    harness.churn = churn
+    return harness.execute(quick, schedule, dump_dir)

@@ -12,23 +12,29 @@ faithful).
 Actions the caller marks with ``keep`` (typically the end-of-window
 repair block) are always retained, so the shrinker cannot "reproduce"
 the failure by simply never repairing the network.
+
+The shrinker is generic over the schedule type: any dataclass with an
+``actions`` list whose items carry an ``at`` time — the simulator's
+:class:`~repro.net.fault.FaultSchedule` and the TCP backend's
+:class:`~repro.transport.netem.NetemSchedule` alike.  Candidates are
+``dataclasses.replace`` copies, so every other field (a netem
+schedule's ``origin``) rides along.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from dataclasses import replace
+from typing import Any, Callable, List, Optional, Sequence, TypeVar
 
-from repro.net.fault import FaultAction, FaultSchedule
-
-Predicate = Callable[[FaultSchedule], bool]
+Schedule = TypeVar("Schedule")
 
 
 def shrink_schedule(
-    schedule: FaultSchedule,
-    failing: Predicate,
-    keep: Optional[Callable[[FaultAction], bool]] = None,
+    schedule: Schedule,
+    failing: Callable[[Schedule], bool],
+    keep: Optional[Callable[[Any], bool]] = None,
     max_runs: int = 200,
-) -> FaultSchedule:
+) -> Schedule:
     """ddmin over the schedule's action list.
 
     ``failing(candidate)`` must return True when the candidate schedule
@@ -38,20 +44,22 @@ def shrink_schedule(
     candidate (e.g. the final repair actions).
     """
     always = [a for a in schedule.actions if keep is not None and keep(a)]
-    shrinkable: List[FaultAction] = [
+    shrinkable: List[Any] = [
         a for a in schedule.actions if not (keep is not None and keep(a))
     ]
     runs = 0
 
-    def test(subset: Sequence[FaultAction]) -> bool:
+    def candidate(subset: Sequence[Any]) -> Schedule:
+        return replace(
+            schedule, actions=sorted(list(subset) + always, key=lambda a: a.at)
+        )
+
+    def test(subset: Sequence[Any]) -> bool:
         nonlocal runs
         if runs >= max_runs:
             return False
         runs += 1
-        candidate = FaultSchedule(
-            actions=sorted(list(subset) + always, key=lambda a: a.at)
-        )
-        return failing(candidate)
+        return failing(candidate(subset))
 
     if not test(shrinkable):
         raise ValueError(
@@ -92,15 +100,13 @@ def shrink_schedule(
             break
         granularity = min(len(shrinkable), granularity * 2)
 
-    return FaultSchedule(
-        actions=sorted(shrinkable + always, key=lambda a: a.at)
-    )
+    return candidate(shrinkable)
 
 
-def _split(items: List[FaultAction], pieces: int) -> List[List[FaultAction]]:
+def _split(items: List[Any], pieces: int) -> List[List[Any]]:
     """Split into ``pieces`` nearly equal contiguous chunks."""
     size, remainder = divmod(len(items), pieces)
-    chunks: List[List[FaultAction]] = []
+    chunks: List[List[Any]] = []
     cursor = 0
     for index in range(pieces):
         extent = size + (1 if index < remainder else 0)

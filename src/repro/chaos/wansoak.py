@@ -5,9 +5,11 @@ wires, this soak measures it on *hostile* ones: every wire
 routed through a :class:`~repro.transport.netem.NetemLink`, shaped to a
 matrix of loss × latency × asymmetry profiles, with the full secure
 stack (daemons, clients, key agreement) living on top.  One cell of the
-matrix is one deployment of the :class:`~repro.chaos.transport_crucible
-.TransportCrucible` under a fixed deterministic shape, driven through
-four phases:
+matrix is one deployment of the crucible's TCP backend
+(:class:`~repro.chaos.transport_crucible.TransportCrucible`) under a
+fixed deterministic shape, driven through four phases in place of the
+crucible's seeded schedule — quiescence, the probe round, the probe
+census, the end state and the obs dump are the crucible driver's:
 
 1. **Sealed throughput** — one member bursts sealed payloads through
    the shaped wires; the window closes when every member has every
@@ -37,33 +39,27 @@ cells, structural gates: zero invariant violations, all sealed payloads
 delivered, recovery under the bound — never wall-clock rates).  With
 ``--dump-dir`` every cell writes an obs dump that satisfies
 ``python -m repro.obs.inspect --check``.  On platforms without loopback
-sockets the bench prints a skip note and exits 0.
+sockets the bench prints a skip note and exits 0; a hang or timeout
+anywhere is a failure, never a skip.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import platform
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.chaos.harness import GROUP, MODULES
 from repro.chaos.invariants import InvariantChecker
-from repro.chaos.transport_crucible import (
-    GROUP,
-    MODULES,
-    TransportCrucible,
-    client_link_name,
-    peer_link_name,
-)
-from repro.errors import ReproError
+from repro.chaos.transport_crucible import TransportCrucible, peer_link_name
+from repro.errors import DeadlockError, ReproError
+from repro.obs.metrics import Histogram
 from repro.obs.spans import rekey_latency_table
-from repro.secure.events import SecureDataEvent
-from repro.transport.host import wait_for_condition
-from repro.transport.netem import ALL_LINKS
+from repro.transport.host import loopback_available
 
 _DEFAULT_OUTPUT = Path("BENCH_wansoak.json")
 
@@ -94,90 +90,53 @@ LATENCY_PROFILES: Tuple[Tuple[str, float, float], ...] = (
 )
 
 
-def cell_label(module: str, loss_label: str, latency_label: str) -> str:
-    return f"{module}/{loss_label}/{latency_label}"
-
-
-def _percentile(values: Sequence[float], fraction: float) -> float:
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    index = min(len(ordered) - 1, int(round(fraction * (len(ordered) - 1))))
-    return ordered[index]
-
-
-def _sealed_counts(crucible: TransportCrucible, prefix: bytes) -> Dict[str, int]:
-    counts = {}
-    for name, member in crucible.members.items():
-        seen = {
-            bytes(e.payload)
-            for e in member.secure.queue
-            if isinstance(e, SecureDataEvent)
-            and bytes(e.payload).startswith(prefix)
-        }
-        counts[name] = len(seen)
-    return counts
-
-
-async def _retrying(action, what: str, timeout: float) -> None:
+def _retrying(
+    crucible: TransportCrucible, action: Callable[[], None], what: str
+) -> None:
     """Run ``action()`` until it stops raising :class:`ReproError` —
     a shaped wire can have the client mid-reconnect at any instant, and
     an application on a flaky WAN retries exactly like this."""
-    loop = asyncio.get_running_loop()
-    deadline = loop.time() + timeout
+    deadline = crucible.kernel.now + RECOVERY_BOUND_S
     while True:
         try:
             action()
             return
         except ReproError as exc:
-            if loop.time() >= deadline:
-                raise TimeoutError(
-                    f"{what} refused for {timeout}s: {exc}"
+            if crucible.kernel.now >= deadline:
+                raise DeadlockError(
+                    f"{what} refused for {RECOVERY_BOUND_S}s: {exc}"
                 ) from exc
-            await asyncio.sleep(0.1)
-
-
-async def _send_retrying(
-    crucible: TransportCrucible, sender: str, payload: bytes, timeout: float
-) -> None:
-    """Send one sealed payload, retrying across reconnects/flushes."""
-    await _retrying(
-        lambda: crucible.members[sender].secure.send(GROUP, payload),
-        f"send from {sender}",
-        timeout,
-    )
+            crucible.run(0.1)
 
 
 # -- phase 1: sealed throughput ----------------------------------------------
 
 
-async def phase_sealed(
-    crucible: TransportCrucible, messages: int, timeout: float
-) -> Dict[str, Any]:
-    sender = sorted(crucible.members)[0]
-    prefix = b"soak:"
+def phase_sealed(crucible: TransportCrucible, messages: int) -> Dict[str, Any]:
+    name = sorted(crucible.members)[0]
+    sender = crucible.members[name]
+    tag = b"soak:"
     started = time.perf_counter()
     for index in range(messages):
-        await _send_retrying(
-            crucible, sender, prefix + str(index).encode(), timeout
+        payload = tag + str(index).encode()
+        _retrying(
+            crucible, lambda: sender.send(GROUP, payload), f"send from {name}"
         )
         if index % 8 == 7:
-            await asyncio.sleep(0)  # let the loop breathe mid-burst
+            crucible.run(0)  # let the loop breathe mid-burst
 
     def all_sealed() -> bool:
         return all(
-            count >= messages
-            for count in _sealed_counts(crucible, prefix).values()
+            count >= messages for count in crucible.probe_counts(tag).values()
         )
 
     complete = True
     try:
-        await wait_for_condition(all_sealed, timeout)
-    except TimeoutError:
+        crucible.run_until(all_sealed, RECOVERY_BOUND_S)
+    except DeadlockError:
         complete = False
     window = time.perf_counter() - started
-    counts = _sealed_counts(crucible, prefix)
-    delivered = sum(counts.values())
+    delivered = sum(crucible.probe_counts(tag).values())
     return {
         "sent": messages,
         "expected_deliveries": messages * len(crucible.members),
@@ -191,95 +150,49 @@ async def phase_sealed(
 # -- phase 2: rekey churn ----------------------------------------------------
 
 
-async def phase_rekeys(
-    crucible: TransportCrucible, cycles: int, timeout: float
-) -> Dict[str, Any]:
+def phase_rekeys(crucible: TransportCrucible, cycles: int) -> Dict[str, Any]:
     """Leave/rejoin churn on the last member: every cycle re-keys the
     group over the shaped wires.  Latencies are measured afterwards
     from the trace (rekey_latency_table), not inline."""
-    churn = sorted(crucible.members)[-1]
+    everyone = sorted(crucible.members)
+    churn = everyone[-1]
     member = crucible.members[churn]
-    stayers = [m for n, m in crucible.members.items() if n != churn]
     for __ in range(cycles):
-        await _retrying(
-            lambda: member.secure.leave(GROUP),
-            f"leave by {churn}",
-            timeout,
-        )
-        remaining = {
-            str(m.client.pid) for m in crucible.members.values()
-        } - {str(member.client.pid)}
-
-        def shrunk() -> bool:
-            return all(
-                m.view_of(GROUP) == remaining and m.secure.has_key(GROUP)
-                for m in stayers
-            )
-
-        await wait_for_condition(shrunk, timeout)
-        await _retrying(
-            lambda: member.secure.join(GROUP, module=crucible.module),
+        _retrying(crucible, lambda: member.leave(GROUP), f"leave by {churn}")
+        crucible.wait_secure_view(everyone[:-1], GROUP, RECOVERY_BOUND_S)
+        _retrying(
+            crucible,
+            lambda: member.join(GROUP, module=crucible.module),
             f"rejoin by {churn}",
-            timeout,
         )
-        everyone = {str(m.client.pid) for m in crucible.members.values()}
-
-        def regrown() -> bool:
-            return all(
-                m.view_of(GROUP) == everyone and m.secure.has_key(GROUP)
-                for m in crucible.members.values()
-            )
-
-        await wait_for_condition(regrown, timeout)
+        crucible.wait_secure_view(everyone, GROUP, RECOVERY_BOUND_S)
     return {"cycles": cycles, "churn_member": churn}
 
 
 def rekey_tail(events) -> Dict[str, Any]:
     """p50/p95/max over every *completed* group re-key in the trace."""
-    latencies = [
-        row["latency"]
-        for row in rekey_latency_table(events)
-        if row["group"] == GROUP and row["latency"] is not None
-    ]
+    latencies = Histogram()
+    for row in rekey_latency_table(events):
+        if row["group"] == GROUP and row["latency"] is not None:
+            latencies.observe(row["latency"])
     return {
-        "count": len(latencies),
-        "p50_ms": round(_percentile(latencies, 0.50) * 1000, 3),
-        "p95_ms": round(_percentile(latencies, 0.95) * 1000, 3),
-        "max_ms": round(max(latencies, default=0.0) * 1000, 3),
+        "count": latencies.count,
+        "p50_ms": round(latencies.percentile(50) * 1000, 3),
+        "p95_ms": round(latencies.percentile(95) * 1000, 3),
+        "max_ms": round((latencies.max or 0.0) * 1000, 3),
     }
 
 
 # -- phases 3+4: fault recovery ----------------------------------------------
 
 
-async def measure_recovery(
-    crucible: TransportCrucible, tag: str, timeout: float
-) -> Dict[str, Any]:
+def _recovery(crucible: TransportCrucible, tag: str) -> Dict[str, Any]:
     """Wall-clock from right now until the group is quiescent again and
     one fresh sealed probe per member reached every member."""
     started = time.perf_counter()
-    failure = await crucible.wait_quiescence(timeout)
-    prefix = f"recover:{tag}:".encode()
-    expected = len(crucible.members)
-    if failure is None:
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout
-        next_send = loop.time()
-        while True:
-            counts = _sealed_counts(crucible, prefix)
-            if all(count >= expected for count in counts.values()):
-                break
-            if loop.time() >= deadline:
-                failure = f"{tag} probes incomplete: {counts}"
-                break
-            if loop.time() >= next_send:
-                for name, member in sorted(crucible.members.items()):
-                    try:
-                        member.secure.send(GROUP, prefix + name.encode())
-                    except ReproError:
-                        pass  # mid-reconnect: resent next round
-                next_send = loop.time() + 1.0
-            await asyncio.sleep(0.05)
+    failure = crucible.wait_quiescence(RECOVERY_BOUND_S) or crucible.run_probes(
+        f"recover:{tag}:".encode(), RECOVERY_BOUND_S
+    )
     return {
         "recovery_s": round(time.perf_counter() - started, 6),
         "recovered": failure is None,
@@ -287,38 +200,26 @@ async def measure_recovery(
     }
 
 
-def _peer_links(crucible: TransportCrucible) -> List[str]:
-    return [
-        peer_link_name(a, b)
-        for a in crucible.daemon_names
-        for b in crucible.daemon_names
-        if a != b
-    ]
-
-
-async def phase_reset(
-    crucible: TransportCrucible, timeout: float
-) -> Dict[str, Any]:
+def phase_reset(crucible: TransportCrucible) -> Dict[str, Any]:
     cut = 0
     for link in crucible.netem.links.values():
         cut += link.reset_connections()
-    result = await measure_recovery(crucible, "reset", timeout)
+    result = _recovery(crucible, "reset")
     result["sockets_cut"] = cut
     return result
 
 
-async def phase_blackhole(
-    crucible: TransportCrucible, timeout: float
-) -> Dict[str, Any]:
-    victim = crucible.daemon_names[-1]
+def phase_blackhole(crucible: TransportCrucible) -> Dict[str, Any]:
+    victim = crucible.DAEMONS[-1]
     cut_links = [
-        name
-        for name in _peer_links(crucible)
-        if name.endswith(f">{victim}") or f"peer:{victim}>" in name
+        peer_link_name(a, b)
+        for a in crucible.DAEMONS
+        for b in crucible.DAEMONS
+        if a != b and victim in (a, b)
     ]
     for name in cut_links:
         crucible.netem.links[name].blackhole("both")
-    await asyncio.sleep(BLACKHOLE_HOLD_S)
+    crucible.run(BLACKHOLE_HOLD_S)
     for name in cut_links:
         link = crucible.netem.links[name]
         link.heal("both")
@@ -326,7 +227,7 @@ async def phase_blackhole(
         # frame streams across the cut are poisoned: reset them and let
         # reconnection rebuild clean streams.
         link.reset_connections()
-    result = await measure_recovery(crucible, "blackhole", timeout)
+    result = _recovery(crucible, "blackhole")
     result["victim"] = victim
     result["links_cut"] = len(cut_links)
     return result
@@ -335,52 +236,39 @@ async def phase_blackhole(
 # -- one cell ----------------------------------------------------------------
 
 
-async def run_cell(
+def run_cell(
     module: str,
-    loss_label: str,
-    loss: float,
-    latency_label: str,
-    forward: float,
-    backward: float,
+    loss_profile: Tuple[str, float],
+    latency_profile: Tuple[str, float, float],
     seed: int,
     smoke: bool,
-    timeout: float,
     dump_dir: Optional[Path],
 ) -> Dict[str, Any]:
-    label = cell_label(module, loss_label, latency_label)
+    loss_label, loss = loss_profile
+    latency_label, forward, backward = latency_profile
+    label = f"{module}/{loss_label}/{latency_label}"
     started = time.perf_counter()
     crucible = TransportCrucible(seed, module)
     try:
-        await crucible.start()
-        await crucible.establish_group()
+        crucible.establish_group()
         # The cell's standing WAN shape, applied to every wire at once.
         # Loss is modelled as an RTO-shaped latency penalty per hit (TCP
         # surfaces loss as delay), so the shaped stream stays lossless
         # at the frame layer while the timing degrades honestly.
         for link in crucible.netem.links.values():
-            link.apply_shape(
-                "fwd",
-                latency=forward,
-                jitter=forward * 0.25,
-                loss=loss,
-                loss_penalty=0.2,
-            )
-            link.apply_shape(
-                "back",
-                latency=backward,
-                jitter=backward * 0.25,
-                loss=loss,
-                loss_penalty=0.2,
-            )
+            for direction, latency in (("fwd", forward), ("back", backward)):
+                link.apply_shape(
+                    direction,
+                    latency=latency,
+                    jitter=latency * 0.25,
+                    loss=loss,
+                    loss_penalty=0.2,
+                )
         phase_error: Optional[str] = None
         try:
-            sealed = await phase_sealed(
-                crucible, messages=12 if smoke else 40, timeout=timeout
-            )
-            churn = await phase_rekeys(
-                crucible, cycles=1 if smoke else 3, timeout=timeout
-            )
-        except (TimeoutError, ReproError) as exc:
+            sealed = phase_sealed(crucible, messages=12 if smoke else 40)
+            churn = phase_rekeys(crucible, cycles=1 if smoke else 3)
+        except ReproError as exc:
             # A wedged phase fails the cell, never the whole bench.
             phase_error = str(exc)
             sealed = {
@@ -389,9 +277,9 @@ async def run_cell(
                 "all_sealed": False,
             }
             churn = {"cycles": 0, "churn_member": ""}
-        reset = await phase_reset(crucible, timeout)
-        blackhole = await phase_blackhole(crucible, timeout)
-        drain = await crucible.drain_deliveries(timeout)
+        reset = phase_reset(crucible)
+        blackhole = phase_blackhole(crucible)
+        drain = crucible.drain_deliveries(RECOVERY_BOUND_S)
         failure = phase_error or next(
             (
                 phase["detail"]
@@ -400,10 +288,8 @@ async def run_cell(
             ),
             drain,
         )
-        end_state = crucible.end_state(failure)
         # Recovery probes double as the end-state probe census.
-        end_state.probes_expected = len(crucible.members)
-        end_state.probes_received = _sealed_counts(crucible, b"recover:blackhole:")
+        end_state = crucible.end_state(failure, tag=b"recover:blackhole:")
         report = InvariantChecker(crucible.tracer.events).run(end_state)
         cell: Dict[str, Any] = {
             "cell": label,
@@ -418,19 +304,13 @@ async def run_cell(
             "recovery": {"reset": reset, "blackhole": blackhole},
             "violations": [str(v) for v in report.violations],
             "ok": report.ok,
-            "netem": crucible.netem.counters_total(),
-            "transport": crucible.transport_totals(),
+            **crucible.evidence(),
             "wall_s": round(time.perf_counter() - started, 3),
         }
         if dump_dir is not None:
-            from repro.obs.dump import DUMP_SCHEMA, dump_run
-
-            dump_run(
+            crucible.dump(
                 str(dump_dir / label.replace("/", "-")),
-                crucible.tracer.events,
-                metrics=crucible.collect_metrics(),
-                meta={
-                    "schema": DUMP_SCHEMA,
+                {
                     "bench": "wansoak",
                     "cell": label,
                     "seed": seed,
@@ -440,57 +320,44 @@ async def run_cell(
             )
         return cell
     finally:
-        await crucible.close()
+        crucible.close()
 
 
 # -- assembly ----------------------------------------------------------------
 
 
-def matrix(smoke: bool, module: str) -> List[Tuple[str, float, str, float, float, str]]:
-    """The cells to run: (loss_label, loss, lat_label, fwd, back, module)."""
+def matrix(
+    smoke: bool, module: str
+) -> List[Tuple[str, Tuple[str, float], Tuple[str, float, float]]]:
+    """The cells to run: (module, loss profile, latency profile)."""
     if smoke:
         # Two contrasting cells on one module: clean LAN, lossy WAN.
         return [
-            ("loss0", 0.0, "lan", 0.0, 0.0, module),
-            ("loss2", 0.02, "sym20", 0.020, 0.020, module),
+            (module, LOSS_PROFILES[0], LATENCY_PROFILES[0]),
+            (module, LOSS_PROFILES[1], LATENCY_PROFILES[1]),
         ]
     return [
-        (loss_label, loss, lat_label, fwd, back, mod)
+        (mod, loss, latency)
         for mod in MODULES
-        for loss_label, loss in LOSS_PROFILES
-        for lat_label, fwd, back in LATENCY_PROFILES
+        for loss in LOSS_PROFILES
+        for latency in LATENCY_PROFILES
     ]
 
 
-async def run_wansoak(
+def run_wansoak(
     smoke: bool, module: str, seed: int, dump_dir: Optional[Path]
 ) -> Dict[str, Any]:
-    timeout = RECOVERY_BOUND_S
     cells = []
-    for index, (loss_label, loss, lat_label, fwd, back, mod) in enumerate(
-        matrix(smoke, module)
-    ):
-        cells.append(
-            await run_cell(
-                mod,
-                loss_label,
-                loss,
-                lat_label,
-                fwd,
-                back,
-                seed=seed + index,
-                smoke=smoke,
-                timeout=timeout,
-                dump_dir=dump_dir,
-            )
-        )
+    for index, (mod, loss, latency) in enumerate(matrix(smoke, module)):
+        cell = run_cell(mod, loss, latency, seed + index, smoke, dump_dir)
+        cells.append(cell)
         print(
-            f"  {cells[-1]['cell']}: ok={cells[-1]['ok']}"
-            f" sealed={cells[-1]['sealed']['delivered_msgs_per_s']:.1f}/s"
-            f" rekey_p95={cells[-1]['rekey_ms']['p95_ms']:.0f}ms"
-            f" recover(reset)={cells[-1]['recovery']['reset']['recovery_s']:.2f}s"
+            f"  {cell['cell']}: ok={cell['ok']}"
+            f" sealed={cell['sealed']['delivered_msgs_per_s']:.1f}/s"
+            f" rekey_p95={cell['rekey_ms']['p95_ms']:.0f}ms"
+            f" recover(reset)={cell['recovery']['reset']['recovery_s']:.2f}s"
             f" recover(blackhole)="
-            f"{cells[-1]['recovery']['blackhole']['recovery_s']:.2f}s",
+            f"{cell['recovery']['blackhole']['recovery_s']:.2f}s",
             file=sys.stderr,
         )
     worst_recovery = max(
@@ -532,7 +399,7 @@ async def run_wansoak(
     }
 
 
-def check_document(document: Dict[str, Any], smoke: bool) -> List[str]:
+def check_document(document: Dict[str, Any]) -> List[str]:
     """Gate failures (empty = pass).  All gates are structural — bounded
     recovery, zero invariant violations, complete sealed delivery — so
     they apply to smoke and full runs alike."""
@@ -586,14 +453,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="where to write the JSON document",
     )
     args = parser.parse_args(argv)
-    try:
-        document = asyncio.run(
-            run_wansoak(args.smoke, args.module, args.seed, args.dump_dir)
-        )
-    except OSError as exc:
-        # No loopback sockets on this platform: skip, don't fail.
-        print(f"wansoak bench skipped: sockets unavailable ({exc})")
+    if not loopback_available():
+        print("wansoak bench skipped: loopback sockets unavailable")
         return 0
+    document = run_wansoak(args.smoke, args.module, args.seed, args.dump_dir)
     args.output.write_text(json.dumps(document, indent=2) + "\n")
     summary = document["summary"]
     print(
@@ -602,7 +465,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         f" -> {args.output}"
     )
     if args.check:
-        failures = check_document(document, args.smoke)
+        failures = check_document(document)
         for failure in failures:
             print(f"GATE FAIL: {failure}", file=sys.stderr)
         return 1 if failures else 0

@@ -25,6 +25,7 @@ The CLI lives in :mod:`repro.transport.daemon`
 from __future__ import annotations
 
 import asyncio
+import socket
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import FrameError, SpreadError
@@ -377,3 +378,19 @@ async def wait_for_condition(
         if loop.time() > deadline:
             raise TimeoutError(f"condition not met within {timeout}s")
         await asyncio.sleep(interval)
+
+
+def loopback_available() -> bool:
+    """Whether this platform lets a process bind ``127.0.0.1``.
+
+    The one "no sockets here" test for every socket-using CLI and test:
+    decided up front by one bind, never by catching ``OSError`` around a
+    whole run — the builtin ``TimeoutError`` is an ``OSError`` too, so
+    such a guard reports a hang as a skip.
+    """
+    try:
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
+            probe.bind(("127.0.0.1", 0))
+    except OSError:
+        return False
+    return True

@@ -478,6 +478,19 @@ class NetemSchedule:
     :class:`~repro.net.fault.FaultSchedule`)."""
 
     actions: List[NetemAction] = field(default_factory=list)
+    #: The clock time the action times are anchored to (the chaos
+    #: window start, for a generated schedule).
+    origin: float = 0.0
+
+    def rebased(self, origin: float) -> "NetemSchedule":
+        """The same fault sequence, every offset from the origin kept,
+        anchored at ``origin`` — how a schedule recorded against one
+        wall clock is replayed on another."""
+        shift = origin - self.origin
+        return NetemSchedule(
+            actions=[replace(a, at=a.at + shift) for a in self.actions],
+            origin=origin,
+        )
 
     def _add(
         self,

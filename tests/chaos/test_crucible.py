@@ -1,16 +1,19 @@
 """The crucible end to end: seeded runs hold every invariant, replay is
-byte-identical, and the ddmin shrinker minimizes failing schedules."""
+byte-identical, and the ddmin shrinker minimizes failing schedules of
+either backend's type."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.chaos.crucible import _is_repair, soak
+from repro.chaos.crucible import _is_netem_repair, _is_repair, soak
 from repro.chaos.harness import MODULES, generate_churn, generate_schedule, run_chaos
 from repro.chaos.shrink import shrink_schedule
 from repro.net.fault import FaultSchedule
 from repro.net.link import LinkModel
 from repro.sim.rng import DeterministicRng
+from repro.transport.netem import NetemSchedule
 
 
 # -- seeded runs ------------------------------------------------------------------
@@ -92,20 +95,23 @@ def test_generated_churn_stays_inside_window():
 
 
 # -- the shrinker -----------------------------------------------------------------
+#
+# One shrinker serves both backends' schedule types; the unit tests run
+# it on synthetic predicates (no simulator, no sockets) over each.
 
 
 def minimal_predicate(culprit_kinds):
     """Failing iff the candidate still contains every culprit kind."""
 
-    def failing(schedule: FaultSchedule) -> bool:
+    def failing(schedule) -> bool:
         kinds = {a.kind for a in schedule.actions}
         return culprit_kinds <= kinds
 
     return failing
 
 
-def test_shrinker_reduces_to_the_culprits():
-    schedule = (
+def _noisy_sim_schedule():
+    return (
         FaultSchedule()
         .set_link(0.0, LinkModel.chaotic())
         .stall(1.0, "d1")
@@ -116,13 +122,59 @@ def test_shrinker_reduces_to_the_culprits():
         .heal(6.0)
         .set_link(6.0, LinkModel.ethernet_100base_t())
     )
-    failing = minimal_predicate({"partition", "crash"})
-    minimal = shrink_schedule(schedule, failing, keep=_is_repair)
-    shrunk_kinds = [a.kind for a in minimal.actions if not _is_repair(a)]
+
+
+def _noisy_tcp_schedule():
+    return (
+        NetemSchedule(origin=0.5)
+        .shape(0.5, latency=0.01)
+        .stall(1.0, ["peer:d0>d1"])
+        .blackhole(2.0, ["peer:d1>d2"])
+        .reset(3.0, ["client:m0"])
+        .resume(4.0, ["peer:d0>d1"])
+        .heal(5.0, ["peer:d1>d2"])
+        .clear(6.0)
+        .reset(6.0)
+    )
+
+
+#: (noisy schedule, its repair predicate, the two culprit kinds, the
+#: repair kinds that must survive, one fault to repeat for the budget
+#: test) per schedule type.
+SHRINKABLE = {
+    "sim": (
+        _noisy_sim_schedule, _is_repair, {"partition", "crash"},
+        {"resume", "recover", "heal", "set_link"},
+        lambda s, i: s.stall(float(i), f"d{i % 4}"),
+    ),
+    "tcp": (
+        _noisy_tcp_schedule, _is_netem_repair, {"blackhole", "stall"},
+        {"resume", "heal", "clear", "reset"},
+        lambda s, i: s.stall(float(i), [f"peer:d{i % 3}>d{(i + 1) % 3}"]),
+    ),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(SHRINKABLE))
+def test_shrinker_reduces_to_the_culprits(backend):
+    make, is_repair, culprits, repairs, __ = SHRINKABLE[backend]
+    schedule = make()
+    minimal = shrink_schedule(
+        schedule, minimal_predicate(culprits), keep=is_repair
+    )
+    assert type(minimal) is type(schedule)
+    shrunk_kinds = [a.kind for a in minimal.actions if not is_repair(a)]
     # 1-minimal: exactly the two culprit actions survive (plus repairs).
-    assert sorted(shrunk_kinds) == ["crash", "partition"]
-    repair_kinds = {a.kind for a in minimal.actions if _is_repair(a)}
-    assert {"resume", "recover", "heal"} <= repair_kinds
+    assert sorted(shrunk_kinds) == sorted(culprits)
+    assert {a.kind for a in minimal.actions if is_repair(a)} == repairs
+    # Whatever else the schedule carries (a netem origin) rides along.
+    assert minimal == replace(schedule, actions=minimal.actions)
+
+
+def test_netem_repair_keeps_the_end_of_window_reset_only():
+    schedule = _noisy_tcp_schedule()
+    kept = [(a.at, a.kind) for a in schedule.actions if _is_netem_repair(a)]
+    assert kept == [(4.0, "resume"), (5.0, "heal"), (6.0, "clear"), (6.0, "reset")]
 
 
 def test_shrinker_single_culprit():
@@ -147,13 +199,15 @@ def test_shrinker_rejects_non_failing_schedule():
         shrink_schedule(schedule, lambda s: False)
 
 
-def test_shrinker_respects_run_budget():
-    schedule = FaultSchedule()
+@pytest.mark.parametrize("backend", sorted(SHRINKABLE))
+def test_shrinker_respects_run_budget(backend):
+    make, __, __, __, add_fault = SHRINKABLE[backend]
+    schedule = type(make())()
     for i in range(16):
-        schedule.stall(float(i), f"d{i % 4}")
+        add_fault(schedule, i)
     calls = {"n": 0}
 
-    def failing(candidate: FaultSchedule) -> bool:
+    def failing(candidate) -> bool:
         calls["n"] += 1
         return len(candidate.actions) >= 1
 
@@ -161,25 +215,21 @@ def test_shrinker_respects_run_budget():
     assert calls["n"] <= 10
 
 
-def test_shrinker_keeps_candidate_schedules_time_sorted():
+@pytest.mark.parametrize("backend", sorted(SHRINKABLE))
+def test_shrinker_keeps_candidate_schedules_time_sorted(backend):
     """Every candidate the predicate sees must be a valid schedule:
     actions in time order, repairs retained."""
-    schedule = (
-        FaultSchedule()
-        .stall(1.0, "d1")
-        .partition(2.0, [["d0"], ["d1"]])
-        .heal(3.0)
-        .resume(4.0, "d1")
-    )
+    make, is_repair, culprits, repairs, __ = SHRINKABLE[backend]
     seen = []
 
-    def failing(candidate: FaultSchedule) -> bool:
-        seen.append([a.at for a in candidate.actions])
-        return any(a.kind == "partition" for a in candidate.actions)
+    def failing(candidate) -> bool:
+        seen.append(candidate.actions)
+        return culprits <= {a.kind for a in candidate.actions}
 
-    shrink_schedule(schedule, failing, keep=_is_repair)
-    for times in seen:
-        assert times == sorted(times)
+    shrink_schedule(make(), failing, keep=is_repair)
+    for actions in seen:
+        assert [a.at for a in actions] == sorted(a.at for a in actions)
+        assert {a.kind for a in actions if is_repair(a)} == repairs
 
 
 # -- shrinking an injected regression, end to end ---------------------------------

@@ -1,21 +1,24 @@
-"""The transport crucible's contracts: seeded determinism and the
-empty-schedule acceptance bar.
+"""The crucible's TCP backend: seeded determinism, faithful replay and
+the empty-schedule acceptance bar.
 
 Determinism is schedule-level (wall-clock byte timing varies run to
-run): the full fault sequence — kinds, times, targets, shape values —
-derives purely from the seed.  And with *no* schedule armed, the whole
-netem layer must be an invisible wire: a clean run with zero injected
-faults and every invariant green.
+run): the full fault sequence — kinds, offsets from the window start,
+targets, shape values — derives purely from the seed, and a schedule fed
+back in is re-based onto the new run's window.  And with *no* schedule
+armed, the whole netem layer must be an invisible wire: a clean run with
+zero injected faults and every invariant green.
 """
 
 import pytest
 
+from repro.chaos import crucible, wansoak
+from repro.chaos.harness import MODULES
 from repro.chaos.transport_crucible import (
-    MODULES,
+    TransportCrucible,
     generate_wan_schedule,
-    run_transport_chaos,
 )
 from repro.sim.rng import DeterministicRng
+from repro.transport.host import loopback_available
 from repro.transport.netem import NetemSchedule
 
 
@@ -55,15 +58,21 @@ def test_crucible_modules_are_the_paper_triple():
 
 
 def _run(seed, module, **kwargs):
+    """One quick run on a fresh deployment: (result, the netem actions
+    that fired)."""
+    if not loopback_available():  # pragma: no cover - sandboxed platforms
+        pytest.skip("loopback sockets unavailable")
+    deployment = TransportCrucible(seed, module)
     try:
-        return run_transport_chaos(seed, module, quick=True, **kwargs)
-    except OSError as exc:  # pragma: no cover - sandboxed platforms
-        pytest.skip(f"loopback sockets unavailable: {exc}")
+        return deployment.execute(quick=True, **kwargs), deployment.netem.fired
+    finally:
+        deployment.close()
 
 
 def test_empty_schedule_run_is_clean_with_zero_faults():
-    result = _run(0, "cliques", schedule=NetemSchedule())
+    result, fired = _run(0, "cliques", schedule=NetemSchedule())
     assert result.ok, result.violations
+    assert fired == []
     assert result.violations == []
     # The netem layer proxied every wire yet injected nothing.
     faults = (
@@ -78,31 +87,62 @@ def test_empty_schedule_run_is_clean_with_zero_faults():
     assert result.traffic_sent > 0
 
 
-def _relative_actions(schedule):
-    """The fault sequence with the live-clock anchor factored out."""
-    anchor = min(action.at for action in schedule.actions)
+def _offsets(actions, origin):
+    """A fault sequence with its clock anchor factored out."""
     return [
         (
-            round(action.at - anchor, 6),
+            round(action.at - origin, 6),
             action.kind,
             action.links,
             action.direction,
             action.fields,
         )
-        for action in sorted(
-            schedule.actions, key=lambda a: (a.at, a.kind)
-        )
+        for action in sorted(actions, key=lambda a: (a.at, a.kind))
     ]
 
 
 def test_seeded_quick_run_holds_invariants_and_replays_schedule():
-    result = _run(3, "cliques")
+    result, fired = _run(3, "cliques")
     assert result.ok, result.violations
-    # The armed schedule derives purely from the seed — absolute times
-    # are anchored to the live clock at arm time, but the fault
-    # sequence (kinds, offsets, targets, shape values) replays exactly.
-    replay = _run(3, "cliques")
-    assert _relative_actions(replay.schedule_obj) == _relative_actions(
-        result.schedule_obj
-    )
+    armed = result.schedule_obj
+    assert _offsets(fired, armed.origin) == _offsets(armed.actions, armed.origin)
+    # Replay: the first run's schedule carries that run's absolute
+    # times.  Fed back in, it is re-based onto the new window — whose
+    # start differs, group establishment took a different wall time — so
+    # every netem.fire lands at the same offset from the window start.
+    replay, refired = _run(3, "cliques", schedule=armed)
     assert replay.ok, replay.violations
+    assert replay.schedule_obj.origin != armed.origin
+    assert _offsets(refired, replay.schedule_obj.origin) == _offsets(
+        fired, armed.origin
+    )
+
+
+def test_cli_runs_one_quick_tcp_seed():
+    assert crucible.main(
+        ["--backend", "tcp", "--quick", "--seeds", "1", "--module", "cliques"]
+    ) == 0
+
+
+@pytest.mark.parametrize(
+    "main,argv",
+    [
+        (crucible.main, ["--backend", "tcp", "--quick", "--seeds", "1",
+                         "--module", "cliques"]),
+        (wansoak.main, ["--smoke", "--check", "--output", "unwritten.json"]),
+    ],
+    ids=["crucible", "wansoak"],
+)
+def test_a_wedged_deployment_fails_the_cli(main, argv, monkeypatch):
+    """A timeout is a failure on every entry point.  The builtin
+    TimeoutError is an OSError: at the parent both CLIs caught it as
+    "sockets unavailable" and exited 0, --check included."""
+    if not loopback_available():  # pragma: no cover - sandboxed platforms
+        pytest.skip("loopback sockets unavailable")
+
+    def wedged(self, seed, module, trace_cap=None):
+        raise TimeoutError("condition not met within 30.0s")
+
+    monkeypatch.setattr(TransportCrucible, "__init__", wedged)
+    with pytest.raises(TimeoutError):
+        main(argv)

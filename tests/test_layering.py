@@ -1,11 +1,15 @@
 """Lint: the dependency arrow between the library and ``repro.bench``
-points one way.
+points one way, and the crucible has one driver.
 
 ``repro.bench`` regenerates the paper's tables and figures *from* the
 library; the library never reaches back into it.  And ``repro.bench`` is
 the paper's evaluation only — stack performance is ``benchmarks/e2e`` —
 so it stays off the fault crucibles and the real transport, and a new
 module in it is a decision, not a drive-by.
+
+``repro.chaos`` runs one crucible on two backends: the driver and its
+simulator backend stay importable where sockets do not exist, and each
+step of a run is written once.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from typing import Iterator, Tuple
 
 SRC_ROOT = Path(__file__).resolve().parents[1] / "src"
 BENCH = SRC_ROOT / "repro" / "bench"
+CHAOS = SRC_ROOT / "repro" / "chaos"
 
 #: What regenerates the paper, and nothing else.
 BENCH_MODULES = {
@@ -75,3 +80,44 @@ def test_bench_stays_off_the_crucibles_and_the_transport():
 def test_bench_contains_only_the_paper_modules():
     assert {p.stem for p in BENCH.glob("*.py")} == BENCH_MODULES
     assert not [p for p in BENCH.iterdir() if p.is_dir() and p.name != "__pycache__"]
+
+
+def test_crucible_driver_and_sim_backend_need_no_sockets():
+    offenders = _offenders(
+        [CHAOS / "harness.py", CHAOS / "invariants.py", CHAOS / "shrink.py"],
+        ("repro.transport", "asyncio"),
+    )
+    assert not offenders, (
+        "the crucible driver and its simulator backend must run where"
+        " sockets do not exist; TCP-only code belongs to"
+        " repro.chaos.transport_crucible:\n" + "\n".join(offenders)
+    )
+    # The CLI reaches the TCP backend under --backend tcp only: nothing
+    # socket-bound is imported at its top level.
+    cli = ast.parse((CHAOS / "crucible.py").read_text(encoding="utf-8"))
+    eager = []
+    for node in cli.body:
+        if isinstance(node, ast.Import):
+            eager += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            eager.append(node.module or "")
+    assert not [
+        name for name in eager
+        if name == "asyncio"
+        or name.startswith(("repro.transport", "repro.chaos.transport_crucible"))
+    ], f"crucible.py imports the TCP side eagerly: {eager}"
+
+
+def test_each_crucible_step_is_defined_once():
+    """One run, one result: a second ``wait_quiescence`` (or probe
+    round, end state, traffic pump, result class) is a second harness."""
+    defined = {}
+    for path in sorted(CHAOS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, []).append(path.name)
+    for name in ("wait_quiescence", "run_probes", "end_state", "start_traffic",
+                 "probe_counts", "execute"):
+        assert defined.get(name) == ["harness.py"], (name, defined.get(name))
+    results = [name for name in defined if name.endswith("Result")]
+    assert results == ["ChaosResult"] and defined["ChaosResult"] == ["harness.py"]

@@ -3,8 +3,10 @@
 Everything here is hermetic against port collisions: hosts and netem
 proxies bind port 0 and publish the ephemeral port the kernel handed
 back, so suites can run in parallel on one machine.  On platforms
-without loopback sockets :func:`run` skips rather than fails — the
-same escape hatch the transport crucible CLI uses.
+without loopback sockets :func:`run` skips rather than fails — decided
+by the one probe the crucible and wansoak CLIs use
+(:func:`~repro.transport.host.loopback_available`), so a timeout or any
+other error inside the coroutine is a failure, never a skip.
 """
 
 import asyncio
@@ -12,7 +14,11 @@ import asyncio
 import pytest
 
 from repro.spread.config import SpreadConfig
-from repro.transport.host import DaemonHost, wait_for_condition
+from repro.transport.host import (
+    DaemonHost,
+    loopback_available,
+    wait_for_condition,
+)
 
 __all__ = ["loopback_config", "run", "start_host", "join_all"]
 
@@ -30,14 +36,14 @@ def loopback_config(names=("d0", "d1", "d2")):
 
 def run(coro, timeout=60.0):
     """asyncio.run with a hard bound and the no-sockets skip."""
+    if not loopback_available():  # pragma: no cover - sandboxed platforms
+        coro.close()
+        pytest.skip("loopback sockets unavailable")
 
     async def bounded():
         return await asyncio.wait_for(coro, timeout)
 
-    try:
-        return asyncio.run(bounded())
-    except OSError as exc:  # pragma: no cover - sandboxed platforms
-        pytest.skip(f"loopback sockets unavailable: {exc}")
+    return asyncio.run(bounded())
 
 
 async def start_host(names=("d0", "d1", "d2")):

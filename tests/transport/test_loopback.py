@@ -24,6 +24,17 @@ from repro.types import ServiceType
 from tests.transport.conftest import join_all, run, start_host
 
 
+def test_a_hang_fails_instead_of_skipping():
+    """The builtin TimeoutError is an OSError: a "no sockets" guard
+    that catches OSError around the run turns every hang into a skip."""
+
+    async def never_finishes():
+        await asyncio.Event().wait()
+
+    with pytest.raises(asyncio.TimeoutError):
+        run(never_finishes(), timeout=0.05)
+
+
 def test_multicast_crosses_real_sockets():
     async def main():
         host = await start_host()
