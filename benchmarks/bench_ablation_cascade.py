@@ -17,7 +17,6 @@ import pytest
 from repro.bench.platform_model import PENTIUM_II_450
 from repro.bench.reporting import Table
 from repro.testbed import ProtocolGroup, SecureTestbed
-from repro.crypto.counters import ExpCounter
 from repro.secure.session import CryptoCostModel
 
 SIZES = [3, 5, 8, 12]
@@ -27,42 +26,17 @@ def restart_cost(n: int) -> int:
     """Total exponentiations for a from-scratch re-key of n members
     (founder creates a singleton and merges everyone else in)."""
     group = ProtocolGroup("cliques")
-    group.create()
-    if n == 1:
-        return group.counter_of(group.members[0]).total
-    before = {m: group.counter_of(m).total for m in group.members}
-    # Merge the remaining n-1 members through the chain protocol.
-    controller = group.contexts[group.members[0]]
-    new_names = [group._fresh_name() for __ in range(n - 1)]
-    for name in new_names:
-        group._make_context(name)
-    token = controller.prep_merge(new_names)
-    for name in new_names[:-1]:
-        token = group.contexts[name].process_merge_chain(token)
-    collect = group.contexts[new_names[-1]].process_merge_chain(token)
-    last = group.contexts[new_names[-1]]
-    downflow = None
-    for name in group.members + new_names[:-1]:
-        response = group.contexts[name].process_merge_collect(collect)
-        downflow = last.process_merge_response(response)
-    for name in group.members + new_names[:-1]:
-        group.contexts[name].process_downflow(downflow)
-    total = 0
-    for name in group.members + new_names:
-        counter = group.counter_of(name)
-        total += counter.total - before.get(name, 0)
-    return total
+    record = group.join()
+    if n > 1:
+        # Merge the remaining n-1 members through the chain protocol.
+        record = group.merge(n - 1)
+    return sum(window.total for window in record.windows.values())
 
 
 def incremental_join_cost(n: int) -> int:
     group = ProtocolGroup("cliques")
     group.grow_to(n - 1)
-    before = {m: group.counter_of(m).total for m in group.members}
-    joiner = group.join()
-    total = group.counter_of(joiner).total
-    for member in group.members[:-1]:
-        total += group.counter_of(member).total - before[member]
-    return total
+    return sum(window.total for window in group.join().windows.values())
 
 
 def test_cascade_restart_vs_incremental(benchmark):

@@ -18,8 +18,8 @@ def timed_rounds(n: int):
     """Per-round wall time of a CKD join at pre-join size n-1."""
     group = ProtocolGroup("ckd", params=DHParams.paper_512())
     group.grow_to(n - 1)
-    controller = group.contexts[group.members[0]]
-    joiner = group._make_context(group._fresh_name())
+    controller = group.modules[group.key_controller].ctx
+    joiner = group.modules[group._add_member()].ctx
 
     start = time.perf_counter()
     hello = controller.start_join(joiner.name)

@@ -13,38 +13,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.testbed import ProtocolGroup
-
-
-def join_counts(protocol: str, n: int, params=None):
-    """Measured counters for a join reaching size ``n``: returns
-    (controller window counter, joiner counter)."""
-    group = ProtocolGroup(protocol, params=params)
-    group.grow_to(n - 1)
-    controller = group.key_controller
-    with group.counter_of(controller).window() as window:
-        joiner = group.join()
-    return window, group.counter_of(joiner)
+# join_counts(protocol, n): measured counters for a join reaching size
+# ``n`` — (controller window counter, joiner window counter).
+from repro.bench.report import join_roles as join_counts  # noqa: F401
+from repro.testbed import measure
 
 
 def leave_counts(protocol: str, n: int, controller_leaves: bool, params=None):
     """Measured counter window for the member performing a leave at
-    size ``n``."""
-    group = ProtocolGroup(protocol, params=params)
-    group.grow_to(n)
-    if controller_leaves:
-        leaver = group.key_controller
-        performer = (
-            group.members[-2] if protocol == "cliques" else group.members[1]
-        )
-    else:
-        leaver = (
-            group.members[0] if protocol == "cliques" else group.members[-1]
-        )
-        performer = group.key_controller
-    with group.counter_of(performer).window() as window:
-        group.leave(leaver)
-    return window
+    size ``n`` (the first to emit: it started the protocol run)."""
+    operation = "controller_leave" if controller_leaves else "leave"
+    record = measure(protocol, operation, n, params=params)
+    return record.windows[record.serial[0]]
 
 
 @pytest.fixture

@@ -16,48 +16,11 @@ Run:  python examples/protocol_comparison.py
 from repro.bench.expcount import table4
 from repro.bench.platform_model import PENTIUM_II_450, SUN_ULTRA2
 from repro.bench.reporting import Table
-from repro.testbed import ProtocolGroup
+from repro.bench.report import serial_total
 
 SIZES = [3, 5, 10, 15]
 
 PROTOCOLS = (("cliques", "Cliques"), ("ckd", "CKD"), ("tgdh", "TGDH"))
-
-
-def join_sponsor(group: ProtocolGroup) -> str:
-    """The member that pays the serial join cost: the Cliques/CKD
-    controller, or the TGDH insertion-leaf sponsor."""
-    if group.protocol == "tgdh":
-        anyone = group.contexts[group.members[0]]
-        return anyone.sponsor_for([], ["znew"])
-    return group.key_controller
-
-
-def leave_sponsor(group: ProtocolGroup, leaver: str) -> str:
-    if group.protocol == "tgdh":
-        remaining = [m for m in group.members if m != leaver]
-        return group.contexts[remaining[0]].sponsor_for([leaver], [])
-    if group.protocol == "cliques":
-        return group.members[-2]
-    return group.members[1]
-
-
-def serial_join(protocol: str, n: int) -> int:
-    group = ProtocolGroup(protocol)
-    group.grow_to(n - 1)
-    sponsor = join_sponsor(group)
-    with group.counter_of(sponsor).window() as window:
-        joiner = group.join()
-    return window.total + group.counter_of(joiner).total
-
-
-def serial_controller_leave(protocol: str, n: int) -> int:
-    group = ProtocolGroup(protocol)
-    group.grow_to(n)
-    leaver = group.key_controller
-    performer = leave_sponsor(group, leaver)
-    with group.counter_of(performer).window() as window:
-        group.leave(leaver)
-    return window.total - window.get("controller_hello")
 
 
 def main() -> None:
@@ -72,8 +35,8 @@ def main() -> None:
     for n in SIZES:
         paper = table4(n)
         for protocol, label in PROTOCOLS:
-            join_count = serial_join(protocol, n)
-            leave_count = serial_controller_leave(protocol, n)
+            join_count = serial_total(protocol, "join", n)
+            leave_count = serial_total(protocol, "controller_leave", n)
             if label in paper:
                 join_ref = paper[label]["Join"]
                 leave_ref = paper[label]["Controller leaves"]

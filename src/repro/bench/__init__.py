@@ -27,8 +27,6 @@ from repro.bench.platform_model import (
     calibrate_local_machine,
 )
 from repro.bench.expcount import table2, table3, table4
-from repro.bench.keyagree import run_harness as run_keyagree_harness
-from repro.bench.sweep import run_sweep
 from repro.bench.reporting import Table
 
 __all__ = [
@@ -40,6 +38,4 @@ __all__ = [
     "table3",
     "table4",
     "Table",
-    "run_keyagree_harness",
-    "run_sweep",
 ]

@@ -5,14 +5,20 @@ measured exponentiation counters, Figure 3 from the simulated testbed,
 Figure 4 from the platform cost models — without pytest, for quick
 inspection or piping into a file.  (The benchmark suite under
 ``benchmarks/`` runs the same code with assertions and statistics.)
+
+``--markdown`` prints the generated blocks of EXPERIMENTS.md (Tables
+2-4, Figure 4: counts and counts x the paper's per-exponentiation
+constants, so byte-deterministic); CI's ``paper`` job diffs them
+against the file.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import List, Sequence
 
-from repro.bench.expcount import table4
+from repro.bench.expcount import table2, table4
 from repro.bench.platform_model import (
     PENTIUM_II_450,
     SUN_ULTRA2,
@@ -20,52 +26,42 @@ from repro.bench.platform_model import (
 )
 from repro.bench.reporting import Table
 from repro.secure.session import CryptoCostModel
-from repro.testbed import ProtocolGroup, SecureTestbed
+from repro.testbed import SecureTestbed, measure
 
 TABLE_SIZES = [3, 5, 10, 15, 30]
 FIGURE3_SIZES = [2, 4, 6, 8, 10, 12, 14]
 
-
-def measured_join(protocol: str, n: int):
-    group = ProtocolGroup(protocol)
-    group.grow_to(n - 1)
-    controller = group.key_controller
-    with group.counter_of(controller).window() as window:
-        joiner = group.join()
-    return window, group.counter_of(joiner)
-
-
-def measured_controller_leave(protocol: str, n: int):
-    group = ProtocolGroup(protocol)
-    group.grow_to(n)
-    leaver = group.key_controller
-    performer = group.members[-2] if protocol == "cliques" else group.members[1]
-    with group.counter_of(performer).window() as window:
-        group.leave(leaver)
-    return window
+#: The paper's two modules: (registry name, Table 4 row label).
+PAPER_MODULES = (("cliques", "Cliques"), ("ckd", "CKD"))
+#: Table 4's columns -> the operation :func:`repro.testbed.measure` runs.
+TABLE4_OPERATIONS = {
+    "Join": "join",
+    "Leave": "leave",
+    "Controller leaves": "controller_leave",
+}
 
 
-def report_tables() -> None:
-    table = Table(
-        "Tables 2-4 — serial exponentiations, paper vs measured",
-        ["n", "protocol", "join paper/meas", "ctrl-leave paper/meas"],
-    )
-    for n in TABLE_SIZES:
-        paper = table4(n)
-        for protocol, label in (("cliques", "Cliques"), ("ckd", "CKD")):
-            controller, joiner = measured_join(protocol, n)
-            join_total = controller.total + joiner.total
-            leave_window = measured_controller_leave(protocol, n)
-            leave_total = leave_window.total - leave_window.get(
-                "controller_hello"
-            )
-            table.add(
-                n,
-                label,
-                f"{paper[label]['Join']}/{join_total}",
-                f"{paper[label]['Controller leaves']}/{leave_total}",
-            )
-    table.show()
+def serial_total(protocol: str, operation: str, n: int, **group_args) -> int:
+    """Serial exponentiations of one operation, as Tables 2-4 count them.
+
+    A join totals every serial member (controller + new member).  A
+    leave is the initiator's window alone — the CKD members' round-2
+    replies to a takeover run in parallel and the paper leaves them
+    out — less the once-per-tenure ``controller_hello`` (Table 5).
+    """
+    record = measure(protocol, operation, n, **group_args)
+    if record.joined:
+        return record.total
+    window = record.windows[record.serial[0]]
+    return window.total - window.get("controller_hello")
+
+
+def join_roles(protocol: str, n: int, **group_args):
+    """(controller window, new member window) of a join reaching ``n``."""
+    record = measure(protocol, "join", n, **group_args)
+    (joiner,) = record.joined
+    (controller,) = (m for m in record.serial if m != joiner)
+    return record.windows[controller], record.windows[joiner]
 
 
 def report_figure3() -> None:
@@ -90,32 +86,6 @@ def report_figure3() -> None:
     table.show()
 
 
-def report_figure4() -> None:
-    for platform in (SUN_ULTRA2, PENTIUM_II_450):
-        table = Table(
-            f"Figure 4 — modeled CPU time (s) on {platform.name}",
-            ["n", "cliques join", "ckd join", "cliques leave", "ckd leave"],
-        )
-        for n in TABLE_SIZES:
-            rows = {}
-            for protocol in ("cliques", "ckd"):
-                controller, joiner = measured_join(protocol, n)
-                join_total = controller.total + joiner.total
-                leave_window = measured_controller_leave(protocol, n)
-                leave_total = leave_window.total - leave_window.get(
-                    "controller_hello"
-                )
-                rows[protocol] = (join_total, leave_total)
-            table.add(
-                n,
-                platform.time_for(rows["cliques"][0]),
-                platform.time_for(rows["ckd"][0]),
-                platform.time_for(rows["cliques"][1]),
-                platform.time_for(rows["ckd"][1]),
-            )
-        table.show()
-
-
 def report_calibration() -> None:
     local = calibrate_local_machine()
     table = Table("Local calibration (512-bit modular exponentiation)",
@@ -124,6 +94,52 @@ def report_calibration() -> None:
     table.add(PENTIUM_II_450.name, PENTIUM_II_450.exp_cost * 1000)
     table.add(local.name, local.exp_cost * 1000)
     table.show()
+
+
+def _block(name: str, header: Sequence[str], rows: List[Sequence[object]]) -> str:
+    lines = [header, ["---"] * len(header), *rows]
+    body = "\n".join("| " + " | ".join(map(str, line)) + " |" for line in lines)
+    return f"<!-- report:{name} -->\n{body}\n<!-- /report:{name} -->"
+
+
+def markdown() -> str:
+    """The generated blocks of EXPERIMENTS.md: Tables 2 and 4 as
+    ``paper / measured`` counts, Figure 4 as modeled CPU seconds
+    ``SUN / Pentium`` (measured counts x the published cost)."""
+    roles, totals, figure4 = [], [], []
+    for n in TABLE_SIZES:
+        paper2, paper4 = table2(n), table4(n)
+        measured = {
+            (label, column): serial_total(protocol, operation, n)
+            for protocol, label in PAPER_MODULES
+            for column, operation in TABLE4_OPERATIONS.items()
+        }
+        roles.append([n] + [
+            f"{dict(paper2[f'{label} / {role}'])['Total']} / {window.total}"
+            for protocol, label in PAPER_MODULES
+            for role, window in zip(
+                ("Controller", "New member"), join_roles(protocol, n)
+            )
+        ])
+        totals.append([n] + [
+            f"{paper4[label][column]} / {count}"
+            for (label, column), count in measured.items()
+        ])
+        figure4.append([n] + [
+            f"{SUN_ULTRA2.time_for(measured[label, column]):.3f}"
+            f" / {PENTIUM_II_450.time_for(measured[label, column]):.4f}"
+            for column in ("Join", "Controller leaves")
+            for _, label in PAPER_MODULES
+        ])
+    return "\n".join([
+        _block("table2", ["n", "Cliques controller", "Cliques new member",
+                          "CKD controller", "CKD new member"], roles),
+        _block("table4", ["n", "Cliques join", "Cliques leave",
+                          "Cliques ctrl-leave", "CKD join", "CKD leave",
+                          "CKD ctrl-leave"], totals),
+        _block("figure4", ["n", "Cliques join", "CKD join",
+                           "Cliques ctrl-leave", "CKD ctrl-leave"], figure4),
+    ])
 
 
 def main(argv=None) -> int:
@@ -135,11 +151,19 @@ def main(argv=None) -> int:
         action="store_true",
         help="skip the (slower) full-stack Figure 3 simulation",
     )
+    parser.add_argument(
+        "--markdown",
+        action="store_true",
+        help="print only the generated Table 2-4 / Figure 4 blocks of"
+        " EXPERIMENTS.md",
+    )
     args = parser.parse_args(argv)
-    report_calibration()
-    report_tables()
-    report_figure4()
-    if not args.skip_figure3:
+    if not args.markdown:
+        report_calibration()
+        print("Tables 2-4 and Figure 4 (the generated blocks of EXPERIMENTS.md;"
+              " counts are paper / measured, times SUN / Pentium):\n")
+    print(markdown())
+    if not (args.markdown or args.skip_figure3):
         report_figure3()
     return 0
 

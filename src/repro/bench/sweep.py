@@ -1,10 +1,8 @@
 """Parallel experiment-sweep runner: ``python -m repro.bench.sweep``.
 
-The evaluation is embarrassingly parallel: every (figure, protocol,
-group size, trial) is an independent simulation cell with its own
-deterministic seed.  The seed's original runs were serial; this runner
-fans the cells across a :class:`concurrent.futures.ProcessPoolExecutor`
-and extends the regeneration to group sizes ≥ 64.
+Every (figure, protocol, group size, trial) is an independent cell with
+its own deterministic seed, fanned across a
+:class:`concurrent.futures.ProcessPoolExecutor`.
 
 Cell kinds:
 
@@ -45,9 +43,10 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.bench import keyagree
 from repro.bench.platform_model import PENTIUM_II_450, SUN_ULTRA2
+from repro.bench.report import serial_total
 from repro.secure.session import CryptoCostModel
 from repro.sim.rng import stable_seed
-from repro.testbed import ProtocolGroup, SecureTestbed
+from repro.testbed import SecureTestbed
 
 #: Figure 4 is counts-based: extending past the paper's n=30 to 128 is
 #: cheap and shows the asymptotic gap between the protocols.
@@ -57,6 +56,9 @@ FIGURE4_SIZES = (8, 16, 32, 64, 128)
 FIGURE3_SIZES = (8, 16, 32, 64)
 QUICK_FIGURE4_SIZES = (8,)
 QUICK_FIGURE3_SIZES = (4,)
+
+#: The paper's Figure 4 compares its two modules.
+FIGURE4_MODULES = ("cliques", "ckd")
 
 DEFAULT_TRIALS = 3
 DEFAULT_BASE_SEED = 42
@@ -69,40 +71,28 @@ def make_cells(
     base_seed: int,
 ) -> List[Dict[str, object]]:
     """The sweep's work list: plain dicts so they pickle cheaply."""
-    cells: List[Dict[str, object]] = []
-    for n in figure3_sizes:
-        for trial in range(trials):
-            cells.append(
-                {
-                    "kind": "figure3",
-                    "protocol": "cliques",
-                    "size": n,
-                    "trial": trial,
-                    "seed": stable_seed(base_seed, "figure3", "cliques", n, trial),
-                }
-            )
-    for n in figure4_sizes:
-        for protocol in ("cliques", "ckd"):
-            for trial in range(trials):
-                cells.append(
-                    {
-                        "kind": "figure4",
-                        "protocol": protocol,
-                        "size": n,
-                        "trial": trial,
-                        "seed": stable_seed(base_seed, "figure4", protocol, n, trial),
-                    }
-                )
-    return cells
+    return [
+        {
+            "kind": kind,
+            "protocol": protocol,
+            "size": n,
+            "trial": trial,
+            "seed": stable_seed(base_seed, kind, protocol, n, trial),
+        }
+        for kind, sizes, protocols in (
+            ("figure3", figure3_sizes, ("cliques",)),
+            ("figure4", figure4_sizes, FIGURE4_MODULES),
+        )
+        for n in sizes
+        for protocol in protocols
+        for trial in range(trials)
+    ]
 
 
 def run_cell(cell: Dict[str, object]) -> Dict[str, object]:
     """Execute one cell (in whatever process it lands in)."""
-    if cell["kind"] == "figure3":
-        return _run_figure3_cell(cell)
-    if cell["kind"] == "figure4":
-        return _run_figure4_cell(cell)
-    raise ValueError(f"unknown cell kind {cell['kind']!r}")
+    runners = {"figure3": _run_figure3_cell, "figure4": _run_figure4_cell}
+    return runners[str(cell["kind"])](cell)
 
 
 def _run_figure3_cell(cell: Dict[str, object]) -> Dict[str, object]:
@@ -124,25 +114,13 @@ def _run_figure3_cell(cell: Dict[str, object]) -> Dict[str, object]:
 
 def _run_figure4_cell(cell: Dict[str, object]) -> Dict[str, object]:
     """Exponentiation counts at size n, converted to modeled CPU time."""
-    size = int(cell["size"])
-    protocol = str(cell["protocol"])
-    seed = int(cell["seed"])
-
-    group = ProtocolGroup(protocol, seed=seed)
-    group.grow_to(size - 1)
-    controller = group.key_controller
-    with group.counter_of(controller).window() as ctrl_win:
-        joiner = group.join()
-    join_exps = ctrl_win.total + group.counter_of(joiner).total
-
-    group = ProtocolGroup(protocol, seed=seed)
-    group.grow_to(size)
-    leaver = group.key_controller
-    performer = group.members[-2] if protocol == "cliques" else group.members[1]
-    with group.counter_of(performer).window() as leave_win:
-        group.leave(leaver)
-    leave_exps = leave_win.total - leave_win.get("controller_hello")
-
+    join_exps, leave_exps = (
+        serial_total(
+            str(cell["protocol"]), operation, int(cell["size"]),
+            seed=int(cell["seed"]),
+        )
+        for operation in ("join", "controller_leave")
+    )
     return {
         **cell,
         "join_exps": join_exps,
@@ -190,11 +168,12 @@ def run_sweep(
     elapsed = time.perf_counter() - started
     # Trials of a figure4 cell must agree exactly (counts are seed-free);
     # figure3 trials differ only through their seeded network jitter.
-    consistency = all(
-        _figure4_trials_agree(results, n, protocol)
-        for n in figure4_sizes
-        for protocol in ("cliques", "ckd")
-    )
+    distinct = {
+        (r["size"], r["protocol"], r["join_exps"], r["ctrl_leave_exps"])
+        for r in results
+        if r["kind"] == "figure4"
+    }
+    consistency = len(distinct) == len({key[:2] for key in distinct})
     return {
         "jobs": jobs,
         "base_seed": base_seed,
@@ -205,17 +184,6 @@ def run_sweep(
         "figure4_trials_consistent": consistency,
         "elapsed_s": elapsed,
     }
-
-
-def _figure4_trials_agree(
-    results: List[Dict[str, object]], size: int, protocol: str
-) -> bool:
-    counts = {
-        (r["join_exps"], r["ctrl_leave_exps"])
-        for r in results
-        if r["kind"] == "figure4" and r["size"] == size and r["protocol"] == protocol
-    }
-    return len(counts) <= 1
 
 
 def main(argv=None) -> int:
@@ -280,18 +248,7 @@ def main(argv=None) -> int:
             base_seed=args.seed,
         )
     document["harness_elapsed_s"] = time.perf_counter() - started
-    path = keyagree.write_report(document, args.output)
-    print(f"wrote {path}")
-    for cell in document["cells"]:
-        print(
-            f"  A/B {cell['protocol']:8s} {cell['operation']:6s}"
-            f" n={cell['size']:<4d} x{cell['speedup']:.2f}"
-            f" counts_identical={cell['counts_identical']}"
-        )
-    print(
-        f"  median speedup {document['median_speedup_joinleave']:.2f}x,"
-        f" counts identical: {document['all_counts_identical']}"
-    )
+    keyagree.print_harness(document, keyagree.write_report(document, args.output))
     if "sweep" in document:
         sweep = document["sweep"]
         print(

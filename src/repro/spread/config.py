@@ -71,14 +71,6 @@ class SpreadConfig:
     # datagram, flushed when any budget is hit.  Defaults to the
     # REPRO_PACKING environment switch; only the Lamport engine packs.
     packing: bool = field(default_factory=_packing_default)
-    # Flush budgets: messages per envelope, payload bytes per envelope,
-    # and how long the first buffered message may wait.  The default
-    # pack_delay of 0.0 coalesces within one virtual instant only —
-    # which keeps per-daemon delivery order byte-identical to the
-    # unpacked path on deterministic links (the A/B gate relies on it).
-    pack_max_messages: int = 16
-    pack_max_bytes: int = 8192
-    pack_delay: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.daemons:
@@ -106,12 +98,6 @@ class SpreadConfig:
             )
         if self.max_message_size <= 0:
             raise SpreadError("max_message_size must be positive")
-        if self.pack_max_messages < 1:
-            raise SpreadError("pack_max_messages must be at least 1")
-        if self.pack_max_bytes <= 0:
-            raise SpreadError("pack_max_bytes must be positive")
-        if self.pack_delay < 0:
-            raise SpreadError("pack_delay must not be negative")
 
     @classmethod
     def for_daemons(cls, *names: str, **overrides) -> "SpreadConfig":

@@ -66,6 +66,15 @@ from repro.types import (
 
 UNRELIABLE_SEQ = 0  # sentinel: message bypasses the ordering pipeline
 
+# Packing flush budgets: messages per envelope, payload bytes per
+# envelope, and how long the first buffered message may wait.  A delay
+# of 0.0 coalesces within one virtual instant only — which keeps
+# per-daemon delivery order byte-identical to the unpacked path on
+# deterministic links (the packing A/B gate relies on it).
+PACK_MAX_MESSAGES = 16
+PACK_MAX_BYTES = 8192
+PACK_DELAY = 0.0
+
 
 class SpreadDaemon(SimProcess):
     """A group communication daemon."""
@@ -248,7 +257,7 @@ class SpreadDaemon(SimProcess):
     def _send_to_daemon(self, destination: str, payload: Any) -> None:
         """Daemon-to-daemon send, via the coalescing buffer when packing
         is on: reliable current-view data messages wait (at most
-        ``pack_delay``) for companions bound to the same destination;
+        ``PACK_DELAY``) for companions bound to the same destination;
         everything else transmits immediately."""
         if (
             self._packing
@@ -285,15 +294,12 @@ class SpreadDaemon(SimProcess):
         buffer.append(message)
         total = self._pack_bytes[destination] + message.wire_size()
         self._pack_bytes[destination] = total
-        config = self.config
-        if len(buffer) >= config.pack_max_messages or total >= config.pack_max_bytes:
+        if len(buffer) >= PACK_MAX_MESSAGES or total >= PACK_MAX_BYTES:
             self._flush_destination(destination)
             return
         if not self._pack_flush_pending:
             self._pack_flush_pending = True
-            self.after(
-                config.pack_delay, self._flush_packed, label=f"{self.name}.pack"
-            )
+            self.after(PACK_DELAY, self._flush_packed, label=f"{self.name}.pack")
 
     def _flush_destination(self, destination: str) -> None:
         messages = self._pack_buffers.pop(destination, None)

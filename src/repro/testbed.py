@@ -13,17 +13,22 @@ Two levels, matching how the paper measures:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+import time
+from collections import deque
+from contextlib import ExitStack
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.ckd.protocol import CKDContext
-from repro.cliques.context import CliquesContext
 from repro.cliques.directory import KeyDirectory
 from repro.crypto.counters import ExpCounter
 from repro.crypto.dh import DHKeyPair, DHParams
 from repro.crypto.random_source import DeterministicSource
+from repro.errors import KeyAgreementError
 from repro.net.link import LinkModel
 from repro.net.network import Network
-from repro.secure.events import SecureMembershipEvent
+from repro.secure.events import KeyOperation, SecureMembershipEvent
+from repro.secure.handlers.base import KeyAgreementModule, ViewChange
+from repro.secure.policy import default_registry
 from repro.secure.session import CryptoCostModel, SecureClient
 from repro.sim.kernel import Kernel
 from repro.sim.rng import stable_seed
@@ -33,8 +38,6 @@ from repro.spread.config import SpreadConfig
 from repro.spread.daemon import SpreadDaemon
 from repro.spread.flush import FlushClient
 from repro.spread.membership import STATE_OP
-from repro.tgdh.context import TGDHContext
-from repro.tgdh.tokens import TGDHTreeToken
 
 
 # ---------------------------------------------------------------------------
@@ -42,14 +45,52 @@ from repro.tgdh.tokens import TGDHTreeToken
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Operation:
+    """What one membership operation cost — the one rule every table,
+    figure and BENCH file shares.
+
+    ``serial`` are the members whose handler emitted a message during
+    the operation, in order of first emission: they sit on the critical
+    path (everyone else only absorbs a broadcast, in parallel across
+    machines), and ``serial[0]`` started the protocol run.  ``windows``
+    holds every member's exponentiation-counter window over the
+    operation; ``seconds`` is the wall time spent inside the serial
+    members' handler calls.
+    """
+
+    joined: Tuple[str, ...]
+    left: Tuple[str, ...]
+    serial: Tuple[str, ...]
+    windows: Dict[str, ExpCounter]
+    seconds: float
+
+    @property
+    def counts(self) -> Dict[str, int]:
+        """The serial members' merged per-label counter window."""
+        merged = ExpCounter()
+        for name in self.serial:
+            merged.merge(self.windows[name])
+        return merged.snapshot()
+
+    @property
+    def total(self) -> int:
+        """Serial exponentiations: the sum of :attr:`counts`."""
+        return sum(self.windows[name].total for name in self.serial)
+
+
 class ProtocolGroup:
     """Runs whole key agreement operations in memory, with counters.
 
-    ``protocol`` is "cliques", "ckd" or "tgdh".  Member names are "m0",
-    "m1", ... in join order.
+    A FIFO pump over the production modules: every member is a
+    :class:`~repro.secure.handlers.base.KeyAgreementModule` built by the
+    registry exactly as :meth:`SecureClient.join` builds it, handed the
+    :class:`ViewChange` the session would hand it, with its
+    :class:`OutMessage` results routed (multicast to the view, unicast
+    to ``target``) until nobody has anything left to say.  ``protocol``
+    is any registered module name; members are "m0", "m1", ... in join
+    order.
     """
-
-    PROTOCOLS = ("cliques", "ckd", "tgdh")
 
     def __init__(
         self,
@@ -57,12 +98,14 @@ class ProtocolGroup:
         params: Optional[DHParams] = None,
         seed: int = 0,
     ) -> None:
-        if protocol not in self.PROTOCOLS:
-            raise ValueError(f"unknown protocol {protocol!r}")
+        self.registry = default_registry()
+        if protocol not in self.registry.names():
+            self.registry.create(protocol)  # raises, listing the known names
         self.protocol = protocol
         self.params = params if params is not None else DHParams.tiny_test()
         self.directory = KeyDirectory()
-        self.contexts: Dict[str, object] = {}
+        self.modules: Dict[str, KeyAgreementModule] = {}
+        self.counters: Dict[str, ExpCounter] = {}
         self.members: List[str] = []  # join order
         self.group_name = "bench-group"
         self._seed = seed
@@ -70,155 +113,153 @@ class ProtocolGroup:
 
     # -- membership helpers ---------------------------------------------------
 
-    def _make_context(self, name: str):
+    def _add_member(self) -> str:
+        name = f"m{self._next_index}"
+        self._next_index += 1
         source = DeterministicSource(stable_seed(self._seed, name))
         keypair = DHKeyPair.generate(self.params, source)
         self.directory.register(name, keypair.public)
-        cls = {
-            "cliques": CliquesContext,
-            "ckd": CKDContext,
-            "tgdh": TGDHContext,
-        }[self.protocol]
-        ctx = cls(
-            name=name,
+        self.counters[name] = ExpCounter()
+        self.modules[name] = self.registry.create(
+            self.protocol,
+            member=name,
             params=self.params,
             long_term=keypair,
             directory=self.directory,
             source=source,
-            counter=ExpCounter(),
+            counter=self.counters[name],
         )
-        self.contexts[name] = ctx
-        return ctx
-
-    def _fresh_name(self) -> str:
-        name = f"m{self._next_index}"
-        self._next_index += 1
-        return name
-
-    def counter_of(self, name: str) -> ExpCounter:
-        return self.contexts[name].counter
-
-    @property
-    def key_controller(self) -> str:
-        """The member holding the controller role (protocol-specific):
-        Cliques keys the newest member, CKD the oldest, TGDH the member
-        at the tree's sponsor seat (its rightmost leaf)."""
-        if self.protocol == "cliques":
-            return self.members[-1]
-        if self.protocol == "tgdh":
-            return self.contexts[self.members[0]].controller
-        return self.members[0]
-
-    # -- operations --------------------------------------------------------------
-
-    def create(self) -> str:
-        first = self._fresh_name()
-        ctx = self._make_context(first)
-        ctx.create_first(self.group_name)
-        self.members = [first]
-        return first
-
-    def grow_to(self, size: int) -> None:
-        """Sequential joins until the group has ``size`` members."""
-        if not self.members:
-            self.create()
-        while len(self.members) < size:
-            self.join()
-
-    def _tgdh_converge(self, token: TGDHTreeToken) -> None:
-        """Deliver the sponsor's broadcast (and any follow-up blinded-key
-        gossip) until every member holds the root secret."""
-        queue = [token]
-        while queue:
-            current = queue.pop(0)
-            for member in self.members:
-                if member == current.sender:
-                    continue
-                ctx = self.contexts[member]
-                out = (
-                    ctx.process_tree(current)
-                    if isinstance(current, TGDHTreeToken)
-                    else ctx.process_update(current)
-                )
-                if out is not None:
-                    queue.append(out)
-
-    def join(self) -> str:
-        name = self._fresh_name()
-        joiner = self._make_context(name)
-        if self.protocol == "tgdh":
-            announce = joiner.make_join_request(self.group_name)
-            if not self.members:
-                joiner.create_first(self.group_name)
-            else:
-                sponsor_name = self.contexts[self.members[0]].sponsor_for(
-                    [], [name]
-                )
-                token = self.contexts[sponsor_name].start_event(
-                    [], {name: announce.blinded}
-                )
-                self.members.append(name)
-                self._tgdh_converge(token)
-                return name
-        elif self.protocol == "cliques":
-            controller = self.contexts[self.members[-1]]
-            upflow = controller.prep_join(name)
-            downflow = joiner.process_upflow(upflow)
-            for member in self.members:
-                self.contexts[member].process_downflow(downflow)
-        else:
-            controller = self.contexts[self.members[0]]
-            hello = controller.start_join(name)
-            response = joiner.process_hello(hello)
-            keydist = controller.process_response(response)
-            for member in self.members[1:] + [name]:
-                self.contexts[member].process_keydist(keydist)
         self.members.append(name)
         return name
 
-    def leave(self, name: Optional[str] = None) -> str:
-        """Remove a member (default: the key controller — the paper's
-        benchmarked case for Cliques).  Returns the leaver's name."""
-        leaver = name if name is not None else self.key_controller
-        if self.protocol == "tgdh":
-            remaining = [m for m in self.members if m != leaver]
-            sponsor_name = self.contexts[remaining[0]].sponsor_for([leaver], [])
-            del self.contexts[leaver]
-            self.members = remaining
-            token = self.contexts[sponsor_name].start_event([leaver], {})
-            self._tgdh_converge(token)
-            return leaver
-        if self.protocol == "cliques":
-            remaining = [m for m in self.members if m != leaver]
-            performer = self.contexts[remaining[-1]]
-            downflow = performer.leave([leaver])
-            for member in remaining[:-1]:
-                self.contexts[member].process_downflow(downflow)
-        else:
-            remaining = [m for m in self.members if m != leaver]
-            if leaver == self.members[0]:
-                new_controller = self.contexts[remaining[0]]
-                hello = new_controller.start_takeover([leaver])
-                keydist = None
-                if hello is not None:
-                    for member in remaining[1:]:
-                        response = self.contexts[member].process_hello(hello)
-                        keydist = new_controller.process_response(response)
-                if keydist is not None:
-                    for member in remaining[1:]:
-                        self.contexts[member].process_keydist(keydist)
-            else:
-                controller = self.contexts[self.members[0]]
-                keydist = controller.leave([leaver])
-                for member in remaining[1:]:
-                    self.contexts[member].process_keydist(keydist)
-        del self.contexts[leaver]
-        self.members = remaining
-        return leaver
+    def counter_of(self, name: str) -> ExpCounter:
+        return self.counters[name]
 
-    def secrets_agree(self) -> bool:
-        secrets = {self.contexts[m].secret() for m in self.members}
-        return len(secrets) == 1
+    @property
+    def key_controller(self) -> str:
+        """The member whose module holds the controller role."""
+        return next(m for m in self.members if self.modules[m].is_controller)
+
+    def secret(self) -> int:
+        """The one group secret every member holds."""
+        unready = [m for m in self.members if not self.modules[m].ready]
+        secrets = {self.modules[m].secret() for m in self.members if m not in unready}
+        if unready or len(secrets) != 1:
+            raise KeyAgreementError(
+                f"no agreed key: {unready} not ready, {len(secrets)} secrets held"
+            )
+        return secrets.pop()
+
+    # -- the pump ----------------------------------------------------------------
+
+    def _pump(
+        self,
+        operation: KeyOperation,
+        departing: Tuple[str, ...] = (),
+        arriving: int = 0,
+        entry: str = "on_view",
+    ) -> Operation:
+        """Apply the membership change, hand every member of the new view
+        its :class:`ViewChange` (through ``on_view``, or ``on_restart``),
+        and deliver tokens until quiescent."""
+        previous = frozenset(self.members)
+        for name in departing:
+            self.members.remove(name)
+            del self.modules[name], self.counters[name]
+        joined = tuple(self._add_member() for _ in range(arriving))
+        spent = dict.fromkeys(self.members, 0.0)
+        serial: List[str] = []
+        queue = deque()
+
+        def call(name: str, handler, *args) -> None:
+            start = time.perf_counter()
+            out = handler(*args)
+            spent[name] += time.perf_counter() - start
+            if out and name not in serial:
+                serial.append(name)
+            queue.extend((name, message) for message in out)
+
+        view = dict(
+            group=self.group_name,
+            members=tuple(sorted(self.members)),
+            joined=frozenset(joined),
+            left=frozenset(departing),
+            operation=operation,
+        )
+        with ExitStack() as stack:
+            windows = {
+                name: stack.enter_context(self.counters[name].window())
+                for name in self.members
+            }
+            for name in self.members:
+                mine = frozenset() if name in joined else previous
+                call(
+                    name,
+                    getattr(self.modules[name], entry),
+                    ViewChange(me=name, previous_members=mine, **view),
+                )
+            while queue:
+                sender, message = queue.popleft()
+                for name in (
+                    self.members if message.is_multicast else (message.target,)
+                ):
+                    call(name, self.modules[name].on_token, sender, message.token)
+        self.secret()  # quiescent: everyone must be ready, on one secret
+        return Operation(
+            joined=joined,
+            left=tuple(departing),
+            serial=tuple(serial),
+            windows=windows,
+            seconds=sum(spent[name] for name in serial),
+        )
+
+    # -- operations --------------------------------------------------------------
+
+    def join(self) -> Operation:
+        return self._pump(KeyOperation.JOIN, arriving=1)
+
+    def grow_to(self, size: int) -> None:
+        """Sequential joins until the group has ``size`` members."""
+        while len(self.members) < size:
+            self.join()
+
+    def leave(self, name: Optional[str] = None) -> Operation:
+        """Remove one member (default: the key controller — the paper's
+        benchmarked case for Cliques)."""
+        return self.partition(name or self.key_controller)
+
+    def merge(self, count: int = 1) -> Operation:
+        """``count`` fresh members arrive in one network event.  (As in a
+        session, the view's smallest name must belong to a member that
+        holds key state — the modules' merge anchor.)"""
+        return self._pump(KeyOperation.MERGE, arriving=count)
+
+    def partition(self, *names: str, merge: int = 0) -> Operation:
+        """The named members drop out in one network event (Table 1: a
+        leave), with ``merge`` new members arriving in the same view
+        (Table 1: leave then merge)."""
+        operation = KeyOperation.LEAVE_THEN_MERGE if merge else KeyOperation.LEAVE
+        return self._pump(operation, departing=names, arriving=merge)
+
+    def restart(self) -> Operation:
+        """Cascade recovery: re-key the current view from scratch."""
+        return self._pump(KeyOperation.NONE, entry="on_restart")
+
+
+def measure(protocol: str, operation: str, n: int, **group_args) -> Operation:
+    """One operation on a fresh group at the paper's size convention
+    (``n`` is the size a "join" ends at and a leave starts at):
+    "controller_leave" removes the key controller, "leave" the newest
+    member that is not."""
+    group = ProtocolGroup(protocol, **group_args)
+    if operation == "join":
+        group.grow_to(n - 1)
+        return group.join()
+    group.grow_to(n)
+    controller = group.key_controller
+    if operation == "controller_leave":
+        return group.leave(controller)
+    return group.leave(next(m for m in reversed(group.members) if m != controller))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """The paper-regeneration library itself: platform models, count
 formulas, reporting, the protocol driver, the report tool."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.bench.expcount import (
@@ -18,6 +21,7 @@ from repro.bench.platform_model import (
     calibrate_local_machine,
 )
 from repro.bench.reporting import Table
+from repro.errors import ModuleNotFoundError_
 from repro.testbed import ProtocolGroup
 
 
@@ -90,7 +94,8 @@ def test_table_rejects_wrong_arity():
 
 
 def test_protocol_group_rejects_unknown_protocol():
-    with pytest.raises(ValueError):
+    # The registry's own message, listing what is registered.
+    with pytest.raises(ModuleNotFoundError_, match=r"'quantum'.*'tgdh'"):
         ProtocolGroup("quantum")
 
 
@@ -98,7 +103,7 @@ def test_protocol_group_grow_and_agree():
     group = ProtocolGroup("cliques")
     group.grow_to(4)
     assert len(group.members) == 4
-    assert group.secrets_agree()
+    assert group.secret() > 1  # every member ready, one secret
 
 
 def test_protocol_group_key_controller_roles():
@@ -120,3 +125,18 @@ def test_report_tool_runs(capsys):
     out = capsys.readouterr().out
     assert "Tables 2-4" in out
     assert "Figure 4" in out
+
+
+def test_experiments_md_generated_blocks_are_current(capsys):
+    """What CI's ``paper`` job diffs: the marked blocks of EXPERIMENTS.md
+    are exactly ``report --markdown``'s output."""
+    from repro.bench.report import main
+
+    assert main(["--markdown"]) == 0
+    generated = capsys.readouterr().out
+    document = (Path(__file__).parents[2] / "EXPERIMENTS.md").read_text("utf-8")
+    blocks = list(re.finditer(
+        r"^<!-- report:(\w+) -->\n.*?^<!-- /report:\1 -->\n", document, re.M | re.S
+    ))
+    assert [block.group(1) for block in blocks] == ["table2", "table4", "figure4"]
+    assert "".join(block.group(0) for block in blocks) == generated

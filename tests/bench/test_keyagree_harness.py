@@ -10,6 +10,7 @@ import pytest
 
 from repro.bench import keyagree
 from repro.bench.sweep import make_cells, run_cell, run_sweep
+from repro.errors import ModuleNotFoundError_
 from repro.sim.rng import stable_seed
 
 EXPECTED_CELL_KEYS = {
@@ -60,7 +61,8 @@ def test_harness_module_subset_and_validation(tmp_path):
     document = keyagree.run_harness(quick=True, modules=["tgdh"])
     assert document["modules"] == ["tgdh"]
     assert {c["protocol"] for c in document["cells"]} == {"tgdh"}
-    with pytest.raises(ValueError):
+    # Validated against the registry, whose message lists what it knows.
+    with pytest.raises(ModuleNotFoundError_, match=r"'gdh3'.*'tgdh'"):
         keyagree.run_harness(quick=True, modules=["gdh3"])
 
 
@@ -95,7 +97,7 @@ def test_quick_comparison_document(tmp_path):
     )
     assert tgdh_growth < cliques_growth
 
-    path = keyagree.write_comparison(document, tmp_path / "BENCH_tgdh.json")
+    path = keyagree.write_report(document, tmp_path / "BENCH_tgdh.json")
     loaded = json.loads(path.read_text())
     assert loaded["cells"] == cells
 

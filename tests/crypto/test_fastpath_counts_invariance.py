@@ -19,32 +19,26 @@ from repro.crypto.dh import DHParams
 N = 5  # small enough for tier-1 speed, large enough to exercise batches
 
 
+def _run(protocol: str, operation: str, seed: int):
+    """Every member's counter window, the serial members and the secret
+    of one operation at N members, paper-512."""
+    group = ProtocolGroup(protocol, params=DHParams.paper_512(), seed=seed)
+    if operation == "join":
+        group.grow_to(N - 1)
+        record = group.join()
+    else:
+        group.grow_to(N)
+        record = group.leave()  # the key controller
+    windows = {name: w.snapshot() for name, w in record.windows.items()}
+    return windows, record.serial, group.secret()
+
+
 def _run_join(protocol: str):
-    """Counters and secret of a join reaching N members at paper-512."""
-    group = ProtocolGroup(protocol, params=DHParams.paper_512(), seed=11)
-    group.grow_to(N - 1)
-    controller = group.key_controller
-    with group.counter_of(controller).window() as ctrl_win:
-        joiner = group.join()
-    snapshots = {
-        name: group.counter_of(name).snapshot() for name in group.members
-    }
-    secret = group.contexts[group.members[0]].secret()
-    assert group.secrets_agree()
-    return ctrl_win.snapshot(), group.counter_of(joiner).snapshot(), snapshots, secret
+    return _run(protocol, "join", seed=11)
 
 
 def _run_controller_leave(protocol: str):
-    group = ProtocolGroup(protocol, params=DHParams.paper_512(), seed=12)
-    group.grow_to(N)
-    leaver = group.key_controller
-    performer = group.members[-2] if protocol == "cliques" else group.members[1]
-    with group.counter_of(performer).window() as window:
-        group.leave(leaver)
-    assert group.secrets_agree()
-    return window.snapshot(), {
-        name: group.counter_of(name).snapshot() for name in group.members
-    }
+    return _run(protocol, "leave", seed=12)
 
 
 @pytest.mark.parametrize("protocol", ["cliques", "ckd"])
@@ -70,10 +64,11 @@ def test_totals_match_the_paper_formulas_on_both_backends(enabled):
     paper = table4(N)
     with fixed_base.fast_backend(enabled):
         for protocol, label in (("cliques", "Cliques"), ("ckd", "CKD")):
-            ctrl, joiner, _, _ = _run_join(protocol)
-            join_total = sum(ctrl.values()) + sum(joiner.values())
+            windows, serial, _ = _run_join(protocol)
+            join_total = sum(sum(windows[m].values()) for m in serial)
             assert join_total == paper[label]["Join"]
-            leave_window, _ = _run_controller_leave(protocol)
+            windows, serial, _ = _run_controller_leave(protocol)
+            leave_window = windows[serial[0]]
             leave_total = sum(leave_window.values()) - leave_window.get(
                 "controller_hello", 0
             )

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import pickle
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SpreadError
 from repro.net.link import LinkModel
 from repro.net.network import Network
 from repro.sim.kernel import Kernel
@@ -131,15 +129,6 @@ def test_pack_unpack_roundtrip_property(payloads):
 
 
 # -- configuration -----------------------------------------------------------------
-
-
-def test_pack_budget_validation():
-    with pytest.raises(SpreadError):
-        SpreadConfig(daemons=("a",), pack_max_messages=0)
-    with pytest.raises(SpreadError):
-        SpreadConfig(daemons=("a",), pack_max_bytes=0)
-    with pytest.raises(SpreadError):
-        SpreadConfig(daemons=("a",), pack_delay=-0.1)
 
 
 def test_packing_env_switch(monkeypatch):

@@ -7,6 +7,10 @@ the paper's evaluation only — stack performance is ``benchmarks/e2e`` —
 so it stays off the fault crucibles and the real transport, and a new
 module in it is a decision, not a drive-by.
 
+The paper's instruments drive the key-agreement modules through the
+registry and the one ``ProtocolGroup`` pump, so they hold no protocol by
+name: "who pays the serial cost" is read off the operation record.
+
 ``repro.chaos`` runs one crucible on two backends: the driver and its
 simulator backend stay importable where sockets do not exist, and each
 step of a run is written once.
@@ -18,7 +22,8 @@ import ast
 from pathlib import Path
 from typing import Iterator, Tuple
 
-SRC_ROOT = Path(__file__).resolve().parents[1] / "src"
+REPO = Path(__file__).resolve().parents[1]
+SRC_ROOT = REPO / "src"
 BENCH = SRC_ROOT / "repro" / "bench"
 CHAOS = SRC_ROOT / "repro" / "chaos"
 
@@ -32,7 +37,8 @@ BENCH_MODULES = {
 def _imports(path: Path) -> Iterator[Tuple[int, str]]:
     """(line, absolute module name) for every import in ``path``,
     function-local ones included."""
-    package = list(path.relative_to(SRC_ROOT).with_suffix("").parts[:-1])
+    inside = SRC_ROOT in path.parents  # scripts outside src import absolutely
+    package = list(path.relative_to(SRC_ROOT).parts[:-1]) if inside else []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -51,7 +57,7 @@ def _offenders(paths, forbidden: Tuple[str, ...]) -> list:
     for path in sorted(paths):
         for line, module in _imports(path):
             if any(module == f or module.startswith(f + ".") for f in forbidden):
-                found.setdefault(f"{path.relative_to(SRC_ROOT)}:{line}", module)
+                found.setdefault(f"{path.relative_to(REPO)}:{line}", module)
     return [f"{where}: {module}" for where, module in found.items()]
 
 
@@ -121,3 +127,52 @@ def test_each_crucible_step_is_defined_once():
         assert defined.get(name) == ["harness.py"], (name, defined.get(name))
     results = [name for name in defined if name.endswith("Result")]
     assert results == ["ChaosResult"] and defined["ChaosResult"] == ["harness.py"]
+
+
+#: Everything that measures a key-agreement module without being one.
+PROTOCOL_AGNOSTIC = [
+    SRC_ROOT / "repro" / "testbed.py",
+    *sorted(BENCH.glob("*.py")),
+    REPO / "benchmarks" / "conftest.py",
+    REPO / "examples" / "protocol_comparison.py",
+]
+PROTOCOL_NAMES = {"cliques", "ckd", "tgdh"}
+
+
+def test_the_paper_instruments_branch_on_no_protocol_name():
+    """Run lists may name the modules; a comparison against a name (or a
+    membership test in a literal holding one) is a protocol-specific
+    branch, and those live in ``repro.secure.handlers`` only."""
+    offenders = []
+    for path in PROTOCOL_AGNOSTIC:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Compare):
+                continue
+            named = {
+                leaf.value
+                for operand in [node.left, *node.comparators]
+                for leaf in ast.walk(operand)
+                if isinstance(leaf, ast.Constant)
+            } & PROTOCOL_NAMES
+            if named:
+                offenders.append(
+                    f"{path.relative_to(REPO)}:{node.lineno}: {sorted(named)}"
+                )
+    assert not offenders, "\n".join(offenders)
+
+
+def test_the_paper_instruments_import_no_context_or_token_class():
+    offenders = [
+        offender
+        for offender in _offenders(
+            PROTOCOL_AGNOSTIC, ("repro.cliques", "repro.ckd", "repro.tgdh")
+        )
+        # The long-term key directory is shared infrastructure.
+        if not offender.endswith(
+            ("repro.cliques.directory", "repro.cliques.directory.KeyDirectory")
+        )
+    ]
+    assert not offenders, (
+        "drive the modules through the registry and ProtocolGroup, not"
+        " their contexts and tokens:\n" + "\n".join(offenders)
+    )
