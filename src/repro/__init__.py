@@ -8,8 +8,8 @@ The package rebuilds the whole system the paper describes:
 * :mod:`repro.spread` — a Spread-like group communication toolkit
   (daemons, clients, ordering, membership, Extended Virtual Synchrony,
   the Flush/View-Synchrony layer);
-* :mod:`repro.crypto` — from-scratch Blowfish, SHA-1/HMAC, safe-prime
-  Diffie-Hellman, with exponentiation counting;
+* :mod:`repro.crypto` — from-scratch Blowfish, HMAC over ``hashlib``
+  SHA-1, safe-prime Diffie-Hellman, with exponentiation counting;
 * :mod:`repro.cliques` / :mod:`repro.ckd` / :mod:`repro.tgdh` — the two
   group key management protocols the paper evaluates, plus tree-based
   group DH;

@@ -1,6 +1,7 @@
-"""Cryptographic substrate, implemented from scratch.
+"""Cryptographic substrate.
 
-Everything the secure group layer needs:
+Everything the secure group layer needs, written here except the hash
+functions, which come from ``hashlib`` (DESIGN.md §2):
 
 * :mod:`repro.crypto.counters` — modular-exponentiation instrumentation.
   The paper's evaluation (Tables 2-4, Figure 4) is driven by serial
@@ -15,8 +16,8 @@ Everything the secure group layer needs:
   (the paper's bulk cipher), with its P/S boxes derived from the hex
   digits of pi exactly as specified.
 * :mod:`repro.crypto.modes` — CBC mode with PKCS#7 padding.
-* :mod:`repro.crypto.sha1` / :mod:`repro.crypto.hmac_mac` — SHA-1 and
-  HMAC for message integrity.
+* :mod:`repro.crypto.hmac_mac` — HMAC (over ``hashlib`` SHA-1) for
+  message integrity.
 * :mod:`repro.crypto.kdf` — key derivation from the group secret.
 * :mod:`repro.crypto.random_source` — CSPRNG with a deterministic test
   mode.

@@ -1,15 +1,18 @@
-"""HMAC (RFC 2104) over the from-scratch SHA-1.
+"""HMAC (RFC 2104) over ``hashlib``.
 
 Provides the data-integrity service of the secure layer: every protected
-group message carries ``HMAC(mac_key, header || ciphertext)``.
+group message carries ``HMAC-SHA1(mac_key, header || ciphertext)`` —
+SHA-1 because that is what a system of the paper's vintage used, and
+``hashlib`` because the paper takes its hash from a library (only the
+cipher, Blowfish, is reproduced from scratch; DESIGN.md §2).  The
+transport's frame tags use the same construction over SHA-256.
 Verification is constant-time.
 
-:class:`HmacKey` is the fast path: it hashes the padded key's inner and
-outer blocks once and keeps the SHA-1 midstates, so each message pays
-only for its own bytes — per-epoch callers (``DataProtector``) hold one
-``HmacKey`` per session-key epoch.  The one-shot ``hmac_digest`` /
-``hmac_verify`` functions remain for cold paths (KDF, key directories,
-member auth) and route through the same construction.
+A prepared key hashes the padded key's inner and outer blocks once and
+keeps the midstates, so each message pays only for its own bytes —
+per-epoch callers (``DataProtector``, ``FrameAuth``) hold one per key.
+The one-shot functions remain for cold paths (key directories, member
+auth) and route through the same construction.
 """
 
 from __future__ import annotations
@@ -17,12 +20,19 @@ from __future__ import annotations
 import hashlib as _hashlib
 import hmac as _stdlib_hmac  # only for compare_digest (constant time)
 
-from repro.crypto.sha1 import BLOCK_SIZE, SHA1, sha1
-
-_IPAD = 0x36
-_OPAD = 0x5C
+_BLOCK_SIZE = 64  # SHA-1 and SHA-256 alike
+_IPAD = bytes(byte ^ 0x36 for byte in range(256))
+_OPAD = bytes(byte ^ 0x5C for byte in range(256))
 
 DIGEST_SIZE = 20
+
+
+def _midstates(hash_factory, key: bytes):
+    """The inner and outer hash objects of RFC 2104, pad block absorbed."""
+    if len(key) > _BLOCK_SIZE:
+        key = hash_factory(key).digest()
+    key = key.ljust(_BLOCK_SIZE, b"\x00")
+    return hash_factory(key.translate(_IPAD)), hash_factory(key.translate(_OPAD))
 
 
 class HmacKey:
@@ -31,11 +41,7 @@ class HmacKey:
     __slots__ = ("_inner", "_outer")
 
     def __init__(self, key: bytes) -> None:
-        if len(key) > BLOCK_SIZE:
-            key = sha1(key)
-        key = key.ljust(BLOCK_SIZE, b"\x00")
-        self._inner = SHA1(bytes(byte ^ _IPAD for byte in key))
-        self._outer = SHA1(bytes(byte ^ _OPAD for byte in key))
+        self._inner, self._outer = _midstates(_hashlib.sha1, key)
 
     def digest(self, message: bytes) -> bytes:
         """HMAC-SHA1 of ``message`` under this key."""
@@ -64,28 +70,22 @@ def hmac_verify(key: bytes, message: bytes, tag: bytes) -> bool:
 # HMAC-SHA256 (transport frame authentication)
 # ---------------------------------------------------------------------------
 
-_SHA256_BLOCK_SIZE = 64
-
 SHA256_DIGEST_SIZE = 32
 
 
 class HmacSha256Key:
-    """A prepared HMAC-SHA256 key, mirroring :class:`HmacKey`.
+    """A prepared HMAC-SHA256 key for the transport's frame tags.
 
-    Used by the transport's frame-auth layer, which wants a modern hash
-    on the hot path; ``hashlib`` backs it rather than the from-scratch
-    SHA-1 because frame tags are an engineering concern, not part of the
-    paper's protocol reproduction.
+    Deliberately a sibling of :class:`HmacKey`, not a subclass: the
+    benchmark's tracer wraps ``HmacKey.digest``/``verify`` as the
+    ``crypto.hmac`` layer, and frame auth is budgeted under
+    ``transport.auth`` instead.
     """
 
     __slots__ = ("_inner", "_outer")
 
     def __init__(self, key: bytes) -> None:
-        if len(key) > _SHA256_BLOCK_SIZE:
-            key = _hashlib.sha256(key).digest()
-        key = key.ljust(_SHA256_BLOCK_SIZE, b"\x00")
-        self._inner = _hashlib.sha256(bytes(byte ^ _IPAD for byte in key))
-        self._outer = _hashlib.sha256(bytes(byte ^ _OPAD for byte in key))
+        self._inner, self._outer = _midstates(_hashlib.sha256, key)
 
     def digest(self, message: bytes) -> bytes:
         """HMAC-SHA256 of ``message`` under this key."""

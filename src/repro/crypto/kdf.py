@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.bigint import int_to_bytes
-from repro.crypto.hmac_mac import hmac_digest
+from repro.crypto.hmac_mac import HmacKey, hmac_digest
 
 ENCRYPTION_KEY_BYTES = 16
 MAC_KEY_BYTES = 20
@@ -32,12 +32,12 @@ class SessionKeys:
         return hmac_digest(self.mac_key, b"fingerprint")[:4].hex()
 
 
-def _expand(secret: bytes, context: bytes, length: int) -> bytes:
+def _expand(secret: HmacKey, context: bytes, length: int) -> bytes:
     """Counter-mode expansion: HMAC(secret, context || counter) blocks."""
     output = b""
     counter = 0
     while len(output) < length:
-        output += hmac_digest(secret, context + counter.to_bytes(4, "big"))
+        output += secret.digest(context + counter.to_bytes(4, "big"))
         counter += 1
     return output[:length]
 
@@ -50,10 +50,10 @@ def derive_keys(group_secret: int, group: str, epoch: int) -> SessionKeys:
     traffic (key independence at the byte-key level, complementing the
     protocol-level guarantee).
     """
-    secret_bytes = int_to_bytes(group_secret)
+    secret = HmacKey(int_to_bytes(group_secret))
     context = b"secure-spread-kdf|" + group.encode() + b"|" + epoch.to_bytes(8, "big")
-    encryption_key = _expand(secret_bytes, context + b"|enc", ENCRYPTION_KEY_BYTES)
-    mac_key = _expand(secret_bytes, context + b"|mac", MAC_KEY_BYTES)
+    encryption_key = _expand(secret, context + b"|enc", ENCRYPTION_KEY_BYTES)
+    mac_key = _expand(secret, context + b"|mac", MAC_KEY_BYTES)
     return SessionKeys(
         encryption_key=encryption_key,
         mac_key=mac_key,

@@ -154,11 +154,11 @@ def reference_ctr_xor(cipher, data: bytes, nonce: bytes) -> bytes:
 
 # -- SHA-1 / HMAC -------------------------------------------------------------
 #
-# The pre-fast-path hash: per-round branch ladder, helper-call rotations,
-# schedule built with list appends.  The optimized module
-# (:mod:`repro.crypto.sha1`) replaced this with a generated fully
-# unrolled compression function; this copy stays as its oracle and as
-# the honest HMAC half of the benchmarked baseline.
+# The textbook hash: per-round branch ladder, helper-call rotations,
+# schedule built with list appends.  The library takes SHA-1 from
+# ``hashlib`` (:mod:`repro.crypto.hmac_mac`); this from-scratch copy is
+# the independent oracle for its HMAC, so the cross-check is not
+# ``hashlib`` checking itself.
 
 _SHA1_BLOCK = 64
 
@@ -168,7 +168,7 @@ def _sha1_rotl(value: int, amount: int) -> int:
 
 
 class ReferenceSHA1:
-    """The textbook round-loop SHA-1 (the pre-fast-path code)."""
+    """The textbook round-loop SHA-1."""
 
     def __init__(self, data: bytes = b"") -> None:
         self._h = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0)
@@ -234,7 +234,7 @@ def reference_sha1(data: bytes) -> bytes:
 
 
 def reference_hmac_digest(key: bytes, message: bytes) -> bytes:
-    """Pre-fast-path HMAC-SHA1: both pad blocks rehashed on every call."""
+    """RFC 2104 written out: both pad blocks rehashed on every call."""
     if len(key) > _SHA1_BLOCK:
         key = reference_sha1(key)
     key = key.ljust(_SHA1_BLOCK, b"\x00")

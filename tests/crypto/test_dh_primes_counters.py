@@ -276,6 +276,40 @@ def test_kdf_fingerprint_stable_and_short():
     assert len(keys.fingerprint()) == 8
 
 
+# Captured at PR 22 (KDF over the from-scratch SHA-1, padded key
+# re-prepared per output block): (secret, group, epoch) ->
+# (encryption key, MAC key, fingerprint).  The hash provider and the
+# expansion loop may change; these bytes may not.
+KDF_GOLDENS = [
+    (
+        (0x1234567890ABCDEF1234567890ABCDEF, "g", 1),
+        "ec4fd7af3dee3c1861abcaf86f2cfd1b",
+        "345380eec9de0a15c4fe10c0dfcb9df0d4b5093d",
+        "b27c9f9d",
+    ),
+    (
+        (2 ** 511 + 12345, "paper-group", 7),
+        "a5328b10482fc5ff673eaf44d0198cec",
+        "a04bcdb48e4724d8d289e09aa9821ad1f853cc25",
+        "9af43031",
+    ),
+    (
+        (1, "", 0),
+        "30a28dcf7dc2a473b1aaf2dbc87382ba",
+        "c613e6050ccfcd729bfa5121e8480602fea895f0",
+        "c030ffb7",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, encryption_key, mac_key, fingerprint", KDF_GOLDENS)
+def test_kdf_pinned_bytes(args, encryption_key, mac_key, fingerprint):
+    keys = derive_keys(*args)
+    assert keys.encryption_key.hex() == encryption_key
+    assert keys.mac_key.hex() == mac_key
+    assert keys.fingerprint() == fingerprint
+
+
 @settings(max_examples=25, deadline=None)
 @given(secret=st.integers(min_value=1, max_value=2 ** 512))
 def test_kdf_distinct_secrets_distinct_keys(secret):

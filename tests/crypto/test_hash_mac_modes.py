@@ -1,4 +1,10 @@
-"""SHA-1, HMAC, CBC mode and padding tests (verified against stdlib)."""
+"""HMAC, CBC mode and padding tests.
+
+The library takes SHA-1 from ``hashlib``; the from-scratch
+``ReferenceSHA1`` in ``tests/crypto/reference.py`` is the independent
+oracle the HMAC cross-checks lean on, so it is itself pinned here
+against the published answer and against ``hashlib``.
+"""
 
 import hashlib
 import hmac as stdlib_hmac
@@ -8,14 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.blowfish import BLOCK_SIZE, Blowfish
-from repro.crypto.hmac_mac import hmac_digest, hmac_verify
+from repro.crypto.hmac_mac import HmacKey, hmac_digest, hmac_verify
 from repro.crypto.modes import cbc_decrypt, cbc_encrypt, pkcs7_pad, pkcs7_unpad
 from repro.crypto.random_source import DeterministicSource
-from repro.crypto.sha1 import SHA1, sha1
 from repro.errors import CipherError
+from tests.crypto.reference import ReferenceSHA1, reference_sha1
 
 
-# -- SHA-1 ---------------------------------------------------------------------
+# -- SHA-1 (the test oracle) ---------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -23,45 +29,76 @@ from repro.errors import CipherError
     [b"", b"abc", b"a" * 55, b"a" * 56, b"a" * 63, b"a" * 64, b"a" * 65, b"x" * 1000],
 )
 def test_sha1_matches_hashlib(message):
-    assert sha1(message) == hashlib.sha1(message).digest()
+    assert reference_sha1(message) == hashlib.sha1(message).digest()
 
 
 def test_sha1_known_answer():
-    assert sha1(b"abc").hex() == "a9993e364706816aba3e25717850c26c9cd0d89d"
-
-
-def test_sha1_incremental_equals_oneshot():
-    h = SHA1()
-    h.update(b"hello ")
-    h.update(b"world")
-    assert h.digest() == sha1(b"hello world")
+    assert reference_sha1(b"abc").hex() == "a9993e364706816aba3e25717850c26c9cd0d89d"
 
 
 def test_sha1_digest_does_not_consume():
-    h = SHA1(b"data")
+    h = ReferenceSHA1(b"data")
     first = h.digest()
     second = h.digest()
     assert first == second
     h.update(b"more")
-    assert h.digest() == sha1(b"datamore")
-
-
-@settings(max_examples=50, deadline=None)
-@given(message=st.binary(max_size=300))
-def test_sha1_property_matches_hashlib(message):
-    assert sha1(message) == hashlib.sha1(message).digest()
+    assert h.digest() == reference_sha1(b"datamore")
 
 
 @settings(max_examples=20, deadline=None)
 @given(parts=st.lists(st.binary(max_size=100), max_size=6))
 def test_sha1_chunking_invariance(parts):
-    h = SHA1()
+    h = ReferenceSHA1()
     for part in parts:
         h.update(part)
-    assert h.digest() == sha1(b"".join(parts))
+    assert h.digest() == hashlib.sha1(b"".join(parts)).digest()
 
 
 # -- HMAC -----------------------------------------------------------------------
+
+# RFC 2202 section 3, HMAC-SHA1 test cases 1-7: (key, data, digest).
+# Cases 6 and 7 carry an 80-byte key, longer than the 64-byte block, so
+# they exercise the hash-the-key-first branch.
+RFC2202_HMAC_SHA1 = [
+    (b"\x0b" * 20, b"Hi There", "b617318655057264e28bc0b6fb378c8ef146be00"),
+    (
+        b"Jefe",
+        b"what do ya want for nothing?",
+        "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79",
+    ),
+    (b"\xaa" * 20, b"\xdd" * 50, "125d7342b9ac11cd91a39af48aa17b4f63f175d3"),
+    (
+        bytes(range(1, 26)),
+        b"\xcd" * 50,
+        "4c9007f4026250c6bc8414f9bf50c86c2d7235da",
+    ),
+    (
+        b"\x0c" * 20,
+        b"Test With Truncation",
+        "4c1a03424b55e07fe7f27be1d58bb9324a9a5a04",
+    ),
+    (
+        b"\xaa" * 80,
+        b"Test Using Larger Than Block-Size Key - Hash Key First",
+        "aa4ae5e15272d00e95705637ce8a3b55ed402112",
+    ),
+    (
+        b"\xaa" * 80,
+        b"Test Using Larger Than Block-Size Key and Larger"
+        b" Than One Block-Size Data",
+        "e8e99d0f45237d786d6bbaa7965c7808bbff1a91",
+    ),
+]
+
+
+@pytest.mark.parametrize("key, data, expected", RFC2202_HMAC_SHA1)
+def test_hmac_rfc2202_vectors(key, data, expected):
+    assert hmac_digest(key, data).hex() == expected
+    prepared = HmacKey(key)
+    assert prepared.digest(data).hex() == expected
+    # The prepared midstates are copied per message, never consumed.
+    assert prepared.digest(data).hex() == expected
+    assert prepared.verify(data, bytes.fromhex(expected))
 
 
 @settings(max_examples=30, deadline=None)

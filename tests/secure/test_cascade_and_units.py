@@ -94,6 +94,20 @@ def test_seal_unseal_roundtrip():
     assert protector.unseal(sealed) == b"hello"
 
 
+def test_seal_pinned_bytes():
+    """Captured at PR 22, before ``HmacKey`` moved to ``hashlib``: the
+    hash provider may change, a sealed message's bytes may not."""
+    keys = derive_keys(0x1234567890ABCDEF1234567890ABCDEF, "g", 1)
+    sealed = DataProtector(keys, "g#1").seal(
+        "g", "alice", b"attack at dawn, 256 bytes it is not", DeterministicSource(7)
+    )
+    assert sealed.ciphertext.hex() == (
+        "f2a74de452e6b4383dda805151e5d60380ff0fc5d99568bcd80421f7f11b12ca"
+        "92b9b2e18f726b194a5f144f77a8e2c5"
+    )
+    assert sealed.tag.hex() == "540bbda359f5fdc0b0d661bda731e7aa98e506ca"
+
+
 def test_unseal_rejects_wrong_epoch():
     protector = make_protector()
     sealed = protector.seal("g", "#a#d0", b"hello", DeterministicSource(1))

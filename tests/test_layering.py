@@ -14,11 +14,17 @@ name: "who pays the serial cost" is read off the operation record.
 ``repro.chaos`` runs one crucible on two backends: the driver and its
 simulator backend stay importable where sockets do not exist, and each
 step of a run is written once.
+
+``repro.crypto`` has one hash policy: every digest in ``src`` comes from
+``hashlib`` through ``repro.crypto.hmac_mac`` (only Blowfish, the
+paper's cipher, is from scratch), so there is no second SHA-1 to drift
+from the first.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
 from typing import Iterator, Tuple
 
@@ -175,4 +181,17 @@ def test_the_paper_instruments_import_no_context_or_token_class():
     assert not offenders, (
         "drive the modules through the registry and ProtocolGroup, not"
         " their contexts and tokens:\n" + "\n".join(offenders)
+    )
+
+
+def test_one_hash_provider():
+    assert importlib.util.find_spec("repro.crypto.sha1") is None, (
+        "a from-scratch SHA-1 is back in src; the test oracle is"
+        " tests/crypto/reference.py::ReferenceSHA1"
+    )
+    offenders = _offenders(
+        [SRC_ROOT / "repro" / "crypto" / "hmac_mac.py"], ("repro",)
+    )
+    assert not offenders, (
+        "repro.crypto.hmac_mac is a leaf on the stdlib:\n" + "\n".join(offenders)
     )
