@@ -250,6 +250,7 @@ def collect_daemon(registry: MetricsRegistry, daemon) -> None:
     registry.gauge("spread.views_installed", **labels).set(daemon.views_installed)
     registry.gauge("spread.flush_cuts", **labels).set(daemon.flush_cuts)
     registry.gauge("spread.retransmissions", **labels).set(daemon.retransmissions)
+    registry.gauge("spread.stale_nacks", **labels).set(daemon.stale_nacks)
     registry.gauge("spread.messages_delivered", **labels).set(
         daemon.messages_delivered
     )

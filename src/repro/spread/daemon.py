@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import SpreadError
+from repro.net.corrupt import CorruptedDatagram
 from repro.sim.kernel import Kernel
 from repro.sim.process import SimProcess
 from repro.spread.config import SpreadConfig
@@ -55,6 +56,7 @@ from repro.spread.messages import (
     SyncInfo,
 )
 from repro.spread.ordering import ViewPipeline
+from repro.spread.ring import RingPipeline, RingToken
 from repro.types import (
     DaemonId,
     GroupId,
@@ -113,8 +115,6 @@ class SpreadDaemon(SimProcess):
                 self._send_to_daemon(destination, payload)
 
         if self.config.ordering == "ring":
-            from repro.spread.ring import RingPipeline
-
             return RingPipeline(
                 view,
                 members,
@@ -176,6 +176,10 @@ class SpreadDaemon(SimProcess):
         # deliveries start from zero like everything else it knows.
         self.flush_cuts = 0
         self.retransmissions = 0
+        # NACKed sequences we no longer held: requests under the
+        # stability line (see spread/ordering.py), a protocol error
+        # unless the NACK simply crossed its own repair on the wire.
+        self.stale_nacks = 0
         self.messages_delivered = 0
         self.remote_bytes_delivered = 0
         self.client_messages_delivered = 0
@@ -425,8 +429,6 @@ class SpreadDaemon(SimProcess):
     # ------------------------------------------------------------------
 
     def on_message(self, source: str, payload: Any) -> None:
-        from repro.net.corrupt import CorruptedDatagram
-
         if isinstance(payload, CorruptedDatagram):
             # A frame damaged on the wire and caught by the transport
             # checksum: drop before any interpretation (it does not even
@@ -449,8 +451,6 @@ class SpreadDaemon(SimProcess):
             elif handled:
                 self._maybe_prompt_hello()
                 return
-        from repro.spread.ring import RingToken
-
         if isinstance(payload, Hello):
             self._on_hello(payload)
         elif isinstance(payload, DataMessage):
@@ -514,10 +514,9 @@ class SpreadDaemon(SimProcess):
     def _on_nack(self, nack: Nack) -> None:
         if nack.view_id != self.view:
             return
-        retransmit = getattr(self.pipeline, "retransmit", None)
-        if retransmit is not None:
-            self.retransmissions += len(retransmit(nack.missing))
-        self.pipeline.on_nack(nack)
+        answered = self.pipeline.on_nack(nack)
+        self.retransmissions += answered
+        self.stale_nacks += len(nack.missing) - answered
 
     # ------------------------------------------------------------------
     # client service (called by SpreadClient over the IPC channel)

@@ -25,6 +25,15 @@ reports everything ingested-but-undelivered plus the delivery horizons,
 and ``flush_with`` ingests the membership coordinator's union and
 force-delivers the remainder deterministically, which yields the EVS
 same-set guarantee for daemons that move to the new view together.
+
+**Steady-state garbage collection.**  The line ``cut()`` draws is
+applied while the view lasts: a message leaves ``received`` (and so
+``sent_buffer``) once it is delivered here and *stable* — its timestamp
+at or under every member's advertised ``all_received``, i.e. ingested
+everywhere, so no flush complement and no legitimate NACK can need it.
+A silent or partitioned member freezes the line, so retention is
+bounded by failure detection (``fail_timeout``, after which the view
+changes and the pipeline is replaced), not by the view's lifetime.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.spread.messages import DataMessage
+from repro.spread.messages import DataMessage, Nack
 from repro.types import ServiceType, ViewId
 
 DeliverFn = Callable[[DataMessage], None]
@@ -70,6 +79,7 @@ class _PeerState:
         "ordered_horizon",
         "all_received",
         "gap_since",
+        "trimmed",
     )
 
     def __init__(self) -> None:
@@ -83,6 +93,8 @@ class _PeerState:
         # This peer's advertised "I ingested everything <= T" (SAFE).
         self.all_received = 0
         self.gap_since: Optional[float] = None
+        # Low-water pointer: every seq <= trimmed has left ``received``.
+        self.trimmed = 0
 
 
 class ViewPipeline:
@@ -112,8 +124,9 @@ class ViewPipeline:
         self._send = send if send is not None else (lambda dest, payload: None)
         self.lamport = start_lamport
         self.send_seq = 0
-        self.sent_buffer: Dict[int, DataMessage] = {}
         self.peers: Dict[str, _PeerState] = {m: _PeerState() for m in self.members}
+        # Retransmission source: our own messages, self-ingested on send.
+        self.sent_buffer: Dict[int, DataMessage] = self.peers[me].received
         # View membership is immutable, so the sorted iteration order
         # every deterministic scan needs is computed exactly once.
         self._sorted_names: Tuple[str, ...] = tuple(sorted(self.peers))
@@ -167,7 +180,6 @@ class ViewPipeline:
             payload=payload,
             causal_vector=causal_vector,
         )
-        self.sent_buffer[message.seq] = message
         self.ingest(message, now=0.0)
         return message
 
@@ -218,6 +230,8 @@ class ViewPipeline:
         if advanced:
             self._release()
             self.wants_prompt_hello = True
+            if len(self.members) == 1:
+                self._trim()  # alone: no hello will ever move the line
 
     def _stage(self, message: DataMessage) -> None:
         """A message became per-sender contiguous; route it by service."""
@@ -322,6 +336,26 @@ class ViewPipeline:
         if peer.contiguous >= sent_seq:
             peer.ordered_horizon = max(peer.ordered_horizon, lamport)
         self._release()
+        self._trim()
+
+    def _trim(self) -> None:
+        """Drop what is delivered here and stable everywhere.
+
+        Per-sender sequence order is timestamp order, so each peer's
+        low-water pointer only ever walks forward: amortised O(1) per
+        message.  Everything below it is already invisible to ``ingest``
+        (``seq <= contiguous``), ``gaps_older_than``, ``cut`` and
+        ``flush_with``.
+        """
+        stable = min(self._ack_of(name) for name in self._sorted_names)
+        for peer in self.peers.values():
+            received = peer.received
+            seq = peer.trimmed + 1
+            limit = min(peer.fifo_delivered, peer.contiguous)
+            while seq <= limit and received[seq].lamport <= stable:
+                del received[seq]
+                seq += 1
+            peer.trimmed = seq - 1
 
     # -- delivery rules ------------------------------------------------------
 
@@ -476,8 +510,6 @@ class ViewPipeline:
 
     def periodic(self, now: float, nack_age: float) -> None:
         """Timer hook: request retransmission of aged sequence gaps."""
-        from repro.spread.messages import Nack
-
         for sender, missing in self.gaps_older_than(now, nack_age).items():
             self._send(
                 sender,
@@ -489,10 +521,13 @@ class ViewPipeline:
                 ),
             )
 
-    def on_nack(self, nack) -> None:
-        """Answer a retransmission request from our sent buffer."""
-        for message in self.retransmit(nack.missing):
+    def on_nack(self, nack) -> int:
+        """Answer a retransmission request from our sent buffer; returns
+        how many of the requested sequences we still held."""
+        messages = self.retransmit(nack.missing)
+        for message in messages:
             self._send(nack.sender, message)
+        return len(messages)
 
     def on_token(self, token) -> None:
         """Ring-engine tokens are not used by the Lamport engine."""

@@ -24,6 +24,14 @@ sequence numbers, so all messages share one totally ordered sequence.
   pending messages on token receipt, and a member with fresh messages
   while idle simply waits at most one paced hop).
 
+**Steady-state garbage collection.**  ``received[seq]`` is dropped once
+``seq <= min(stable_upto, delivered_upto)``: delivered here and held by
+every member (the minimum aru passed it), so no ``rtr`` entry can
+legitimately name it.  A silent or partitioned member freezes
+``stable_upto``, so retention is bounded by failure detection
+(``fail_timeout``, after which the view changes and the ring is
+replaced), not by the view's lifetime.
+
 Interface-compatible with :class:`repro.spread.ordering.ViewPipeline`,
 selected with ``SpreadConfig(ordering="ring")``.
 """
@@ -96,6 +104,7 @@ class RingPipeline:
         self.received: Dict[int, DataMessage] = {}
         self.my_aru = start_lamport
         self.stable_upto = start_lamport
+        self._trimmed = start_lamport  # every seq <= this has left received
         self._pending: List[Tuple] = []
         self._last_round_seen = 0
         self._held_token: Optional[RingToken] = None  # for loss recovery
@@ -186,6 +195,8 @@ class RingPipeline:
         self.lamport = max(self.lamport, seq)
         while (self.my_aru + 1) in self.received:
             self.my_aru += 1
+        if self.alone:
+            self.stable_upto = self.my_aru  # no token: ours is the only aru
         self._release()
 
     def _release(self) -> None:
@@ -197,6 +208,15 @@ class RingPipeline:
                 break
             self.delivered_upto = seq
             self._deliver(message)
+        self._trim()
+
+    def _trim(self) -> None:
+        """Drop what is delivered here and stable everywhere; both lines
+        move only on the way into ``_release``."""
+        line = min(self.stable_upto, self.delivered_upto)
+        while self._trimmed < line:
+            self._trimmed += 1
+            del self.received[self._trimmed]
 
     # ------------------------------------------------------------------
     # token handling
@@ -302,8 +322,9 @@ class RingPipeline:
     def periodic(self, now: float, nack_age: float) -> None:
         """Gap repair rides the token; nothing to do on the nack timer."""
 
-    def on_nack(self, nack) -> None:
+    def on_nack(self, nack) -> int:
         """The ring repairs via token rtr; stray NACKs are ignored."""
+        return 0
 
     # ------------------------------------------------------------------
     # membership cut & flush

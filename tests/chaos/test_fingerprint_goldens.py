@@ -7,6 +7,18 @@ byte-identical before/after".  These are the before: quick-mode
 same under ``PYTHONHASHSEED`` 0, 7 and random.  A change that moves one
 changed what the simulated stack does — an ordering, a timer, a wire
 field, a trace event — and must say so and re-capture them on purpose.
+
+Re-pinned once, on purpose, by PR 24 (steady-state garbage collection of
+stable messages, the commit after ``c433515``): ``cliques`` 0, 1, 4 and
+``ckd`` 0, 1 moved, the other ten did not.  The reason is the same in
+all five: a *stale* NACK — sent before, but arriving after, its
+requester ingested the message; every sequence so named was already
+under the requester's ``contiguous`` — used to be answered with a
+redundant retransmission from the untrimmed ``sent_buffer`` and is now
+counted in ``stale_nacks`` instead (2, 1, 1, 1 and 1 sequences in the
+five runs, 0 in the ten that stayed).  One datagram fewer shifts the
+seeded network's later draws; no delivery is withheld and every run
+stays ``result.ok``.
 """
 
 import pytest
@@ -16,15 +28,15 @@ from repro.spread.config import PACKING_ENV
 
 GOLDEN = {
     "cliques": (
-        "23879ecd5fc844f2292fc95ff8e51f0d8445dace3e3c2947e02881d76fd8637e",
-        "9346b4ee6a6157e8cd4656e81bae6e3ff6827da6df33b16dfcdac7805113ba1a",
+        "3786cf5eb8df277ce803ab6fe6be3755531450689414e3fafa4ee1bd7e763d4c",
+        "8daaa85fe31c786a8b8b6479cde3186d202a01579aa253bc78a02817ce1ddb12",
         "453cf9732a0eb6adfc2b04d7e431eb26a96d1e95156895dde5d3e56d9f1937a9",
         "83da269a6c0906112b72251fed42988238fb257c8467c30003dba0902f1f74a0",
-        "dcbbd9d1a6e1098ad4ac87d5fa646e20a57275012305aceef2f8fec91ece977f",
+        "661f129751abe69ffbfa626554d7ea4a789d4126c28df39b86a470bde51260b8",
     ),
     "ckd": (
-        "539c827f49f0cbd9ef6cb41d8f8a511875607c7d127f8fbd36c160ffc470d994",
-        "cb5377f182d5d3bc197073f468f4877e807da9c4f3343f83b19061b784b129d5",
+        "bbbb4ed5b632e2befc3999379315905c8bf6f7b5259f44a75e1c7db8f972caba",
+        "f4feed140fa616d44147a3feb87b2992da590185bdb85b34285af66ab9656fae",
         "41f614c170ee602745ef97790be675e14981a116b97ee588f26b0087e933efb6",
         "60c0c92bad4861138f8c54c575ee29cb61aa8e60e46eaa31be2bc469f0ffa842",
         "6d061323ab42153728a42c9844cd67d16711ec7995c569bb411bb8bf6725c299",

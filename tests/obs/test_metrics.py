@@ -170,6 +170,7 @@ def test_collect_daemon_and_session_label_by_owner():
             views_installed=7,
             flush_cuts=3,
             retransmissions=2,
+            stale_nacks=1,
             messages_delivered=50,
             remote_bytes_delivered=4800,
             client_messages_delivered=20,
@@ -196,6 +197,7 @@ def test_collect_daemon_and_session_label_by_owner():
         ),
     )
     assert registry.value("spread.flush_cuts", daemon="d0") == 3
+    assert registry.value("spread.stale_nacks", daemon="d0") == 1
     assert registry.value("spread.bytes_delivered_remote", daemon="d0") == 4800
     assert registry.value("spread.packed_datagrams", daemon="d0") == 6
     assert registry.value("spread.packed_messages", daemon="d0") == 18

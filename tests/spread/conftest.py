@@ -80,6 +80,72 @@ class Cluster:
         return client
 
 
+class Lockstep:
+    """Reference-model harness for an ordering engine's garbage
+    collection: every member runs the trimming pipeline and an untrimmed
+    reference (the same class with ``_trim`` stubbed) fed the same
+    inputs.  One lossy, reordering, duplicating "network" carries the
+    trimming pipelines' output; the reference's must match it except for
+    retransmissions ``check_redundant`` accepts as needed by nobody.
+
+    Subclasses provide ``build(reference, name, deliver, send)`` and
+    ``check_redundant(name, destination, message)``.
+    """
+
+    def __init__(self, size):
+        self.names = tuple("abcd"[:size])
+        self.wire = []  # in-flight (source, destination, payload)
+        self.real, self.ref = {}, {}
+        self.real_out = {n: [] for n in self.names}
+        self.ref_out = {n: [] for n in self.names}
+        self.real_got = {n: [] for n in self.names}
+        self.ref_got = {n: [] for n in self.names}
+        for n in self.names:
+            self.real[n] = self.build(
+                False, n, self.real_got[n].append,
+                lambda d, p, n=n: self.real_out[n].append((d, p)),
+            )
+            self.ref[n] = self.build(
+                True, n, self.ref_got[n].append,
+                lambda d, p, n=n: self.ref_out[n].append((d, p)),
+            )
+
+    def step(self, name, call):
+        """Apply one input to both of ``name``'s pipelines, compare what
+        they did, and put what the trimming one sent on the wire."""
+        call(self.real[name])
+        call(self.ref[name])
+        assert self.real_got[name] == self.ref_got[name]
+        sent, reference = self.real_out[name], self.ref_out[name]
+        extra = list(reference)
+        for item in sent:
+            extra.remove(item)  # everything we sent, the reference sent
+        for destination, message in extra:
+            self.check_redundant(name, destination, message)
+        for destination, payload in sent:
+            for target in self.names if destination is None else (destination,):
+                if target != name:
+                    self.wire.append((name, target, payload))
+        sent.clear()
+        reference.clear()
+
+    def check_cuts(self):
+        for n in self.names:
+            assert self.real[n].cut() == self.ref[n].cut()
+
+    def flush_together(self, key):
+        """Everyone moves to the next view on the union of the cuts
+        (ordered by ``key``); both worlds must deliver the same."""
+        union = {}
+        for pipeline in self.real.values():
+            union.update((key(m), m) for m in pipeline.cut()[0])
+        complement = [union[k] for k in sorted(union)]
+        for n in self.names:
+            self.real[n].flush_with(complement, self.names)
+            self.ref[n].flush_with(complement, self.names)
+            assert self.real_got[n] == self.ref_got[n]
+
+
 @pytest.fixture
 def cluster():
     c = Cluster()

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.spread.messages import DataMessage, KIND_APP
+from repro.spread.messages import DataMessage, Hello, KIND_APP, Nack
 from repro.spread.ordering import ViewPipeline
 from repro.types import ServiceType, ViewId
+
+from tests.spread.conftest import Lockstep
 
 VIEW = ViewId(1, 1, "a")
 
@@ -381,3 +383,199 @@ def test_nested_ingest_batches_release_once_at_depth_zero():
     assert delivered == []  # still one level deep
     pipeline.end_ingest_batch()
     assert [m.payload for m in delivered] == ["b1"]
+
+
+# -- steady-state garbage collection ------------------------------------------------
+
+
+def test_stable_delivered_messages_leave_the_pipeline():
+    pipeline, delivered = make_pipeline()
+    own = pipeline.next_message(ServiceType.FIFO, KIND_APP, "g", None, 1, "x")
+    pipeline.ingest(msg("b", 1, 1), now=0.0)
+    pipeline.ingest(msg("b", 2, 9, ServiceType.AGREED), now=0.0)  # held
+    assert len(delivered) == 2
+    # b acks everything; c has acked nothing: the line stays at 0.
+    pipeline.note_hello("b", lamport=9, all_received=9, sent_seq=2)
+    assert set(pipeline.peers["b"].received) == {1, 2}
+    assert pipeline.retransmit([own.seq]) == [own]
+    # c catches up: (b, 1) and our own message are delivered and stable,
+    # (b, 2) only once c's clock lets it be delivered here.
+    pipeline.note_hello("c", lamport=5, all_received=5, sent_seq=0)
+    assert set(pipeline.peers["b"].received) == {2}
+    assert pipeline.sent_buffer == {}
+    pipeline.note_hello("c", lamport=10, all_received=10, sent_seq=0)
+    assert len(delivered) == 3 and pipeline.peers["b"].received == {}
+    # A late duplicate of a trimmed message is still a duplicate, and a
+    # NACK naming it finds nothing to send.
+    pipeline.ingest(msg("b", 1, 1), now=0.0)
+    assert len(delivered) == 3
+    assert pipeline.retransmit([own.seq]) == []
+    assert pipeline.cut()[0] == ()
+
+
+def test_singleton_view_trims_on_its_own_progress():
+    """Alone, no hello ever arrives: our own ack is the whole line."""
+    pipeline, delivered = make_pipeline(members=("a",))
+    for i in range(50):
+        pipeline.submit(ServiceType.SAFE, KIND_APP, "g", None, i, i)
+    assert len(delivered) == 50
+    assert pipeline.sent_buffer == {}
+
+
+class UntrimmedPipeline(ViewPipeline):
+    """The reference model: the same engine, retaining everything."""
+
+    def _trim(self):
+        pass
+
+
+SERVICES = (
+    ServiceType.FIFO, ServiceType.CAUSAL, ServiceType.AGREED, ServiceType.SAFE
+)
+
+
+class LockstepGroup(Lockstep):
+    """Lamport-engine lock-step group: the only output the reference may
+    add is a retransmission answering a stale NACK."""
+
+    def __init__(self, size):
+        self.now = 0.0
+        super().__init__(size)
+
+    def build(self, reference, name, deliver, send):
+        cls = UntrimmedPipeline if reference else ViewPipeline
+        return cls(VIEW, self.names, name, deliver, send=send)
+
+    def check_redundant(self, name, destination, message):
+        assert isinstance(message, DataMessage) and destination is not None
+        assert self.real[destination].peers[name].contiguous >= message.seq
+
+    def hello(self, name):
+        pipeline = self.real[name]
+        assert pipeline.my_all_received() == self.ref[name].my_all_received()
+        for target in self.names:
+            if target != name:
+                self.wire.append((name, target, Hello(
+                    sender=name, view_id=VIEW, lamport=pipeline.lamport,
+                    all_received=pipeline.my_all_received(), incarnation=0,
+                    sent_seq=pipeline.send_seq,
+                )))
+
+    def arrive(self, source, target, payload):
+        if isinstance(payload, DataMessage):
+            self.step(target, lambda p: p.ingest(payload, now=self.now))
+        elif isinstance(payload, Hello):
+            self.step(target, lambda p: p.note_hello(
+                source, payload.lamport, payload.all_received, payload.sent_seq
+            ))
+        else:
+            held = self.real[target].sent_buffer
+            for seq in payload.missing:
+                if seq not in held:  # trimmed: the request must be stale
+                    assert self.real[source].peers[target].contiguous >= seq
+            self.step(target, lambda p: p.on_nack(payload))
+
+    def trimmed(self, name):
+        """The message ``name`` dropped most recently, if any."""
+        for sender in self.names:
+            kept = self.ref[name].peers[sender].received
+            gone = kept.keys() - self.real[name].peers[sender].received.keys()
+            if gone:
+                return kept[max(gone)]
+        return None
+
+    def settle(self, rounds, hold_nacks=False):
+        """Reliable rounds: every member says hello and runs its NACK
+        timer, and the wire drains in order — except, with
+        ``hold_nacks``, the NACKs, which stay in flight to arrive late."""
+        for __ in range(rounds):
+            self.now += 1.0
+            for n in self.names:
+                self.hello(n)
+                self.step(n, lambda p: p.periodic(self.now, 0.0))
+            held = []
+            while self.wire:
+                item = self.wire.pop(0)
+                if hold_nacks and isinstance(item[2], Nack):
+                    held.append(item)
+                else:
+                    self.arrive(*item)
+            self.wire.extend(held)
+
+
+lockstep_actions = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["submit", "submit", "arrive", "arrive", "arrive", "drop", "dup",
+             "hello", "hello", "tick", "cut", "settle", "aim", "aim"]
+        ),
+        st.integers(0, 3),
+        st.integers(0, 10_000),
+    ),
+    min_size=10,
+    max_size=120,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(size=st.integers(3, 4), actions=lockstep_actions, heal=st.booleans())
+def test_trimming_withholds_nothing(size, actions, heal):
+    """Under loss, duplication, reordering and an arbitrary hello
+    schedule, the trimming pipeline delivers, cuts and flushes exactly
+    like one that retains everything, and whatever it can no longer
+    retransmit was requested by a peer that already has it."""
+    group = LockstepGroup(size)
+    for count, (kind, who, pick) in enumerate(actions):
+        name = group.names[who % size]
+        wire = group.wire
+        if kind == "submit":
+            service = SERVICES[pick % len(SERVICES)]
+            group.step(name, lambda p: p.submit(
+                service, KIND_APP, "g", None, count, (name, count)
+            ))
+        elif kind == "hello":
+            group.hello(name)
+        elif kind == "tick":
+            group.now += 1.0
+            group.step(name, lambda p: p.periodic(group.now, 0.5))
+        elif kind == "cut":
+            group.check_cuts()
+        elif kind == "settle":
+            group.settle(2, hold_nacks=True)
+        elif kind == "aim":
+            # Faults aimed at the sequence ``name`` just trimmed: every
+            # copy still in flight is lost, then a late duplicate and a
+            # delayed NACK for it arrive from each peer.
+            message = group.trimmed(name)
+            if message is not None:
+                sender = message.sender_daemon
+                wire[:] = [item for item in wire if item[2] != message]
+                for peer in group.names:
+                    if peer != name:
+                        group.arrive(sender, name, message)
+                    if peer != sender:
+                        group.arrive(peer, sender, Nack(
+                            sender=peer, view_id=VIEW, target=sender,
+                            missing=(message.seq,),
+                        ))
+        elif wire:
+            index = pick % len(wire)
+            if kind == "arrive":
+                group.arrive(*wire.pop(index))
+            elif kind == "drop":
+                wire.pop(index)
+            else:
+                wire.append(wire[index])
+    if heal:
+        group.settle(40)
+        sent = sum(p.send_seq for p in group.real.values())
+        assert all(len(got) == sent for got in group.real_got.values())
+        # Quiescent and acknowledged: nothing is retained any more.
+        for pipeline in group.real.values():
+            assert all(not peer.received for peer in pipeline.peers.values())
+    group.check_cuts()
+    group.flush_together(DataMessage.key)
+    delivered_sets = [
+        {m.key() for m in got} for got in group.real_got.values()
+    ]
+    assert all(s == delivered_sets[0] for s in delivered_sets)
