@@ -16,8 +16,7 @@ the real system's wall clock did.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.cliques.directory import KeyDirectory
 from repro.crypto.counters import ExpCounter
@@ -57,6 +56,7 @@ from repro.spread.events import (
     SelfLeaveEvent,
 )
 from repro.sim.trace import Tracer
+from repro.spread.client import EventQueue
 from repro.spread.flush import FlushClient
 from repro.types import GroupId, ProcessId, ServiceType
 
@@ -757,7 +757,7 @@ class SecureGroupSession:
         )
 
 
-class SecureClient:
+class SecureClient(EventQueue):
     """Secure Spread's application API.
 
     Wraps a :class:`~repro.spread.flush.FlushClient` with per-group
@@ -778,6 +778,7 @@ class SecureClient:
         cost_model: Optional[CryptoCostModel] = None,
         counter: Optional[ExpCounter] = None,
     ) -> None:
+        super().__init__()
         self.flush = flush
         self.params = params
         self.long_term = long_term
@@ -788,8 +789,6 @@ class SecureClient:
         self.cost_model = cost_model
         self.counter = counter if counter is not None else ExpCounter()
         self.sessions: Dict[str, SecureGroupSession] = {}
-        self.queue: Deque[Any] = deque()
-        self._callbacks: List[Callable[[Any], None]] = []
         flush.on_event(self._route)
 
     # -- identity ---------------------------------------------------------------
@@ -885,24 +884,6 @@ class SecureClient:
         return session
 
     # -- events -------------------------------------------------------------------------
-
-    def on_event(self, callback: Callable[[Any], None]) -> None:
-        self._callbacks.append(callback)
-
-    def receive(self) -> Optional[Any]:
-        if self.queue:
-            return self.queue.popleft()
-        return None
-
-    def drain(self) -> List[Any]:
-        events = list(self.queue)
-        self.queue.clear()
-        return events
-
-    def _emit(self, event: Any) -> None:
-        self.queue.append(event)
-        for callback in list(self._callbacks):
-            callback(event)
 
     def _route(self, event: Any) -> None:
         group = getattr(event, "group", None)

@@ -1,27 +1,31 @@
-"""The Spread client library.
+"""The Spread client library: one client core, two connections.
 
-A :class:`SpreadClient` is one application connection to its local
-daemon, mirroring the Spread C API surface: ``SP_connect``, ``SP_join``,
-``SP_leave``, ``SP_multicast``, ``SP_receive`` (here, an event queue plus
-optional callback), ``SP_disconnect``.
+A client is one application connection to its local daemon, mirroring
+the Spread C API surface: ``SP_connect``, ``SP_join``, ``SP_leave``,
+``SP_multicast``, ``SP_receive`` (here, an event queue plus optional
+callbacks), ``SP_disconnect``.
 
-The client talks to the daemon over a same-machine IPC channel modelled
-with a small fixed latency, matching the paper's daemon-client
-architecture: client operations never touch the network directly.  That
-channel is the ``DaemonEndpoint`` seam (contract in
-:mod:`repro.transport.base`, not imported here): the client calls verbs
-on an endpoint, and the endpoint decides what a verb costs.  The sim
-backend is :class:`SimDaemonEndpoint` below — in-process calls behind
-the modelled ``ipc_delay``; the TCP backend
-(:class:`repro.transport.client.TcpSpreadClient`) reimplements the
-whole client over a socket instead, since a real network also replaces
-the receive path.
+Everything a client does that is not I/O lives once, in
+:class:`ClientCore`: the identity (``private_name`` / ``pid`` /
+``connected``), the joined-group set, the per-connection send sequence
+with SP_scat-style fragmentation of oversized byte payloads, reassembly
+of received fragment trains, and the event queue (:class:`EventQueue`,
+which the flush and secure layers reuse for their own queues).  Two
+classes add the IPC on top:
+
+* :class:`SpreadClient` (here) calls a co-simulated
+  :class:`~repro.spread.daemon.SpreadDaemon` in process, behind the
+  configured ``ipc_delay`` — the paper's daemon-client architecture, in
+  which client operations never touch the network directly;
+* :class:`repro.transport.client.TcpSpreadClient` frames the same verbs
+  onto a socket and adds what only a real network needs: reconnect with
+  group re-join, and heartbeat liveness.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional
+from typing import Any, Callable, Deque, List, Optional, Set
 
 from repro.errors import (
     ConnectionClosedError,
@@ -32,245 +36,24 @@ from repro.errors import (
 from repro.sim.kernel import Kernel
 from repro.sim.process import SimProcess
 from repro.spread.daemon import SpreadDaemon
-from repro.spread.events import DataEvent, MembershipEvent
+from repro.spread.events import ConnectionLostEvent, DataEvent, MembershipEvent
 from repro.spread.fragments import MessageFragment, Reassembler, split_payload
 from repro.types import ProcessId, ServiceType
 
 EventCallback = Callable[[Any], None]
 
 
-class SimDaemonEndpoint:
-    """The sim backend of the client ↔ daemon IPC seam.
+class EventQueue:
+    """A receive queue plus delivery callbacks (``SP_receive``).
 
-    Every verb is an in-process call on the local
-    :class:`~repro.spread.daemon.SpreadDaemon`, scheduled behind the
-    configured ``ipc_delay`` with the client's historical event labels
-    (``{client}.ipc``, ``{client}.disconnect``, ``{client}.crash_notify``)
-    — chaos-crucible fingerprints pin both, so this class must stay
-    byte-identical to the pre-seam inline code.
+    Every event a layer delivers is appended to ``queue`` and handed to
+    each ``on_event`` callback; applications poll with :meth:`receive` /
+    :meth:`drain` or react in the callbacks.
     """
 
-    def __init__(self, daemon: SpreadDaemon) -> None:
-        self.daemon = daemon
-        self._client: Optional["SpreadClient"] = None
-
-    def bind(self, client: "SpreadClient") -> None:
-        """Attach the owning client (the endpoint schedules on it)."""
-        self._client = client
-
-    @property
-    def alive(self) -> bool:
-        return self.daemon.alive
-
-    @property
-    def daemon_name(self) -> str:
-        return self.daemon.name
-
-    @property
-    def ipc_delay(self) -> float:
-        return self.daemon.config.ipc_delay
-
-    @property
-    def max_message_size(self) -> int:
-        return self.daemon.config.max_message_size
-
-    def _ipc(self, action: Callable[[], None]) -> None:
-        client = self._client
-        client.after(self.ipc_delay, action, label=f"{client.name}.ipc")
-
-    def connect(self, client: "SpreadClient", private_name: str) -> ProcessId:
-        # Connect is synchronous in the sim (the C library blocks on the
-        # handshake); the daemon is handed the client object itself as
-        # the delivery channel.
-        return self.daemon.client_connect(client, private_name)
-
-    def join(self, pid: ProcessId, group: str) -> None:
-        self._ipc(lambda: self.daemon.client_join(pid, group))
-
-    def leave(self, pid: ProcessId, group: str) -> None:
-        self._ipc(lambda: self.daemon.client_leave(pid, group))
-
-    def multicast(
-        self,
-        pid: ProcessId,
-        service: ServiceType,
-        group: str,
-        payload: Any,
-        origin_seq: int,
-    ) -> None:
-        self._ipc(
-            lambda: self.daemon.client_multicast(
-                pid, service, group, payload, origin_seq
-            )
-        )
-
-    def disconnect(self, private_name: str) -> None:
-        client = self._client
-        client.after(
-            self.ipc_delay,
-            lambda: self.daemon.client_gone(private_name),
-            label=f"{client.name}.disconnect",
-        )
-
-    def crash_notify(self, private_name: str) -> None:
-        # A crashed client looks like a broken IPC channel to the daemon.
-        client = self._client
-        if self.daemon.alive:
-            client.kernel.call_later(
-                self.ipc_delay,
-                lambda: self.daemon.client_gone(private_name),
-                label=f"{client.name}.crash_notify",
-            )
-
-
-class SpreadClient(SimProcess):
-    """One application connection to a Spread daemon."""
-
-    def __init__(self, kernel: Kernel, private_name: str, daemon) -> None:
-        endpoint = (
-            SimDaemonEndpoint(daemon)
-            if isinstance(daemon, SpreadDaemon)
-            else daemon
-        )
-        super().__init__(kernel, f"#{private_name}#{endpoint.daemon_name}")
-        self.private_name = private_name
-        self._endpoint = endpoint
-        #: The local daemon when the endpoint is the sim one (tests and
-        #: benches reach through this); None over other endpoints.
-        self.daemon = getattr(endpoint, "daemon", None)
-        endpoint.bind(self)
-        self.pid: Optional[ProcessId] = None
-        self.connected = False
+    def __init__(self) -> None:
         self.queue: Deque[Any] = deque()
         self._callbacks: List[EventCallback] = []
-        self._send_seq = 0
-        self._my_groups: set = set()
-        self._fragment_counter = 0
-        self._reassembler = Reassembler(tracer=kernel.tracer)
-
-    # ------------------------------------------------------------------
-    # connection lifecycle
-    # ------------------------------------------------------------------
-
-    def connect(self) -> ProcessId:
-        """Register with the daemon; returns the private group id."""
-        if self.connected:
-            return self.pid
-        if not self._endpoint.alive:
-            raise DaemonDownError(f"daemon {self._endpoint.daemon_name} is down")
-        self.pid = self._endpoint.connect(self, self.private_name)
-        self.connected = True
-        self.start()
-        return self.pid
-
-    def disconnect(self) -> None:
-        """Voluntarily close the connection; the daemon announces the
-        departure from every joined group."""
-        if not self.connected:
-            return
-        self.connected = False
-        self._my_groups.clear()
-        self._endpoint.disconnect(self.private_name)
-
-    def daemon_down(self) -> None:
-        """Called by the daemon when it crashes."""
-        self.connected = False
-        self._my_groups.clear()
-        self._emit(_DaemonDownEvent())
-
-    def on_crash(self) -> None:
-        if self.connected:
-            self.connected = False
-            self._endpoint.crash_notify(self.private_name)
-
-    # ------------------------------------------------------------------
-    # group operations
-    # ------------------------------------------------------------------
-
-    def _require_connected(self) -> None:
-        if not self.connected:
-            raise ConnectionClosedError(f"{self.name} is not connected")
-        if not self._endpoint.alive:
-            raise DaemonDownError(f"daemon {self._endpoint.daemon_name} is down")
-
-    def join(self, group: str) -> None:
-        """Join a group (idempotent at the daemon)."""
-        self._require_connected()
-        self._my_groups.add(group)
-        self._endpoint.join(self.pid, group)
-
-    def leave(self, group: str) -> None:
-        """Leave a group."""
-        self._require_connected()
-        if group not in self._my_groups:
-            raise NotMemberError(f"{self.name} never joined {group!r}")
-        self._my_groups.discard(group)
-        self._endpoint.leave(self.pid, group)
-
-    def multicast(
-        self,
-        service: ServiceType,
-        group: str,
-        payload: Any,
-    ) -> int:
-        """Send to a group (or a private ``#name#daemon`` destination).
-
-        Byte payloads larger than the daemon's ``max_message_size`` are
-        fragmented and transparently reassembled at receivers (SP_scat
-        behaviour); this needs an ordered service (FIFO or stronger).
-        Returns this connection's last message sequence number.
-        """
-        self._require_connected()
-        limit = self._endpoint.max_message_size
-        if isinstance(payload, (bytes, bytearray)) and len(payload) > limit:
-            if service.ordering_rank < ServiceType.FIFO.ordering_rank:
-                raise IllegalServiceError(
-                    "fragmented payloads need FIFO or stronger ordering"
-                )
-            self._fragment_counter += 1
-            fragments = split_payload(payload, limit, self._fragment_counter)
-            seq = 0
-            for fragment in fragments:
-                self._send_seq += 1
-                seq = self._send_seq
-                self._endpoint.multicast(self.pid, service, group, fragment, seq)
-            return seq
-        self._send_seq += 1
-        seq = self._send_seq
-        self._endpoint.multicast(self.pid, service, group, payload, seq)
-        return seq
-
-    def unicast(self, service: ServiceType, target: ProcessId, payload: Any) -> int:
-        """Send to a single process via its private group."""
-        return self.multicast(service, str(target), payload)
-
-    # ------------------------------------------------------------------
-    # receive side
-    # ------------------------------------------------------------------
-
-    def deliver_event(self, event: Any) -> None:
-        """Entry point used by the daemon's IPC push."""
-        if not self.alive or not self.connected:
-            return
-        if isinstance(event, DataEvent) and isinstance(
-            event.payload, MessageFragment
-        ):
-            whole = self._reassembler.accept(str(event.sender), event.payload)
-            if whole is None:
-                return  # more fragments coming
-            event = DataEvent(
-                group=event.group,
-                sender=event.sender,
-                service=event.service,
-                payload=whole,
-                seq=event.seq,
-            )
-        self._emit(event)
-
-    def _emit(self, event: Any) -> None:
-        self.queue.append(event)
-        for callback in list(self._callbacks):
-            callback(event)
 
     def on_event(self, callback: EventCallback) -> None:
         """Register a delivery callback (fires for every queued event)."""
@@ -288,7 +71,115 @@ class SpreadClient(SimProcess):
         self.queue.clear()
         return events
 
-    # -- conveniences -------------------------------------------------------
+    def _emit(self, event: Any) -> None:
+        self.queue.append(event)
+        for callback in list(self._callbacks):
+            callback(event)
+
+
+class ClientCore(EventQueue):
+    """The I/O-free half of a Spread client connection.
+
+    A subclass provides ``name`` and ``kernel``, performs the IPC — its
+    own ``connect`` / ``disconnect`` / ``join`` / ``leave`` /
+    ``multicast`` around the bookkeeping here, and :meth:`_send` for one
+    numbered multicast — and hands every event the daemon pushes to
+    :meth:`_deliver`.
+    """
+
+    def __init__(self, private_name: str) -> None:
+        super().__init__()
+        self.private_name = private_name
+        self.pid: Optional[ProcessId] = None
+        self.connected = False
+        self._send_seq = 0
+        self._my_groups: Set[str] = set()
+        self._fragment_counter = 0
+        self._reassembler: Optional[Reassembler] = None
+
+    # -- connection state ----------------------------------------------------
+
+    def _opened(self, pid: ProcessId) -> None:
+        """The daemon accepted this connection as ``pid``."""
+        self.pid = pid
+        self.connected = True
+        if self._reassembler is None:
+            self._reassembler = Reassembler(tracer=self.kernel.tracer)
+
+    def _closed(self) -> None:
+        """The connection is gone, and with it every group membership."""
+        self.connected = False
+        self._my_groups.clear()
+
+    def _require_connected(self) -> None:
+        if not self.connected:
+            raise ConnectionClosedError(f"{self.name} is not connected")
+
+    # -- sending ---------------------------------------------------------------
+
+    def _track_join(self, group: str) -> None:
+        self._require_connected()
+        self._my_groups.add(group)
+
+    def _track_leave(self, group: str) -> None:
+        self._require_connected()
+        if group not in self._my_groups:
+            raise NotMemberError(f"{self.name} never joined {group!r}")
+        self._my_groups.discard(group)
+
+    def _multicast(
+        self, service: ServiceType, group: str, payload: Any, limit: int
+    ) -> int:
+        """Number ``payload`` and pass it to :meth:`_send`.
+
+        Byte payloads larger than ``limit`` (the daemon's
+        ``max_message_size``) go as a train of fragments, one sequence
+        number each, that receivers reassemble transparently (SP_scat
+        behaviour); this needs an ordered service (FIFO or stronger).
+        Returns this connection's last message sequence number.
+        """
+        self._require_connected()
+        if isinstance(payload, (bytes, bytearray)) and len(payload) > limit:
+            if service.ordering_rank < ServiceType.FIFO.ordering_rank:
+                raise IllegalServiceError(
+                    "fragmented payloads need FIFO or stronger ordering"
+                )
+            self._fragment_counter += 1
+            for fragment in split_payload(payload, limit, self._fragment_counter):
+                self._send_seq += 1
+                self._send(service, group, fragment, self._send_seq)
+        else:
+            self._send_seq += 1
+            self._send(service, group, payload, self._send_seq)
+        return self._send_seq
+
+    def _send(
+        self, service: ServiceType, group: str, body: Any, seq: int
+    ) -> None:
+        raise NotImplementedError
+
+    def unicast(self, service: ServiceType, target: ProcessId, payload: Any) -> int:
+        """Send to a single process via its private group."""
+        return self.multicast(service, str(target), payload)
+
+    # -- receive side ------------------------------------------------------------
+
+    def _deliver(self, event: Any) -> None:
+        """Queue one event the daemon pushed, reassembling fragments."""
+        if isinstance(event, DataEvent) and isinstance(
+            event.payload, MessageFragment
+        ):
+            whole = self._reassembler.accept(str(event.sender), event.payload)
+            if whole is None:
+                return  # more fragments coming
+            event = DataEvent(
+                group=event.group,
+                sender=event.sender,
+                service=event.service,
+                payload=whole,
+                seq=event.seq,
+            )
+        self._emit(event)
 
     def data_events(self) -> List[DataEvent]:
         return [e for e in self.queue if isinstance(e, DataEvent)]
@@ -297,10 +188,107 @@ class SpreadClient(SimProcess):
         return [e for e in self.queue if isinstance(e, MembershipEvent)]
 
 
-class _DaemonDownEvent:
-    """Queued when the client's daemon crashes (connection lost)."""
+class SpreadClient(SimProcess, ClientCore):
+    """One application connection to a co-simulated Spread daemon.
 
-    is_membership = False
+    Every verb is an in-process call on the local daemon, scheduled
+    behind the configured ``ipc_delay`` with the kernel labels
+    ``{name}.ipc``, ``{name}.disconnect`` and ``{name}.crash_notify`` —
+    chaos-crucible fingerprints pin both.
+    """
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<DaemonDownEvent>"
+    def __init__(self, kernel: Kernel, private_name: str, daemon: SpreadDaemon) -> None:
+        SimProcess.__init__(self, kernel, f"#{private_name}#{daemon.name}")
+        ClientCore.__init__(self, private_name)
+        self.daemon = daemon
+
+    # ------------------------------------------------------------------
+    # connection lifecycle
+    # ------------------------------------------------------------------
+
+    def connect(self) -> ProcessId:
+        """Register with the daemon; returns the private group id.
+
+        Synchronous, as the C library blocks on the handshake; the
+        daemon is handed the client object itself as the delivery
+        channel.
+        """
+        if self.connected:
+            return self.pid
+        if not self.daemon.alive:
+            raise DaemonDownError(f"daemon {self.daemon.name} is down")
+        self._opened(self.daemon.client_connect(self, self.private_name))
+        self.start()
+        return self.pid
+
+    def disconnect(self) -> None:
+        """Voluntarily close the connection; the daemon announces the
+        departure from every joined group."""
+        if not self.connected:
+            return
+        self._closed()
+        daemon, private_name = self.daemon, self.private_name
+        self.after(
+            daemon.config.ipc_delay,
+            lambda: daemon.client_gone(private_name),
+            label=f"{self.name}.disconnect",
+        )
+
+    def daemon_down(self) -> None:
+        """Called by the daemon when it crashes."""
+        self._closed()
+        self._emit(ConnectionLostEvent("daemon_down"))
+
+    def on_crash(self) -> None:
+        # A crashed client looks like a broken IPC channel to the daemon.
+        if not self.connected:
+            return
+        self.connected = False
+        daemon, private_name = self.daemon, self.private_name
+        if daemon.alive:
+            self.kernel.call_later(
+                daemon.config.ipc_delay,
+                lambda: daemon.client_gone(private_name),
+                label=f"{self.name}.crash_notify",
+            )
+
+    # ------------------------------------------------------------------
+    # group operations
+    # ------------------------------------------------------------------
+
+    def _ipc(self, action: Callable[[], None]) -> None:
+        self.after(self.daemon.config.ipc_delay, action, label=f"{self.name}.ipc")
+
+    def join(self, group: str) -> None:
+        """Join a group (idempotent at the daemon)."""
+        self._track_join(group)
+        daemon, pid = self.daemon, self.pid
+        self._ipc(lambda: daemon.client_join(pid, group))
+
+    def leave(self, group: str) -> None:
+        """Leave a group."""
+        self._track_leave(group)
+        daemon, pid = self.daemon, self.pid
+        self._ipc(lambda: daemon.client_leave(pid, group))
+
+    def multicast(self, service: ServiceType, group: str, payload: Any) -> int:
+        """Send to a group (or a private ``#name#daemon`` destination);
+        see :meth:`ClientCore._multicast`."""
+        return self._multicast(
+            service, group, payload, self.daemon.config.max_message_size
+        )
+
+    def _send(
+        self, service: ServiceType, group: str, body: Any, seq: int
+    ) -> None:
+        daemon, pid = self.daemon, self.pid
+        self._ipc(lambda: daemon.client_multicast(pid, service, group, body, seq))
+
+    # ------------------------------------------------------------------
+    # receive side
+    # ------------------------------------------------------------------
+
+    def deliver_event(self, event: Any) -> None:
+        """Entry point used by the daemon's IPC push."""
+        if self.alive and self.connected:
+            self._deliver(event)

@@ -2,7 +2,9 @@
 
 These are what a client's receive queue holds — the equivalents of
 Spread's regular messages and membership messages (with CAUSED_BY
-reasons), plus the flush-request signal used by the View Synchrony layer.
+reasons), plus the flush-request signal used by the View Synchrony layer
+and the two connection events a client queues when its daemon goes away
+and (over TCP, after a reconnect) comes back.
 """
 
 from __future__ import annotations
@@ -100,3 +102,25 @@ class SelfLeaveEvent:
     @property
     def is_membership(self) -> bool:
         return True
+
+
+@dataclass(frozen=True, slots=True)
+class ConnectionLostEvent:
+    """Queued once per outage: the connection to the daemon is gone
+    (the daemon crashed, closed the socket, or fell silent)."""
+
+    reason: str = ""
+
+    @property
+    def is_membership(self) -> bool:
+        return False
+
+
+@dataclass(frozen=True, slots=True)
+class ConnectionRestoredEvent:
+    """Queued after a successful reconnect, before the re-join
+    membership events arrive."""
+
+    @property
+    def is_membership(self) -> bool:
+        return False

@@ -29,12 +29,11 @@ fresh flush request and the protocol restarts for the newer view.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from repro.errors import FlushError, SendBlockedError
-from repro.spread.client import SpreadClient
+from repro.spread.client import EventQueue, SpreadClient
 from repro.spread.events import (
     DataEvent,
     FlushRequestEvent,
@@ -87,7 +86,7 @@ class _GroupFlushState:
         return self.pending_view is not None
 
 
-class FlushClient:
+class FlushClient(EventQueue):
     """A View Synchrony connection, wrapping a :class:`SpreadClient`.
 
     Applications receive, via :meth:`receive`/:meth:`on_event`:
@@ -104,10 +103,9 @@ class FlushClient:
     """
 
     def __init__(self, client: SpreadClient, auto_flush: bool = False) -> None:
+        super().__init__()
         self.client = client
         self.auto_flush = auto_flush
-        self.queue: Deque[Any] = deque()
-        self._callbacks: List[Callable[[Any], None]] = []
         self._groups: Dict[str, _GroupFlushState] = {}
         client.on_event(self._on_raw_event)
 
@@ -170,19 +168,6 @@ class FlushClient:
 
     # -- receive side -----------------------------------------------------------
 
-    def on_event(self, callback: Callable[[Any], None]) -> None:
-        self._callbacks.append(callback)
-
-    def receive(self) -> Optional[Any]:
-        if self.queue:
-            return self.queue.popleft()
-        return None
-
-    def drain(self) -> List[Any]:
-        events = list(self.queue)
-        self.queue.clear()
-        return events
-
     def current_members(self, group: str):
         state = self._groups.get(group)
         if state is None or state.current_view is None:
@@ -194,11 +179,6 @@ class FlushClient:
         (multicasts to it would raise SendBlockedError)."""
         state = self._groups.get(group)
         return state is not None and state.blocked
-
-    def _emit(self, event: Any) -> None:
-        self.queue.append(event)
-        for callback in list(self._callbacks):
-            callback(event)
 
     # -- raw event handling ----------------------------------------------------------
 

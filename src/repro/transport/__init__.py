@@ -5,8 +5,8 @@ makes the seams it sat behind explicit and adds an asyncio TCP backend
 so the *same* daemons, clients and secure sessions run over real
 sockets (docs/TRANSPORT.md):
 
-* :mod:`repro.transport.base` — the ``Transport`` / ``Clock`` /
-  ``DaemonEndpoint`` seam contracts (Protocols; backends duck-type).
+* :mod:`repro.transport.base` — the ``Transport`` / ``Clock`` seam
+  contracts (Protocols; backends duck-type).
 * :mod:`repro.transport.wire` — length-prefixed, versioned,
   CRC-checked frame codec with an incremental decoder.
 * :mod:`repro.transport.protocol` — client ↔ daemon IPC verbs.
@@ -19,9 +19,9 @@ sockets (docs/TRANSPORT.md):
   asyncio loop (client listeners included).
 * :mod:`repro.transport.daemon` — the CLI
   (``python -m repro.transport.daemon``).
-* :mod:`repro.transport.client` — ``TcpSpreadClient``: the Spread
-  client API over a socket, with listener callbacks, auto-reconnect
-  and heartbeat liveness.
+* :mod:`repro.transport.client` — ``TcpSpreadClient``: the shared
+  Spread client core (:mod:`repro.spread.client`) over a socket, with
+  auto-reconnect and heartbeat liveness.
 * :mod:`repro.transport.netem` — WAN-shaped fault injection: a seeded
   shaping TCP proxy (``NetemLink``/``NetemWorld``) plus declarative
   ``NetemSchedule`` fault scripts; also a standalone CLI
@@ -60,7 +60,6 @@ __all__ = [
     "load_deployment",
     "DaemonHost",
     "TcpSpreadClient",
-    "SpreadListener",
     "LinkShape",
     "NetemLink",
     "NetemSchedule",
@@ -73,10 +72,10 @@ def __getattr__(name):
         from repro.transport.host import DaemonHost
 
         return DaemonHost
-    if name in ("TcpSpreadClient", "SpreadListener"):
-        import repro.transport.client as _client
+    if name == "TcpSpreadClient":
+        from repro.transport.client import TcpSpreadClient
 
-        return getattr(_client, name)
+        return TcpSpreadClient
     if name in ("LinkShape", "NetemLink", "NetemSchedule", "NetemWorld"):
         import repro.transport.netem as _netem
 

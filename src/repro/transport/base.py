@@ -3,7 +3,7 @@ whatever carries its bytes and drives its timers.
 
 The daemon and client code in :mod:`repro.spread` was written against
 the deterministic sim kernel, but the coupling was always narrow.  This
-module makes the three implicit seams explicit (as :class:`typing
+module makes the two implicit seams explicit (as :class:`typing
 .Protocol` classes, so backends duck-type — the sim backend predates the
 seam and must not import this package):
 
@@ -25,12 +25,11 @@ seam and must not import this package):
     .TimerWheel` and :class:`~repro.secure.session.SecureGroupSession`
     run unmodified over either.
 
-``DaemonEndpoint``
-    What a client library needs from its daemon: the client-side of the
-    IPC channel.  The sim backend is :class:`repro.spread.client
-    .SimDaemonEndpoint` (in-process calls behind the modelled
-    ``ipc_delay``); the real backend is the framed TCP connection inside
-    :class:`repro.transport.client.TcpSpreadClient`.
+The client side needs no seam: both client classes share one I/O-free
+core (:class:`repro.spread.client.ClientCore`) and differ only in their
+IPC — in-process calls behind the modelled ``ipc_delay``
+(:class:`~repro.spread.client.SpreadClient`) or one frame per verb over
+a socket (:class:`~repro.transport.client.TcpSpreadClient`).
 
 Nothing here is imported by :mod:`repro.spread` — the seam is a
 contract, not a dependency — so the sim path stays byte-identical to
@@ -40,8 +39,6 @@ the pre-seam code (chaos-crucible fingerprints pin this).
 from __future__ import annotations
 
 from typing import Any, Callable, Optional, Protocol, runtime_checkable
-
-from repro.types import ProcessId, ServiceType
 
 
 @runtime_checkable
@@ -111,44 +108,3 @@ class Transport(Protocol):
         payload: Any,
         size: Optional[int] = None,
     ) -> None: ...
-
-
-@runtime_checkable
-class DaemonEndpoint(Protocol):
-    """The client side of the client ↔ daemon IPC channel.
-
-    The verbs of the Spread C API's connection half, minus queueing
-    (receive-side delivery happens by the daemon calling
-    ``deliver_event`` on whatever ``connect`` handed it).  The sim
-    backend (:class:`repro.spread.client.SimDaemonEndpoint`) schedules
-    each verb behind the modelled ``ipc_delay``; the TCP backend writes
-    a frame per verb and lets the socket provide the latency.
-    """
-
-    @property
-    def alive(self) -> bool: ...
-
-    @property
-    def daemon_name(self) -> str: ...
-
-    @property
-    def max_message_size(self) -> int: ...
-
-    def connect(self, client: Any, private_name: str) -> ProcessId: ...
-
-    def join(self, pid: ProcessId, group: str) -> None: ...
-
-    def leave(self, pid: ProcessId, group: str) -> None: ...
-
-    def multicast(
-        self,
-        pid: ProcessId,
-        service: ServiceType,
-        group: str,
-        payload: Any,
-        origin_seq: int,
-    ) -> None: ...
-
-    def disconnect(self, private_name: str) -> None: ...
-
-    def crash_notify(self, private_name: str) -> None: ...

@@ -1,24 +1,23 @@
 """The TCP Spread client: ``SP_*`` over a socket, with reconnect.
 
-:class:`TcpSpreadClient` exposes the same surface as the sim
-:class:`~repro.spread.client.SpreadClient` — ``join`` / ``leave`` /
-``multicast`` / ``unicast`` / ``receive`` / ``drain`` / ``on_event``,
-``pid``, ``name``, ``kernel`` — so :class:`~repro.spread.flush
-.FlushClient` and the whole secure-session stack run over it without a
-line changed.  Three things are new because the network is real:
-
-* **Listener callbacks** (asyncspread's ``SpreadListener`` style):
-  beyond the polling queue, a listener object gets
-  ``handle_connected`` / ``handle_dropped`` / ``handle_reconnected``
-  plus per-event ``handle_data`` / ``handle_membership``.
+:class:`TcpSpreadClient` is the socket connection on top of the shared
+:class:`~repro.spread.client.ClientCore` — the same groups, send
+sequence, fragmentation, reassembly and event queue as the sim
+:class:`~repro.spread.client.SpreadClient` — so
+:class:`~repro.spread.flush.FlushClient` and the whole secure-session
+stack run over it without a line changed.  What it adds is the IPC (one
+:mod:`repro.transport.protocol` frame per verb) and two things a real
+network needs:
 
 * **Auto-reconnect**: when the connection drops, the client backs off
   with decorrelated jitter (uniform in ``[base, 3 × previous]``, capped
   — so a crowd of clients dropped by one daemon restart does not storm
   back in lockstep), re-connects under the same private name with a
   per-attempt connect timeout (a blackholed or half-open listener
-  cannot wedge the retry loop), and re-joins every group it was in.  The application
-  sees exactly one :class:`ConnectionLostEvent` per outage, then the
+  cannot wedge the retry loop), and re-joins every group it was in.
+  The application sees exactly one
+  :class:`~repro.spread.events.ConnectionLostEvent` per outage, one
+  :class:`~repro.spread.events.ConnectionRestoredEvent`, then the
   normal membership events as its re-joins install — a membership
   resync, not an event replay.  (A daemon that still holds the old
   connection refuses the duplicate name; that refusal is retried like
@@ -36,20 +35,15 @@ line changed.  Three things are new because the network is real:
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Deque, List, Optional, Set, Tuple
+from typing import Any, Optional, Tuple
 
-from collections import deque
-
-from repro.errors import (
-    ConnectionClosedError,
-    DaemonDownError,
-    FrameError,
-    IllegalServiceError,
-    NotMemberError,
-    TransportError,
+from repro.errors import ConnectionClosedError, FrameError, TransportError
+from repro.spread.client import ClientCore
+from repro.spread.events import (
+    ConnectionLostEvent,
+    ConnectionRestoredEvent,
+    DataEvent,
 )
-from repro.spread.events import DataEvent, MembershipEvent
-from repro.spread.fragments import MessageFragment, Reassembler, split_payload
 from repro.transport.protocol import (
     ClientBye,
     ClientConnect,
@@ -72,59 +66,8 @@ from repro.transport.wire import (
 )
 from repro.types import ProcessId, ServiceType
 
-EventCallback = Callable[[Any], None]
 
-
-class ConnectionLostEvent:
-    """Queued once per outage: the daemon connection dropped."""
-
-    is_membership = False
-
-    def __init__(self, reason: str = "") -> None:
-        self.reason = reason
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<ConnectionLostEvent {self.reason!r}>"
-
-
-class ConnectionRestoredEvent:
-    """Queued after a successful reconnect, before the re-join
-    membership events arrive."""
-
-    is_membership = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<ConnectionRestoredEvent>"
-
-
-class SpreadListener:
-    """Callback interface for connection and delivery events.
-
-    Subclass and override what you need; every hook defaults to a
-    no-op.  ``handle_event`` fires for *every* queued event after any
-    specific hook.
-    """
-
-    def handle_connected(self, client: "TcpSpreadClient") -> None: ...
-
-    def handle_dropped(
-        self, client: "TcpSpreadClient", reason: str = ""
-    ) -> None: ...
-
-    def handle_reconnected(self, client: "TcpSpreadClient") -> None: ...
-
-    def handle_data(
-        self, client: "TcpSpreadClient", event: DataEvent
-    ) -> None: ...
-
-    def handle_membership(
-        self, client: "TcpSpreadClient", event: MembershipEvent
-    ) -> None: ...
-
-    def handle_event(self, client: "TcpSpreadClient", event: Any) -> None: ...
-
-
-class TcpSpreadClient:
+class TcpSpreadClient(ClientCore):
     """One application connection to a daemon over TCP."""
 
     def __init__(
@@ -142,8 +85,8 @@ class TcpSpreadClient:
         connect_timeout: float = 5.0,
         auth: AuthSpec = None,
     ) -> None:
+        super().__init__(private_name)
         self.address = address
-        self.private_name = private_name
         self.kernel = clock  # created at connect() when not supplied
         self.auto_reconnect = reconnect
         self.backoff_base = backoff_base
@@ -155,12 +98,9 @@ class TcpSpreadClient:
         self.max_frame = max_frame if max_frame is not None else max_frame_limit()
         self.auth = resolve_auth(auth)
 
-        self.pid: Optional[ProcessId] = None
         self.name = f"#{private_name}#?"
         self.daemon_name: Optional[str] = None
         self.max_message_size = 65536
-        self.connected = False
-        self.queue: Deque[Any] = deque()
         self.counters = {
             "bytes_sent": 0,
             "bytes_recv": 0,
@@ -175,12 +115,6 @@ class TcpSpreadClient:
         }
         for key in REJECT_COUNTERS:
             self.counters[key] = 0
-        self._callbacks: List[EventCallback] = []
-        self._listeners: List[SpreadListener] = []
-        self._send_seq = 0
-        self._my_groups: Set[str] = set()
-        self._fragment_counter = 0
-        self._reassembler: Optional[Reassembler] = None
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._decoder: Optional[FrameDecoder] = None
@@ -198,13 +132,11 @@ class TcpSpreadClient:
             return self.pid
         if self.kernel is None:
             self.kernel = RealtimeClock(asyncio.get_running_loop())
-        self._reassembler = Reassembler(tracer=self.kernel.tracer)
+        self._closing = False  # a disconnected client may connect again
         await asyncio.wait_for(self._connect_once(), timeout)
         self._reader_task = asyncio.get_running_loop().create_task(
             self._read_loop(), name=f"spread-client:{self.private_name}"
         )
-        for listener in list(self._listeners):
-            listener.handle_connected(self)
         if self.heartbeat_group is not None:
             self.join(self.heartbeat_group)
             self._arm_heartbeat()
@@ -247,11 +179,10 @@ class TcpSpreadClient:
             writer.close()
             raise
         self._reader, self._writer, self._decoder = reader, writer, decoder
-        self.pid = welcome.pid
         self.daemon_name = str(welcome.pid.daemon)
         self.name = str(welcome.pid)
         self.max_message_size = welcome.max_message_size
-        self.connected = True
+        self._opened(welcome.pid)
         self._hb_last_echo = None
 
     def disconnect(self) -> None:
@@ -259,16 +190,15 @@ class TcpSpreadClient:
         if self._closing:
             return
         self._closing = True
-        self._my_groups.clear()
         if self._hb_timer is not None:
             self._hb_timer.cancel()
             self._hb_timer = None
         if self.connected:
-            self.connected = False
             try:
                 self._raw_send(ClientDisconnect(self.private_name))
             except Exception:
                 pass
+        self._closed()
         if self._reader_task is not None:
             self._reader_task.cancel()
             self._reader_task = None
@@ -289,11 +219,7 @@ class TcpSpreadClient:
             except (asyncio.TimeoutError, Exception):
                 pass
 
-    # -- the SpreadClient sending surface ----------------------------------
-
-    def _require_connected(self) -> None:
-        if not self.connected:
-            raise ConnectionClosedError(f"{self.name} is not connected")
+    # -- sending -----------------------------------------------------------
 
     def _observe_rx(self, kind: int, total: int) -> None:
         self.counters["frames_recv"] += 1
@@ -307,50 +233,23 @@ class TcpSpreadClient:
 
     def join(self, group: str) -> None:
         """Join a group (idempotent at the daemon)."""
-        self._require_connected()
-        self._my_groups.add(group)
+        self._track_join(group)
         self._raw_send(ClientJoin(self.pid, group))
 
     def leave(self, group: str) -> None:
         """Leave a group."""
-        self._require_connected()
-        if group not in self._my_groups:
-            raise NotMemberError(f"{self.name} never joined {group!r}")
-        self._my_groups.discard(group)
+        self._track_leave(group)
         self._raw_send(ClientLeave(self.pid, group))
 
     def multicast(self, service: ServiceType, group: str, payload: Any) -> int:
-        """Send to a group or private ``#name#daemon`` destination.
+        """Send to a group or private ``#name#daemon`` destination; see
+        :meth:`~repro.spread.client.ClientCore._multicast`."""
+        return self._multicast(service, group, payload, self.max_message_size)
 
-        Same fragmentation contract as the sim client: byte payloads
-        over the daemon's ``max_message_size`` split into FIFO-or-
-        stronger fragment trains.
-        """
-        self._require_connected()
-        limit = self.max_message_size
-        if isinstance(payload, (bytes, bytearray)) and len(payload) > limit:
-            if service.ordering_rank < ServiceType.FIFO.ordering_rank:
-                raise IllegalServiceError(
-                    "fragmented payloads need FIFO or stronger ordering"
-                )
-            self._fragment_counter += 1
-            fragments = split_payload(payload, limit, self._fragment_counter)
-            seq = 0
-            for fragment in fragments:
-                self._send_seq += 1
-                seq = self._send_seq
-                self._raw_send(
-                    ClientMulticast(self.pid, service, group, fragment, seq)
-                )
-            return seq
-        self._send_seq += 1
-        seq = self._send_seq
-        self._raw_send(ClientMulticast(self.pid, service, group, payload, seq))
-        return seq
-
-    def unicast(self, service: ServiceType, target: ProcessId, payload: Any) -> int:
-        """Send to a single process via its private group."""
-        return self.multicast(service, str(target), payload)
+    def _send(
+        self, service: ServiceType, group: str, body: Any, seq: int
+    ) -> None:
+        self._raw_send(ClientMulticast(self.pid, service, group, body, seq))
 
     async def flush_writes(self) -> None:
         """Await the socket's write buffer draining (senders in tight
@@ -380,69 +279,16 @@ class TcpSpreadClient:
 
     def _handle(self, op: Any) -> None:
         if isinstance(op, ClientDeliver):
-            self._deliver_event(op.event)
+            event = op.event
+            if isinstance(event, DataEvent) and self._is_heartbeat(event):
+                self.counters["heartbeats_echoed"] += 1
+                self._hb_last_echo = self.kernel.now
+                return
+            self._deliver(event)
         elif isinstance(op, ClientBye):
             raise ConnectionClosedError(f"daemon said bye: {op.reason}")
         else:
             raise FrameError(f"unexpected frame {type(op).__name__}")
-
-    def _deliver_event(self, event: Any) -> None:
-        if isinstance(event, DataEvent):
-            if self._is_heartbeat(event):
-                self.counters["heartbeats_echoed"] += 1
-                self._hb_last_echo = self.kernel.now
-                return
-            if isinstance(event.payload, MessageFragment):
-                whole = self._reassembler.accept(
-                    str(event.sender), event.payload
-                )
-                if whole is None:
-                    return  # more fragments coming
-                event = DataEvent(
-                    group=event.group,
-                    sender=event.sender,
-                    service=event.service,
-                    payload=whole,
-                    seq=event.seq,
-                )
-        self._emit(event)
-
-    def _emit(self, event: Any) -> None:
-        self.queue.append(event)
-        for callback in list(self._callbacks):
-            callback(event)
-        for listener in list(self._listeners):
-            if isinstance(event, DataEvent):
-                listener.handle_data(self, event)
-            elif isinstance(event, MembershipEvent):
-                listener.handle_membership(self, event)
-            listener.handle_event(self, event)
-
-    def on_event(self, callback: EventCallback) -> None:
-        """Register a delivery callback (fires for every queued event)."""
-        self._callbacks.append(callback)
-
-    def add_listener(self, listener: SpreadListener) -> None:
-        """Attach an asyncspread-style listener object."""
-        self._listeners.append(listener)
-
-    def receive(self) -> Optional[Any]:
-        """Pop the next delivered event, or None when the queue is empty."""
-        if self.queue:
-            return self.queue.popleft()
-        return None
-
-    def drain(self) -> List[Any]:
-        """Pop everything currently queued."""
-        events = list(self.queue)
-        self.queue.clear()
-        return events
-
-    def data_events(self) -> List[DataEvent]:
-        return [e for e in self.queue if isinstance(e, DataEvent)]
-
-    def membership_events(self) -> List[MembershipEvent]:
-        return [e for e in self.queue if isinstance(e, MembershipEvent)]
 
     # -- reconnect ---------------------------------------------------------
 
@@ -458,11 +304,9 @@ class TcpSpreadClient:
             except Exception:
                 pass
         self._emit(ConnectionLostEvent(reason))
-        for listener in list(self._listeners):
-            listener.handle_dropped(self, reason)
         if not self.auto_reconnect or self._closing:
+            self._closed()
             return False
-        groups = sorted(self._my_groups)
         rng = self.kernel.rng.child(f"client-backoff/{self.private_name}")
         delay = self.backoff_base
         while not self._closing:
@@ -502,12 +346,9 @@ class TcpSpreadClient:
         # Session re-join: the daemon sees a fresh connection, so the
         # groups re-install and every member (including us) gets the
         # membership resync events.
-        for group in groups:
-            self._my_groups.add(group)
+        for group in sorted(self._my_groups):
             self._raw_send(ClientJoin(self.pid, group))
         self._emit(ConnectionRestoredEvent())
-        for listener in list(self._listeners):
-            listener.handle_reconnected(self)
         return True
 
     # -- heartbeat liveness ------------------------------------------------

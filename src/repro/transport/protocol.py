@@ -3,8 +3,9 @@
 One dataclass per operation of the Spread client API's connection half
 (plus the daemon-to-daemon ``PeerHello`` stream preamble).  Each is sent
 as one :mod:`repro.transport.wire` frame; the request verbs mirror the
-``DaemonEndpoint`` seam in :mod:`repro.transport.base` one-to-one, and
-``ClientDeliver`` is the downstream half — the daemon pushing a
+sim client's in-process daemon calls (``client_connect``,
+``client_join``, ``client_leave``, ``client_multicast``,
+``client_gone``) one-to-one, and ``ClientDeliver`` is the downstream half — the daemon pushing a
 :class:`~repro.spread.events.DataEvent` / ``MembershipEvent`` /
 ``FlushRequestEvent`` / ``SelfLeaveEvent`` to the connection, exactly
 the objects :meth:`SpreadClient.deliver_event` receives in the sim.

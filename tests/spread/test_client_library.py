@@ -1,11 +1,13 @@
-"""SpreadClient library edge cases: connection lifecycle, errors."""
+"""Sim-only SpreadClient lifecycle edge cases.
+
+What both clients must do alike is in ``test_client_contract.py``.
+"""
 
 import pytest
 
 from repro.errors import (
     ConnectionClosedError,
     DaemonDownError,
-    NotMemberError,
     SpreadError,
 )
 from repro.spread.client import SpreadClient
@@ -40,35 +42,11 @@ def test_same_name_on_different_daemons_ok(cluster):
     assert str(a.connect()) != str(b.connect())
 
 
-def test_operations_require_connection(cluster):
-    client = SpreadClient(cluster.kernel, "app", cluster.daemons["d0"])
-    with pytest.raises(ConnectionClosedError):
-        client.join("g")
-    with pytest.raises(ConnectionClosedError):
-        client.multicast(ServiceType.AGREED, "g", "x")
-
-
-def test_leave_without_join_raises(cluster):
-    client = SpreadClient(cluster.kernel, "app", cluster.daemons["d0"])
-    client.connect()
-    with pytest.raises(NotMemberError):
-        client.leave("never-joined")
-
-
 def test_connect_to_dead_daemon_raises(cluster):
     cluster.daemons["d2"].crash()
     client = SpreadClient(cluster.kernel, "app", cluster.daemons["d2"])
     with pytest.raises(DaemonDownError):
         client.connect()
-
-
-def test_daemon_crash_disconnects_clients(cluster):
-    client = SpreadClient(cluster.kernel, "app", cluster.daemons["d0"])
-    client.connect()
-    cluster.daemons["d0"].crash()
-    assert not client.connected
-    with pytest.raises(ConnectionClosedError):
-        client.join("g")
 
 
 def test_disconnect_then_operations_fail(cluster):
@@ -93,29 +71,6 @@ def test_reconnect_after_disconnect_with_new_name(cluster):
     cluster.run(0.1)
     replacement = SpreadClient(cluster.kernel, "app", cluster.daemons["d0"])
     assert str(replacement.connect()) == "#app#d0"
-
-
-def test_receive_and_drain(cluster):
-    client = SpreadClient(cluster.kernel, "app", cluster.daemons["d0"])
-    client.connect()
-    client.join("g")
-    cluster.run(1.0)
-    assert client.receive() is not None  # the membership event
-    assert client.receive() is None
-    client.join("h")
-    cluster.run(1.0)
-    assert len(client.drain()) == 1
-    assert client.drain() == []
-
-
-def test_send_seq_increases(cluster):
-    client = SpreadClient(cluster.kernel, "app", cluster.daemons["d0"])
-    client.connect()
-    client.join("g")
-    cluster.run(0.5)
-    first = client.multicast(ServiceType.AGREED, "g", "one")
-    second = client.multicast(ServiceType.AGREED, "g", "two")
-    assert second == first + 1
 
 
 def test_events_not_delivered_after_crash(cluster):

@@ -19,11 +19,16 @@ step of a run is written once.
 ``hashlib`` through ``repro.crypto.hmac_mac`` (only Blowfish, the
 paper's cipher, is from scratch), so there is no second SHA-1 to drift
 from the first.
+
+The Spread client is one core with two connections: fragmentation,
+reassembly and the event queue are written once, so a client fix cannot
+land on one backend only.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import importlib.util
 from pathlib import Path
 from typing import Iterator, Tuple
@@ -32,6 +37,8 @@ REPO = Path(__file__).resolve().parents[1]
 SRC_ROOT = REPO / "src"
 BENCH = SRC_ROOT / "repro" / "bench"
 CHAOS = SRC_ROOT / "repro" / "chaos"
+SPREAD = SRC_ROOT / "repro" / "spread"
+TRANSPORT = SRC_ROOT / "repro" / "transport"
 
 #: What regenerates the paper, and nothing else.
 BENCH_MODULES = {
@@ -195,3 +202,43 @@ def test_one_hash_provider():
     assert not offenders, (
         "repro.crypto.hmac_mac is a leaf on the stdlib:\n" + "\n".join(offenders)
     )
+
+
+def test_fragmentation_and_reassembly_are_called_from_one_module():
+    callers = {"split_payload": set(), "Reassembler": set()}
+    for path in sorted([*SPREAD.glob("*.py"), *TRANSPORT.glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            if name in callers:
+                callers[name].add(path.relative_to(SRC_ROOT).as_posix())
+    assert all(len(modules) == 1 for modules in callers.values()), callers
+
+
+def test_the_event_queue_is_defined_once():
+    classes = [
+        getattr(importlib.import_module(module), name)
+        for module, name in (
+            ("repro.spread.client", "SpreadClient"),
+            ("repro.transport.client", "TcpSpreadClient"),
+            ("repro.spread.flush", "FlushClient"),
+            ("repro.secure.session", "SecureClient"),
+        )
+    ]
+    for method in ("receive", "drain", "on_event", "_emit"):
+        owners = {
+            next(k for k in cls.__mro__ if method in vars(k)).__qualname__
+            for cls in classes
+        }
+        assert len(owners) == 1, (method, sorted(owners))
+
+
+def test_no_one_sided_client_seam():
+    for module, name in (
+        ("repro.transport.base", "DaemonEndpoint"),
+        ("repro.spread.client", "SimDaemonEndpoint"),
+        ("repro.transport.client", "SpreadListener"),
+    ):
+        assert not hasattr(importlib.import_module(module), name), (module, name)

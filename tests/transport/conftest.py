@@ -23,14 +23,20 @@ from repro.transport.host import (
 __all__ = ["loopback_config", "run", "start_host", "join_all"]
 
 
-def loopback_config(names=("d0", "d1", "d2")):
-    """Real-time daemon timers sized for loopback test runs."""
+def loopback_config(names=("d0", "d1", "d2"), gather_timeout=3.0, sync_timeout=6.0):
+    """Real-time daemon timers sized for loopback test runs.
+
+    Several daemons settle into one view only after a gather round, so a
+    test that needs no slow membership can shorten ``gather_timeout`` /
+    ``sync_timeout``; ``fail_timeout`` stays, because the half-open and
+    reconnect tests time their outages against it.
+    """
     return SpreadConfig(
         daemons=names,
         hello_interval=0.25,
         fail_timeout=1.5,
-        gather_timeout=3.0,
-        sync_timeout=6.0,
+        gather_timeout=gather_timeout,
+        sync_timeout=sync_timeout,
     )
 
 
@@ -46,9 +52,10 @@ def run(coro, timeout=60.0):
     return asyncio.run(bounded())
 
 
-async def start_host(names=("d0", "d1", "d2")):
-    """One DaemonHost on ephemeral ports, settled into one view."""
-    host = DaemonHost(loopback_config(names), names)
+async def start_host(names=("d0", "d1", "d2"), **timeouts):
+    """One DaemonHost on ephemeral ports, settled into one view
+    (``timeouts`` go to :func:`loopback_config`)."""
+    host = DaemonHost(loopback_config(names, **timeouts), names)
     await host.start()
     await host.settle()
     return host

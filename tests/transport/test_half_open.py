@@ -12,11 +12,8 @@ failed against the still-stalled wire in between.
 
 import asyncio
 
-from repro.transport.client import (
-    ConnectionLostEvent,
-    ConnectionRestoredEvent,
-    TcpSpreadClient,
-)
+from repro.spread.events import ConnectionLostEvent, ConnectionRestoredEvent
+from repro.transport.client import TcpSpreadClient
 from repro.transport.host import DaemonHost, wait_for_condition
 from repro.transport.netem import NetemWorld
 

@@ -23,6 +23,9 @@ from repro.types import ServiceType
 
 from tests.transport.conftest import join_all, run, start_host
 
+#: Three daemons settle in one gather round: keep it short.
+QUICK_SETTLE = {"gather_timeout": 0.5, "sync_timeout": 2.0}
+
 
 def test_a_hang_fails_instead_of_skipping():
     """The builtin TimeoutError is an OSError: a "no sockets" guard
@@ -37,7 +40,7 @@ def test_a_hang_fails_instead_of_skipping():
 
 def test_multicast_crosses_real_sockets():
     async def main():
-        host = await start_host()
+        host = await start_host(**QUICK_SETTLE)
         try:
             a = TcpSpreadClient(host.addresses.client("d0"), "a", clock=host.clock)
             b = TcpSpreadClient(host.addresses.client("d2"), "b", clock=host.clock)
@@ -94,7 +97,7 @@ def test_secure_session_runs_unmodified_over_tcp():
     (join, re-key, sealed multicast) over the TCP backend."""
 
     async def main():
-        host = await start_host()
+        host = await start_host(**QUICK_SETTLE)
         try:
             params = DHParams.tiny_test()
             directory = KeyDirectory()

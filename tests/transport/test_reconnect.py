@@ -1,21 +1,22 @@
 """Reconnect semantics: kill the daemon-side socket mid-session.
 
 The contract (docs/TRANSPORT.md): per outage the application observes
-exactly one ``ConnectionLostEvent`` (and one ``handle_dropped``), the
-client retries with exponential backoff, reconnects under the same
-private name, re-joins its groups, and the listener then sees a normal
-membership resync — never an event replay.
+exactly one ``ConnectionLostEvent`` through ``on_event``, the client
+retries with exponential backoff, reconnects under the same private
+name, re-joins its groups, and the application then sees one
+``ConnectionRestoredEvent`` and a normal membership resync — never an
+event replay.
 """
 
 import asyncio
 
-from repro.spread.events import DataEvent
-from repro.transport.client import (
+from repro.spread.events import (
     ConnectionLostEvent,
     ConnectionRestoredEvent,
-    SpreadListener,
-    TcpSpreadClient,
+    DataEvent,
+    MembershipEvent,
 )
+from repro.transport.client import TcpSpreadClient
 from repro.transport.host import DaemonHost, wait_for_condition
 from repro.types import ServiceType
 
@@ -23,20 +24,21 @@ from tests.transport.conftest import loopback_config
 from tests.transport.conftest import run as conftest_run
 
 
-class Recorder(SpreadListener):
+class Recorder:
+    """An ``on_event`` callback tallying what the application sees."""
+
     def __init__(self):
         self.dropped = []
         self.reconnected = 0
         self.memberships = []
 
-    def handle_dropped(self, client, reason=""):
-        self.dropped.append(reason)
-
-    def handle_reconnected(self, client):
-        self.reconnected += 1
-
-    def handle_membership(self, client, event):
-        self.memberships.append({str(m) for m in event.members})
+    def __call__(self, event):
+        if isinstance(event, ConnectionLostEvent):
+            self.dropped.append(event.reason)
+        elif isinstance(event, ConnectionRestoredEvent):
+            self.reconnected += 1
+        elif isinstance(event, MembershipEvent):
+            self.memberships.append({str(m) for m in event.members})
 
 
 def run(coro, timeout=90.0):
@@ -57,7 +59,7 @@ def test_kill_socket_backoff_reconnect_rejoin():
                 backoff_cap=0.2,
             )
             recorder = Recorder()
-            client.add_listener(recorder)
+            client.on_event(recorder)
             await client.connect()
             client.join("g")
             await wait_for_condition(
