@@ -10,7 +10,7 @@ pays on the wire.
 import pytest
 
 from repro.crypto.dh import DHParams
-from repro.secure.daemon_model import secure_all_daemons
+from repro.ext.daemon_model import secure_all_daemons
 from repro.secure.events import SecureMembershipEvent
 from repro.bench.reporting import Table
 from repro.testbed import SecureTestbed

@@ -13,7 +13,7 @@ Run:  python examples/daemon_model.py
 """
 
 from repro.crypto.dh import DHParams
-from repro.secure.daemon_model import secure_all_daemons
+from repro.ext.daemon_model import secure_all_daemons
 from repro.spread.client import SpreadClient
 from repro.spread.events import DataEvent, MembershipEvent
 from repro.spread.messages import DataMessage

@@ -14,7 +14,7 @@ Run:  python examples/outsider_gateway.py
 
 from repro.crypto.dh import DHKeyPair
 from repro.crypto.random_source import DeterministicSource
-from repro.secure.nonmember import GroupGateway, OutsiderChannel
+from repro.ext.nonmember import GroupGateway, OutsiderChannel
 from repro.spread.client import SpreadClient
 from repro.testbed import SecureTestbed
 

@@ -15,6 +15,8 @@ The package rebuilds the whole system the paper describes:
   group DH;
 * :mod:`repro.secure` — the paper's contribution: the secure group
   communication layer;
+* :mod:`repro.ext` — the paper's §8 future work, outside the core: the
+  daemon model and the non-member gateway;
 * :mod:`repro.transport` — the same stack over real asyncio TCP sockets;
 * :mod:`repro.testbed` — the paper's deployment, pre-wired;
 * :mod:`repro.chaos` / :mod:`repro.obs` — fault crucibles and

@@ -27,9 +27,6 @@ class AuthenticatedEntry:
     value: int
     auth_tags: FrozenSet[str] = frozenset()
 
-    def with_tag(self, controller: str) -> "AuthenticatedEntry":
-        return AuthenticatedEntry(self.value, self.auth_tags | {controller})
-
 
 @dataclass(frozen=True)
 class _BaseToken:

@@ -103,8 +103,3 @@ class HmacSha256Key:
 def hmac_sha256_digest(key: bytes, message: bytes) -> bytes:
     """HMAC-SHA256 of ``message`` under ``key`` (one-shot)."""
     return HmacSha256Key(key).digest(message)
-
-
-def hmac_sha256_verify(key: bytes, message: bytes, tag: bytes) -> bool:
-    """Constant-time verification of an HMAC-SHA256 tag (one-shot)."""
-    return _stdlib_hmac.compare_digest(hmac_sha256_digest(key, message), tag)

@@ -167,10 +167,6 @@ class StaleKeyError(SecureGroupError):
     """A message was protected under a key epoch that is no longer valid."""
 
 
-class AgreementAbortedError(SecureGroupError):
-    """A key agreement round was aborted by a cascading membership event."""
-
-
 class ModuleNotFoundError_(SecureGroupError):
     """An unknown key-agreement or cipher module name was requested."""
 

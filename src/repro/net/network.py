@@ -27,7 +27,7 @@ from its deterministic RNG stream and traces every injected fault.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.errors import PartitionError, UnknownAddressError
 from repro.net.corrupt import corrupt_payload
@@ -70,10 +70,6 @@ class Network:
         """Register a node; its process name is its address."""
         self._nodes[node.name] = node
 
-    def remove_node(self, name: str) -> None:
-        """Unregister a node (messages to it are then address errors)."""
-        self._nodes.pop(name, None)
-
     def node(self, name: str) -> SimProcess:
         """Look up a node by address."""
         try:
@@ -83,10 +79,6 @@ class Network:
 
     def has_node(self, name: str) -> bool:
         return name in self._nodes
-
-    @property
-    def node_names(self) -> List[str]:
-        return sorted(self._nodes)
 
     def set_link(self, a: str, b: str, model: LinkModel) -> None:
         """Override the link model between two nodes (symmetric)."""

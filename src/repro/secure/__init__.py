@@ -33,13 +33,7 @@ from repro.secure.ciphers import (
     get_cipher_suite,
     register_cipher_suite,
 )
-from repro.secure.daemon_model import DaemonSecurity, secure_all_daemons
 from repro.secure.member_auth import MemberAuthenticatedEvent
-from repro.secure.nonmember import (
-    GroupGateway,
-    OutsiderChannel,
-    OutsiderDataEvent,
-)
 
 __all__ = [
     "SecureClient",
@@ -57,10 +51,5 @@ __all__ = [
     "cipher_suite_names",
     "get_cipher_suite",
     "register_cipher_suite",
-    "DaemonSecurity",
-    "secure_all_daemons",
     "MemberAuthenticatedEvent",
-    "GroupGateway",
-    "OutsiderChannel",
-    "OutsiderDataEvent",
 ]

@@ -279,14 +279,6 @@ class Kernel:
         self._heap_head = None
         return head
 
-    def _peek_runnable(self) -> Optional[Event]:
-        """The event :meth:`_pop_runnable` would return, without consuming
-        it (pops once and stashes — no double drain)."""
-        event = self._pop_runnable()
-        if event is not None:
-            self._stashed = event
-        return event
-
     def step(self, event: Optional[Event] = None) -> bool:
         """Run a single event.  Returns False when the queue is empty.
 

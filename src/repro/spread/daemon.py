@@ -22,6 +22,20 @@ here — the sim path must not depend on the transport package):
 * a **clock** providing the :class:`~repro.sim.kernel.Kernel`
   scheduling surface — the kernel itself in simulation,
   :class:`repro.transport.rtclock.RealtimeClock` on an asyncio loop.
+
+Extensions attach through one hook, ``SpreadDaemon.security`` (``None``
+by default; :mod:`repro.ext.daemon_model` is the one user).  The daemon
+makes exactly three calls on it:
+
+* ``on_install(view, members)`` — at every installed view, and with the
+  fresh singleton view when the daemon recovers;
+* ``outbound(destination, payload) -> payload | None`` — on every
+  daemon-to-daemon send; returns what goes on the wire, or ``None`` when
+  the extension queued it (it then sends through ``daemon.transport``
+  itself);
+* ``intercept(source, payload) -> payload | None`` — on every received
+  datagram; returns what the daemon processes, or ``None`` when the
+  extension consumed it.
 """
 
 from __future__ import annotations
@@ -92,16 +106,12 @@ class SpreadDaemon(SimProcess):
         if name not in config.daemons:
             raise SpreadError(f"daemon {name!r} missing from configuration")
         #: The Transport seam (repro.transport.base): the sim Network or
-        #: a TcpTransport.  ``network`` is the historical alias — the
-        #: daemon-model security layer and the monitor reach the
-        #: transport through it.
+        #: a TcpTransport.
         self.transport = transport
-        self.network = transport
         self.config = config
         self.daemon_id = DaemonId(name)
         self.incarnation = 0
-        # Optional daemon-model security (repro.secure.daemon_model):
-        # seals inter-daemon data traffic under a per-view daemon key.
+        #: The extension hook (contract in the module docstring).
         self.security = None
         self._init_volatile_state()
         transport.add_node(self)
@@ -136,13 +146,6 @@ class SpreadDaemon(SimProcess):
             send=send,
             deliver_many=self._deliver_ordered_run,
         )
-
-    def enable_security(self, security) -> None:
-        """Attach a daemon-model security layer (the paper's §5 "daemon
-        model"): all daemon-to-daemon data messages are sealed under a
-        daemon-group key renegotiated at each daemon view change."""
-        self.security = security
-        security.on_install(self.view, self.view_members)
 
     def _init_volatile_state(self) -> None:
         self.clients: Dict[str, "object"] = {}  # private name -> client
@@ -234,7 +237,7 @@ class SpreadDaemon(SimProcess):
         self.incarnation += 1
         self._init_volatile_state()
         if self.security is not None:
-            self.security.on_recover()
+            self.security.on_install(self.view, self.view_members)
         self.on_start()
 
     # ------------------------------------------------------------------
@@ -274,17 +277,11 @@ class SpreadDaemon(SimProcess):
         self._transmit(destination, payload)
 
     def _transmit(self, destination: str, payload: Any) -> None:
-        """The wire send; sealed by the security layer when enabled —
-        data (including packed envelopes) under the per-view daemon-group
-        key (queued while that key is agreed), control under static
-        pairwise channels."""
+        """The wire send, through the extension hook when one is set."""
         if self.security is not None:
-            if isinstance(payload, (DataMessage, Packed)):
-                payload = self.security.outbound(destination, payload)
-                if payload is None:
-                    return  # queued until the daemon-group key is ready
-            else:
-                payload = self.security.outbound_control(destination, payload)
+            payload = self.security.outbound(destination, payload)
+            if payload is None:
+                return  # queued by the extension
         self.transport.send(self.name, destination, payload)
 
     # -- sender-side coalescing (data-plane fast path) -------------------
@@ -445,10 +442,8 @@ class SpreadDaemon(SimProcess):
             return
         self.last_heard[source] = self.kernel.now
         if self.security is not None:
-            handled, unsealed = self.security.intercept(source, payload)
-            if unsealed is not None:
-                payload = unsealed
-            elif handled:
+            payload = self.security.intercept(source, payload)
+            if payload is None:
                 self._maybe_prompt_hello()
                 return
         if isinstance(payload, Hello):
@@ -893,7 +888,7 @@ class SpreadDaemon(SimProcess):
                 left=old_members - new_members,
                 counter=counter,
             )
-        # 3. Re-key the daemon group when daemon-model security is on.
+        # 3. Tell the extension hook (the daemon model re-keys here).
         if self.security is not None:
             self.security.on_install(self.view, self.view_members)
         # 4. Replay client operations queued during the transition.

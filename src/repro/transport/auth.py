@@ -187,10 +187,11 @@ def resolve_auth(auth: AuthSpec = None) -> Optional[FrameAuth]:
 # Restricted unpickling
 # ---------------------------------------------------------------------------
 
-#: Modules whose classes a wire frame body may reference.  Everything a
-#: registered wire kind transitively pickles lives here: Spread
-#: envelopes and their nested events, client IPC verbs, secure-layer
-#: sealed/control payloads, and key-agreement tokens.
+#: Core modules whose classes a wire frame body may reference.
+#: Everything a registered wire kind transitively pickles lives here:
+#: Spread envelopes and their nested events, client IPC verbs,
+#: secure-layer sealed/control payloads, and key-agreement tokens.
+#: Extensions add their own through :func:`register_wire_module`.
 WIRE_SAFE_MODULES: Tuple[str, ...] = (
     "repro.types",
     "repro.spread.messages",
@@ -203,8 +204,6 @@ WIRE_SAFE_MODULES: Tuple[str, ...] = (
     "repro.secure.cascade",
     "repro.secure.dataprotect",
     "repro.secure.member_auth",
-    "repro.secure.nonmember",
-    "repro.secure.daemon_model",
     "repro.cliques.tokens",
     "repro.ckd.protocol",
     "repro.tgdh.tokens",
@@ -222,8 +221,8 @@ _EXTRA_MODULES: Set[str] = set()
 def register_wire_module(module: str) -> None:
     """Allow classes from ``module`` in wire frame bodies.
 
-    Extension seam for embedders that register custom payload types;
-    tests use it to ship fixture classes across the loopback transport.
+    The extension seam: :mod:`repro.ext` registers its modules here at
+    import, so the core allowlist names none of them.
     """
     _EXTRA_MODULES.add(module)
 

@@ -58,12 +58,7 @@ from repro.transport.protocol import (
 from repro.transport.auth import AuthSpec, resolve_auth
 from repro.transport.rtclock import RealtimeClock
 from repro.transport.tcp import READ_CHUNK, decorrelated_jitter
-from repro.transport.wire import (
-    REJECT_COUNTERS,
-    FrameDecoder,
-    encode_frame,
-    max_frame_limit,
-)
+from repro.transport.wire import REJECT_COUNTERS, FrameDecoder, encode_frame
 from repro.types import ProcessId, ServiceType
 
 
@@ -81,7 +76,6 @@ class TcpSpreadClient(ClientCore):
         heartbeat_group: Optional[str] = None,
         heartbeat_interval: float = 0.25,
         liveness_timeout: float = 2.0,
-        max_frame: Optional[int] = None,
         connect_timeout: float = 5.0,
         auth: AuthSpec = None,
     ) -> None:
@@ -95,7 +89,6 @@ class TcpSpreadClient(ClientCore):
         self.heartbeat_group = heartbeat_group
         self.heartbeat_interval = heartbeat_interval
         self.liveness_timeout = liveness_timeout
-        self.max_frame = max_frame if max_frame is not None else max_frame_limit()
         self.auth = resolve_auth(auth)
 
         self.name = f"#{private_name}#?"
@@ -145,16 +138,13 @@ class TcpSpreadClient(ClientCore):
     async def _connect_once(self) -> None:
         reader, writer = await asyncio.open_connection(*self.address)
         decoder = FrameDecoder(
-            self.max_frame,
             observe=self._observe_rx,
             auth=self.auth,
             counters=self.counters,
         )
         try:
             writer.write(
-                encode_frame(
-                    ClientConnect(self.private_name), self.max_frame, self.auth
-                )
+                encode_frame(ClientConnect(self.private_name), auth=self.auth)
             )
             await writer.drain()
             welcome: Optional[ClientWelcome] = None
@@ -226,7 +216,7 @@ class TcpSpreadClient(ClientCore):
         self.counters["bytes_recv"] += total
 
     def _raw_send(self, op: Any) -> None:
-        data = encode_frame(op, self.max_frame, self.auth)
+        data = encode_frame(op, auth=self.auth)
         self.counters["frames_sent"] += 1
         self.counters["bytes_sent"] += len(data)
         self._writer.write(data)

@@ -46,11 +46,12 @@ from repro.transport.protocol import (
 from repro.transport.rtclock import RealtimeClock
 from repro.transport.tcp import (
     READ_CHUNK,
+    SEND_DEADLINE,
     TcpTransport,
     TransportMap,
     drain_tasks,
 )
-from repro.transport.wire import FrameDecoder, encode_frame, max_frame_limit
+from repro.transport.wire import FrameDecoder, encode_frame
 
 #: Per-client outbound high-water mark, bytes.  A client socket whose
 #: OS write buffer stays above this for longer than the transport's
@@ -88,9 +89,7 @@ class _ClientChannel:
             return
         try:
             self._writer.write(
-                encode_frame(
-                    ClientDeliver(event), self.host.max_frame, self._auth
-                )
+                encode_frame(ClientDeliver(event), auth=self._auth)
             )
         except Exception:
             self._drop()
@@ -115,12 +114,9 @@ class _ClientChannel:
             self._stall_since = clock.now
             return
         stalled_for = clock.now - self._stall_since
-        transport = self.host.transports.get(self.daemon.name)
-        deadline = (
-            transport.send_deadline if transport is not None else 5.0
-        )
-        if stalled_for <= deadline:
+        if stalled_for <= SEND_DEADLINE:
             return
+        transport = self.host.transports.get(self.daemon.name)
         if transport is not None:
             transport.counters["client_stall_kicks"] += 1
         tracer = clock.tracer
@@ -140,9 +136,7 @@ class _ClientChannel:
             return
         try:
             self._writer.write(
-                encode_frame(
-                    ClientBye("daemon_down"), self.host.max_frame, self._auth
-                )
+                encode_frame(ClientBye("daemon_down"), auth=self._auth)
             )
         except Exception:
             pass
@@ -151,9 +145,7 @@ class _ClientChannel:
     # -- connection driving ------------------------------------------------
 
     async def run(self) -> None:
-        decoder = FrameDecoder(
-            self.host.max_frame, auth=self._auth, counters=self._counters
-        )
+        decoder = FrameDecoder(auth=self._auth, counters=self._counters)
         try:
             while True:
                 data = await self._reader.read(READ_CHUNK)
@@ -219,9 +211,7 @@ class _ClientChannel:
 
     def _write(self, op: Any) -> None:
         try:
-            self._writer.write(
-                encode_frame(op, self.host.max_frame, self._auth)
-            )
+            self._writer.write(encode_frame(op, auth=self._auth))
         except Exception:
             self._drop()
 
@@ -255,7 +245,6 @@ class DaemonHost:
         bind: str = "127.0.0.1",
         tracer=None,
         seed: int = 0,
-        max_frame: Optional[int] = None,
         auth: AuthSpec = None,
     ) -> None:
         self.config = config
@@ -264,7 +253,6 @@ class DaemonHost:
         self.bind = bind
         self.tracer = tracer
         self.seed = seed
-        self.max_frame = max_frame if max_frame is not None else max_frame_limit()
         self.auth = resolve_auth(auth)
         self.clock: Optional[RealtimeClock] = None
         self.daemons: Dict[str, SpreadDaemon] = {}
@@ -285,7 +273,6 @@ class DaemonHost:
                 name,
                 self.clock,
                 self.addresses,
-                max_frame=self.max_frame,
                 auth=self.auth if self.auth is not None else AUTH_DISABLED,
             )
             peer_addr = self.addresses.peer(name)

@@ -30,7 +30,6 @@ are traced under the ``transport.*`` namespace.
 from __future__ import annotations
 
 import asyncio
-import os
 from typing import Any, Deque, Dict, Optional, Tuple
 
 from collections import deque
@@ -38,12 +37,7 @@ from collections import deque
 from repro.errors import FrameError, TransportError
 from repro.transport.auth import AuthSpec, resolve_auth
 from repro.transport.protocol import PeerHello
-from repro.transport.wire import (
-    REJECT_COUNTERS,
-    FrameDecoder,
-    encode_frame,
-    max_frame_limit,
-)
+from repro.transport.wire import REJECT_COUNTERS, FrameDecoder, encode_frame
 
 #: Reconnect backoff bounds; retries use *decorrelated jitter* between
 #: them (see :func:`decorrelated_jitter`), not a bare doubling.
@@ -55,27 +49,10 @@ SEND_BUFFER_FRAMES = 8192
 
 READ_CHUNK = 65536
 
-SEND_DEADLINE_ENV = "REPRO_TRANSPORT_SEND_DEADLINE"
-DEFAULT_SEND_DEADLINE = 5.0
-
-
-def send_deadline_limit() -> float:
-    """The per-peer write-progress deadline in seconds
-    (``REPRO_TRANSPORT_SEND_DEADLINE``): if a connected peer accepts no
-    bytes for this long the connection is aborted and rebuilt rather
-    than letting a zero-window/half-open socket wedge the channel."""
-    raw = os.environ.get(SEND_DEADLINE_ENV, "")
-    if raw:
-        try:
-            value = float(raw)
-        except ValueError:
-            raise TransportError(
-                f"{SEND_DEADLINE_ENV} is not a number: {raw!r}"
-            )
-        if value <= 0:
-            raise TransportError(f"{SEND_DEADLINE_ENV} must be > 0")
-        return value
-    return DEFAULT_SEND_DEADLINE
+#: The per-peer write-progress deadline in seconds: if a connected peer
+#: accepts no bytes for this long the connection is aborted and rebuilt
+#: rather than letting a zero-window/half-open socket wedge the channel.
+SEND_DEADLINE = 5.0
 
 
 def decorrelated_jitter(rng, previous: float,
@@ -198,13 +175,11 @@ class TcpTransport:
         name: str,
         clock,
         addresses: TransportMap,
-        max_frame: Optional[int] = None,
         auth: AuthSpec = None,
     ) -> None:
         self.name = name
         self.clock = clock
         self.addresses = addresses
-        self.max_frame = max_frame if max_frame is not None else max_frame_limit()
         # Resolved once here (None consults REPRO_TRANSPORT_KEYFILE);
         # the send/receive hot paths never touch the environment.
         self.auth = resolve_auth(auth)
@@ -232,7 +207,6 @@ class TcpTransport:
         }
         for key in REJECT_COUNTERS:
             self.counters[key] = 0
-        self.send_deadline = send_deadline_limit()
         #: Frame-size histograms: power-of-two bucket -> frame count.
         self.tx_frame_sizes: Dict[int, int] = {}
         self.rx_frame_sizes: Dict[int, int] = {}
@@ -260,7 +234,7 @@ class TcpTransport:
         """Queue one datagram for ``destination`` (never blocks)."""
         if self._closing:
             return
-        data = encode_frame(payload, self.max_frame, self.auth)
+        data = encode_frame(payload, auth=self.auth)
         self.counters["frames_sent"] += 1
         self.counters["bytes_sent"] += len(data)
         bucket = size_bucket(len(data))
@@ -297,7 +271,6 @@ class TcpTransport:
             self.rx_frame_sizes[bucket] = self.rx_frame_sizes.get(bucket, 0) + 1
 
         decoder = FrameDecoder(
-            self.max_frame,
             observe=observe,
             auth=self.auth,
             counters=self.counters,
@@ -369,7 +342,7 @@ class _PeerChannel:
     Hardened against WAN failure modes the netem crucible manufactures:
     reconnect delays use decorrelated jitter (no thundering herd after a
     daemon restart), writes must make progress within the transport's
-    ``send_deadline`` (a stalled/zero-window peer gets aborted and
+    :data:`SEND_DEADLINE` (a stalled/zero-window peer gets aborted and
     rebuilt instead of wedging the channel), and a read-side watchdog
     notices remote EOF/reset even while the write loop is parked with
     nothing to send — the half-open case a pure writer can never see.
@@ -466,11 +439,7 @@ class _PeerChannel:
             )
             try:
                 writer.write(
-                    encode_frame(
-                        PeerHello(transport.name),
-                        transport.max_frame,
-                        transport.auth,
-                    )
+                    encode_frame(PeerHello(transport.name), auth=transport.auth)
                 )
                 while not self._closed:
                     queue = self._queue
@@ -480,7 +449,7 @@ class _PeerChannel:
                         writer.write(data)
                     try:
                         await asyncio.wait_for(
-                            writer.drain(), transport.send_deadline
+                            writer.drain(), SEND_DEADLINE
                         )
                     except asyncio.TimeoutError:
                         counters["send_deadline_aborts"] += 1

@@ -36,10 +36,9 @@ directions: an untagged frame at an authenticating endpoint and a
 tagged frame at a non-authenticating endpoint are both connection-fatal
 :class:`~repro.errors.FrameAuthError`\\ s, counted separately.
 
-A frame longer than :func:`max_frame_limit` (default 16 MiB, env
-``REPRO_TRANSPORT_MAX_FRAME``) is refused on both ends — a stream
-desync otherwise turns into a multi-gigabyte allocation from attacker-
-or corruption-controlled length bytes.
+A frame longer than :data:`MAX_FRAME` (16 MiB) is refused on both
+ends — a stream desync otherwise turns into a multi-gigabyte allocation
+from attacker- or corruption-controlled length bytes.
 
 :class:`FrameDecoder` is incremental: feed it whatever ``read()``
 returned — any chunking, including mid-header splits — and it yields
@@ -49,7 +48,6 @@ each payload exactly once, raising :class:`~repro.errors.FrameError`
 
 from __future__ import annotations
 
-import os
 import pickle
 import struct
 import zlib
@@ -71,9 +69,8 @@ FLAG_AUTH = 0x01
 
 _KNOWN_FLAGS = FLAG_AUTH
 
-#: Environment knob: maximum frame size (header + tag + body) in bytes.
-MAX_FRAME_ENV = "REPRO_TRANSPORT_MAX_FRAME"
-DEFAULT_MAX_FRAME = 16 * 1024 * 1024
+#: Maximum frame size (header + tag + body) in bytes.
+MAX_FRAME = 16 * 1024 * 1024
 
 HEADER = struct.Struct(">BBBHII")
 HEADER_SIZE = HEADER.size  # 13
@@ -91,20 +88,6 @@ REJECT_COUNTERS = (
     "auth_unexpected_tag",
     "restricted_unpickle_rejects",
 )
-
-
-def max_frame_limit() -> int:
-    """The configured frame-size ceiling (``REPRO_TRANSPORT_MAX_FRAME``)."""
-    raw = os.environ.get(MAX_FRAME_ENV, "")
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise FrameError(f"{MAX_FRAME_ENV} is not an integer: {raw!r}")
-        if value <= HEADER_SIZE:
-            raise FrameError(f"{MAX_FRAME_ENV} too small: {value}")
-        return value
-    return DEFAULT_MAX_FRAME
 
 
 def _registry() -> Tuple[Dict[Type, int], Dict[int, Type]]:
@@ -186,7 +169,7 @@ def kind_name(code: int) -> str:
 
 def encode_frame(
     payload: Any,
-    max_frame: Optional[int] = None,
+    max_frame: int = MAX_FRAME,
     auth: Optional[FrameAuth] = None,
 ) -> bytes:
     """Serialize one payload into a complete wire frame.
@@ -194,14 +177,13 @@ def encode_frame(
     With ``auth`` the frame carries :data:`FLAG_AUTH` and an
     HMAC-SHA256 tag over ``header || body`` between header and body.
     """
-    limit = max_frame if max_frame is not None else max_frame_limit()
     body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     flags = FLAG_AUTH if auth is not None else 0
     tag_size = TAG_SIZE if auth is not None else 0
     total = HEADER_SIZE + tag_size + len(body)
-    if total > limit:
+    if total > max_frame:
         raise FrameError(
-            f"frame of {total} bytes exceeds the {limit}-byte limit "
+            f"frame of {total} bytes exceeds the {max_frame}-byte limit "
             f"({type(payload).__name__})"
         )
     header = HEADER.pack(
@@ -241,12 +223,12 @@ class FrameDecoder:
 
     def __init__(
         self,
-        max_frame: Optional[int] = None,
+        max_frame: int = MAX_FRAME,
         observe: Optional[Callable[[int, int], None]] = None,
         auth: Optional[FrameAuth] = None,
         counters: Optional[Dict[str, int]] = None,
     ) -> None:
-        self.max_frame = max_frame if max_frame is not None else max_frame_limit()
+        self.max_frame = max_frame
         self._observe = observe
         self._auth = auth
         self._counters = counters

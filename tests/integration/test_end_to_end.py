@@ -4,7 +4,7 @@ import pytest
 
 from repro.crypto.dh import DHParams
 from repro.net.link import LinkModel
-from repro.secure.daemon_model import secure_all_daemons
+from repro.ext.daemon_model import secure_all_daemons
 from repro.secure.events import SecureDataEvent, SecureMembershipEvent
 from repro.secure.session import CryptoCostModel
 

@@ -23,6 +23,11 @@ from the first.
 The Spread client is one core with two connections: fragmentation,
 reassembly and the event queue are written once, so a client fix cannot
 land on one backend only.
+
+The paper's future-work services live in ``repro.ext``, outside the
+core: the core never imports them, the simulator path never loads them
+(nor the socket transport), the daemon reaches them through one
+three-call hook, and only the transport codec turns objects into bytes.
 """
 
 from __future__ import annotations
@@ -30,6 +35,9 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import Iterator, Tuple
 
@@ -37,6 +45,7 @@ REPO = Path(__file__).resolve().parents[1]
 SRC_ROOT = REPO / "src"
 BENCH = SRC_ROOT / "repro" / "bench"
 CHAOS = SRC_ROOT / "repro" / "chaos"
+EXT = SRC_ROOT / "repro" / "ext"
 SPREAD = SRC_ROOT / "repro" / "spread"
 TRANSPORT = SRC_ROOT / "repro" / "transport"
 
@@ -242,3 +251,92 @@ def test_no_one_sided_client_seam():
         ("repro.transport.client", "SpreadListener"),
     ):
         assert not hasattr(importlib.import_module(module), name), (module, name)
+
+
+def _calls(path: Path, name: str) -> bool:
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            if called == name:
+                return True
+    return False
+
+
+def _library():
+    return sorted((SRC_ROOT / "repro").rglob("*.py"))
+
+
+def test_the_core_does_not_import_the_extensions():
+    extensions = {p.stem for p in EXT.glob("*.py")}
+    assert {"daemon_model", "nonmember"} <= extensions, extensions
+    core = [p for p in _library() if EXT not in p.parents]
+    offenders = _offenders(core, ("repro.ext",))
+    assert not offenders, (
+        "the core imports an extension; the arrow points from repro.ext"
+        " into the core only:\n" + "\n".join(offenders)
+    )
+
+
+def test_the_simulator_path_loads_no_transport_and_no_extension():
+    probe = (
+        "import sys, repro.testbed; print(sorted(m for m in sys.modules"
+        " if m.startswith(('repro.transport', 'repro.ext'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC_ROOT))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True,
+        text=True, check=True,
+    ).stdout.strip()
+    assert out == "[]", out
+
+
+def test_only_the_transport_codec_pickles():
+    importers = {
+        path.relative_to(SRC_ROOT / "repro").as_posix()
+        for path in _library()
+        for __, module in _imports(path)
+        if module == "pickle" or module.startswith("pickle.")
+    }
+    assert importers == {"transport/wire.py", "transport/auth.py"}, importers
+    callers = {
+        path.relative_to(SRC_ROOT / "repro").as_posix()
+        for path in _library()
+        if _calls(path, "restricted_loads")
+    }
+    assert callers == {"transport/wire.py"}, callers
+
+
+def test_the_daemon_has_one_three_call_hook_and_no_network_alias():
+    from repro.net.network import Network
+    from repro.sim.kernel import Kernel
+    from repro.spread.config import SpreadConfig
+    from repro.spread.daemon import SpreadDaemon
+
+    kernel = Kernel()
+    daemon = SpreadDaemon(
+        kernel, "d0", Network(kernel), SpreadConfig(daemons=("d0",))
+    )
+    assert not hasattr(daemon, "network")
+    assert daemon.security is None
+    used = set()
+    tree = ast.parse((SPREAD / "daemon.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "security"
+        ):
+            used.add(node.attr)
+    assert used == {"on_install", "outbound", "intercept"}, used
+
+
+def test_the_wire_allowlist_names_core_modules_and_ext_registers_its_own():
+    from repro.transport import auth
+
+    for module in auth.WIRE_SAFE_MODULES:
+        importlib.import_module(module)
+        assert not module.startswith("repro.ext"), module
+    importlib.import_module("repro.ext")
+    for module in ("repro.ext.daemon_model", "repro.ext.nonmember"):
+        assert auth._module_allowed(module), module
