@@ -401,7 +401,7 @@ class ChaosHarness(Crucible, SecureTestbed):
 
     ``link`` swaps the substrate (the packing A/B test runs on a
     jitter-free deterministic link); ``config_overrides`` forwards
-    SpreadConfig fields, e.g. ``{"packing": True}``.
+    SpreadConfig fields, e.g. ``{"packing": False}``.
     """
 
     backend = "sim"

@@ -87,17 +87,15 @@ class HmacSha256Key:
     def __init__(self, key: bytes) -> None:
         self._inner, self._outer = _midstates(_hashlib.sha256, key)
 
-    def digest(self, message: bytes) -> bytes:
-        """HMAC-SHA256 of ``message`` under this key."""
+    def digest(self, *parts: bytes) -> bytes:
+        """HMAC-SHA256 of the concatenated ``parts`` under this key (each
+        part is hashed where it lies; nothing is joined first)."""
         inner = self._inner.copy()
-        inner.update(message)
+        for part in parts:
+            inner.update(part)
         outer = self._outer.copy()
         outer.update(inner.digest())
         return outer.digest()
-
-    def verify(self, message: bytes, tag: bytes) -> bool:
-        """Constant-time verification of an HMAC-SHA256 tag."""
-        return _stdlib_hmac.compare_digest(self.digest(message), tag)
 
 
 def hmac_sha256_digest(key: bytes, message: bytes) -> bytes:

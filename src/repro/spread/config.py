@@ -8,22 +8,10 @@ timeouts here drive failure detection and the membership state machine.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 from repro.errors import SpreadError
-
-#: Environment switch for sender-side message coalescing (the data-plane
-#: fast path): set REPRO_PACKING=1 to turn packing on for every daemon
-#: that does not receive an explicit ``packing`` override.
-PACKING_ENV = "REPRO_PACKING"
-
-
-def _packing_default() -> bool:
-    return os.environ.get(PACKING_ENV, "").strip().lower() in (
-        "1", "on", "true", "yes"
-    )
 
 
 @dataclass(frozen=True)
@@ -66,11 +54,12 @@ class SpreadConfig:
     # Byte payloads above this are fragmented by the client library and
     # reassembled at receivers (Spread's SP_scat behaviour).
     max_message_size: int = 65536
-    # Sender-side coalescing (data-plane fast path): reliable data
-    # messages bound for the same destination are packed into one wire
-    # datagram, flushed when any budget is hit.  Defaults to the
-    # REPRO_PACKING environment switch; only the Lamport engine packs.
-    packing: bool = field(default_factory=_packing_default)
+    # Sender-side coalescing: reliable data messages bound for the same
+    # destination travel as one Packed datagram (only the Lamport engine
+    # packs).  Always on; the field stays only as the unpacked reference
+    # (False) that tests/chaos/test_packing_equivalence.py A/Bs against,
+    # and because benchmarks/e2e/run.py stamps it into every result.
+    packing: bool = True
 
     def __post_init__(self) -> None:
         if not self.daemons:

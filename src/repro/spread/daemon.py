@@ -65,6 +65,8 @@ from repro.spread.messages import (
     KIND_GROUP_JOIN,
     KIND_GROUP_LEAVE,
     Nack,
+    PACK_MAX_BYTES,
+    PACK_MAX_MESSAGES,
     Packed,
     Propose,
     SyncInfo,
@@ -82,13 +84,11 @@ from repro.types import (
 
 UNRELIABLE_SEQ = 0  # sentinel: message bypasses the ordering pipeline
 
-# Packing flush budgets: messages per envelope, payload bytes per
-# envelope, and how long the first buffered message may wait.  A delay
+# How long the first buffered message of an envelope may wait (the
+# count and byte budgets, PACK_MAX_*, live with ``Packed``).  A delay
 # of 0.0 coalesces within one virtual instant only — which keeps
 # per-daemon delivery order byte-identical to the unpacked path on
 # deterministic links (the packing A/B gate relies on it).
-PACK_MAX_MESSAGES = 16
-PACK_MAX_BYTES = 8192
 PACK_DELAY = 0.0
 
 
@@ -187,10 +187,10 @@ class SpreadDaemon(SimProcess):
         self.remote_bytes_delivered = 0
         self.client_messages_delivered = 0
         self.client_bytes_delivered = 0
-        # Sender-side coalescing (data-plane fast path): per-destination
-        # buffers of reliable DataMessages awaiting one wire datagram.
-        # Only the Lamport engine packs — the ring engine's token pacing
-        # already batches its own transmissions.
+        # Sender-side coalescing: per-destination buffers of reliable
+        # DataMessages awaiting one wire datagram.  Only the Lamport
+        # engine packs — the ring engine's token pacing already batches
+        # its own transmissions.
         self._packing = bool(self.config.packing) and (
             self.config.ordering == "lamport"
         )
@@ -372,6 +372,11 @@ class SpreadDaemon(SimProcess):
     # ------------------------------------------------------------------
 
     def _send_hello(self) -> None:
+        # A hello advertises sent_seq, so the datagrams carrying those
+        # sequences go first (as in _maybe_prompt_hello); otherwise the
+        # receivers' ordered horizon waits for the next hello.
+        for destination in list(self._pack_buffers):
+            self._flush_destination(destination)
         hello = Hello(
             sender=self.name,
             view_id=self.view,

@@ -19,6 +19,24 @@ KIND_GROUP_JOIN = "group_join"
 KIND_GROUP_LEAVE = "group_leave"
 KIND_DISCONNECT = "disconnect"
 
+#: The budget of one coalesced frame — a daemon's ``Packed`` envelope
+#: and a TCP client's multicast batch alike: it closes at this many
+#: messages or once its payloads reach this many bytes.
+PACK_MAX_MESSAGES = 16
+PACK_MAX_BYTES = 8192
+
+
+def payload_size(payload: Any) -> int:
+    """What a multicast payload counts on the wire: its own
+    ``wire_size()`` (fragments, sealed bodies, tokens), a string's
+    length, else a nominal 64 bytes."""
+    size = getattr(payload, "wire_size", None)
+    if callable(size):
+        return int(size())
+    if isinstance(payload, (bytes, bytearray, str)):
+        return len(payload)
+    return 64
+
 
 @dataclass(frozen=True, slots=True)
 class DataMessage:
@@ -44,7 +62,7 @@ class DataMessage:
     # vector at send time — (daemon, highest delivered seq) pairs.  The
     # message may only be delivered after its causal past.
     causal_vector: Optional[Tuple[Tuple[str, int], ...]] = None
-    # Memoized wire size: the payload-protocol probe below runs on every
+    # Memoized wire size: the ``payload_size`` probe runs on every
     # retransmit, complement scan and delivery-accounting hit, and the
     # message (and its payload) is immutable — compute it once.
     _wire_size: Optional[int] = field(
@@ -58,14 +76,7 @@ class DataMessage:
         cached = self._wire_size
         if cached is not None:
             return cached
-        payload_size = getattr(self.payload, "wire_size", None)
-        if callable(payload_size):
-            base = int(payload_size())
-        elif isinstance(self.payload, (bytes, bytearray, str)):
-            base = len(self.payload)
-        else:
-            base = 64
-        size = 96 + base
+        size = 96 + payload_size(self.payload)
         object.__setattr__(self, "_wire_size", size)
         return size
 

@@ -35,6 +35,7 @@ be generated, inspected, and copied with ordinary tools::
 from __future__ import annotations
 
 import argparse
+import hmac
 import importlib
 import io
 import os
@@ -111,11 +112,11 @@ class FrameAuth:
 
     def tag(self, header: bytes, body: bytes) -> bytes:
         """The HMAC-SHA256 tag authenticating ``header || body``."""
-        return self._key.digest(header + body)
+        return self._key.digest(header, body)
 
     def verify(self, header: bytes, body: bytes, tag: bytes) -> bool:
         """Constant-time verification of a frame tag."""
-        return self._key.verify(header + body, tag)
+        return hmac.compare_digest(self._key.digest(header, body), tag)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FrameAuth(key_id={self.key_id})"

@@ -5,9 +5,10 @@
 sequence, fragmentation, reassembly and event queue as the sim
 :class:`~repro.spread.client.SpreadClient` — so
 :class:`~repro.spread.flush.FlushClient` and the whole secure-session
-stack run over it without a line changed.  What it adds is the IPC (one
-:mod:`repro.transport.protocol` frame per verb) and two things a real
-network needs:
+stack run over it without a line changed.  What it adds is the IPC
+(:mod:`repro.transport.protocol` frames, with the multicasts of one
+loop turn coalesced into one frame by a :class:`FrameBatch`) and two
+things a real network needs:
 
 * **Auto-reconnect**: when the connection drops, the client backs off
   with decorrelated jitter (uniform in ``[base, 3 × previous]``, capped
@@ -35,7 +36,7 @@ network needs:
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import ConnectionClosedError, FrameError, TransportError
 from repro.spread.client import ClientCore
@@ -44,6 +45,7 @@ from repro.spread.events import (
     ConnectionRestoredEvent,
     DataEvent,
 )
+from repro.spread.messages import PACK_MAX_BYTES, PACK_MAX_MESSAGES, payload_size
 from repro.transport.protocol import (
     ClientBye,
     ClientConnect,
@@ -52,6 +54,7 @@ from repro.transport.protocol import (
     ClientJoin,
     ClientLeave,
     ClientMulticast,
+    ClientMulticastBatch,
     ClientRefused,
     ClientWelcome,
 )
@@ -60,6 +63,74 @@ from repro.transport.rtclock import RealtimeClock
 from repro.transport.tcp import READ_CHUNK, decorrelated_jitter
 from repro.transport.wire import REJECT_COUNTERS, FrameDecoder, encode_frame
 from repro.types import ProcessId, ServiceType
+
+
+class FrameBatch:
+    """The multicast coalescer of one client connection.
+
+    What the client queues for the socket within one loop turn goes out
+    as one frame: the first :meth:`add` of a turn schedules a
+    :meth:`flush` with ``call_soon``, and ``write`` receives the items
+    as one tuple.  The budget is the daemon's packing budget: a batch
+    closes early at :data:`~repro.spread.messages.PACK_MAX_MESSAGES`
+    items or :data:`~repro.spread.messages.PACK_MAX_BYTES` of payload,
+    and an item at or above the byte budget travels alone, after
+    whatever was pending.  A caller that writes any other frame on the
+    stream flushes first, so the stream stays in call order.  ``write``
+    must not raise: a flush at the end of a turn has no caller to
+    raise to.
+    """
+
+    __slots__ = ("_loop", "_write", "_items", "_bytes", "_scheduled")
+
+    def __init__(
+        self,
+        loop: asyncio.AbstractEventLoop,
+        write: Callable[[Tuple[Any, ...]], None],
+    ) -> None:
+        self._loop = loop
+        self._write = write
+        self._items: List[Any] = []
+        self._bytes = 0
+        self._scheduled: Optional[asyncio.Handle] = None
+
+    @property
+    def pending(self) -> int:
+        """Items queued but not yet written."""
+        return len(self._items)
+
+    def add(self, item: Any, size: int) -> None:
+        if size >= PACK_MAX_BYTES:
+            self.flush()
+            self._write((item,))
+            return
+        items = self._items
+        items.append(item)
+        self._bytes += size
+        if len(items) >= PACK_MAX_MESSAGES or self._bytes >= PACK_MAX_BYTES:
+            self.flush()
+        elif self._scheduled is None:
+            self._scheduled = self._loop.call_soon(self._end_of_turn)
+
+    def _end_of_turn(self) -> None:
+        self._scheduled = None
+        self.flush()
+
+    def flush(self) -> None:
+        """Write the pending items now, as one frame."""
+        if self._items:
+            items = tuple(self._items)
+            self._items.clear()
+            self._bytes = 0
+            self._write(items)
+
+    def discard(self) -> None:
+        """Drop the pending items (the connection is gone)."""
+        if self._scheduled is not None:
+            self._scheduled.cancel()
+            self._scheduled = None
+        self._items.clear()
+        self._bytes = 0
 
 
 class TcpSpreadClient(ClientCore):
@@ -105,12 +176,15 @@ class TcpSpreadClient(ClientCore):
             "heartbeats_sent": 0,
             "heartbeats_echoed": 0,
             "liveness_aborts": 0,
+            "send_errors": 0,
         }
         for key in REJECT_COUNTERS:
             self.counters[key] = 0
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._decoder: Optional[FrameDecoder] = None
+        self._sends: Optional[FrameBatch] = None
+        self._lost_cause: Optional[BaseException] = None
         self._reader_task: Optional[asyncio.Task] = None
         self._closing = False
         self._hb_timer = None
@@ -125,6 +199,8 @@ class TcpSpreadClient(ClientCore):
             return self.pid
         if self.kernel is None:
             self.kernel = RealtimeClock(asyncio.get_running_loop())
+        if self._sends is None:
+            self._sends = FrameBatch(self.kernel.loop, self._write_multicasts)
         self._closing = False  # a disconnected client may connect again
         await asyncio.wait_for(self._connect_once(), timeout)
         self._reader_task = asyncio.get_running_loop().create_task(
@@ -188,6 +264,8 @@ class TcpSpreadClient(ClientCore):
                 self._raw_send(ClientDisconnect(self.private_name))
             except Exception:
                 pass
+        if self._sends is not None:
+            self._sends.discard()
         self._closed()
         if self._reader_task is not None:
             self._reader_task.cancel()
@@ -216,10 +294,29 @@ class TcpSpreadClient(ClientCore):
         self.counters["bytes_recv"] += total
 
     def _raw_send(self, op: Any) -> None:
+        """Write one frame, after the pending multicasts: per-connection
+        FIFO holds across every verb."""
+        self._sends.flush()
+        self._write_frame(op)
+
+    def _write_frame(self, op: Any) -> None:
         data = encode_frame(op, auth=self.auth)
         self.counters["frames_sent"] += 1
         self.counters["bytes_sent"] += len(data)
         self._writer.write(data)
+
+    def _write_multicasts(self, multicasts: Tuple[ClientMulticast, ...]) -> None:
+        try:
+            self._write_frame(ClientMulticastBatch(multicasts))
+        except Exception as exc:
+            # Say, an unpicklable payload: the whole batch is lost, so
+            # the connection fails, as it does when the daemon refuses
+            # a frame, and the ConnectionLostEvent names the cause.
+            self.counters["send_errors"] += 1
+            self._lost_cause = exc
+            writer = self._writer
+            if writer is not None:
+                writer.transport.abort()
 
     def join(self, group: str) -> None:
         """Join a group (idempotent at the daemon)."""
@@ -239,11 +336,17 @@ class TcpSpreadClient(ClientCore):
     def _send(
         self, service: ServiceType, group: str, body: Any, seq: int
     ) -> None:
-        self._raw_send(ClientMulticast(self.pid, service, group, body, seq))
+        self._sends.add(
+            ClientMulticast(self.pid, service, group, body, seq),
+            payload_size(body),
+        )
 
     async def flush_writes(self) -> None:
-        """Await the socket's write buffer draining (senders in tight
-        loops call this for backpressure; sync sends never block)."""
+        """Write the pending multicasts, then await the socket's write
+        buffer draining (senders in tight loops call this for
+        backpressure; sync sends never block)."""
+        if self._sends is not None:
+            self._sends.flush()
         writer = self._writer
         if writer is not None:
             await writer.drain()
@@ -264,7 +367,8 @@ class TcpSpreadClient(ClientCore):
             except Exception as exc:
                 if self._closing:
                     return
-                if not await self._reconnect(exc):
+                cause, self._lost_cause = self._lost_cause or exc, None
+                if not await self._reconnect(cause):
                     return
 
     def _handle(self, op: Any) -> None:
@@ -287,6 +391,7 @@ class TcpSpreadClient(ClientCore):
         is re-established (groups re-joined), False when giving up."""
         self.connected = False
         self.counters["drops"] += 1
+        self._sends.discard()
         reason = f"{type(cause).__name__}: {cause}"
         if self._writer is not None:
             try:
@@ -362,16 +467,15 @@ class TcpSpreadClient(ClientCore):
             return
         if self.connected:
             self._hb_seq += 1
+            beacon = ClientMulticast(
+                self.pid,
+                ServiceType.UNRELIABLE,
+                self.heartbeat_group,
+                ("hb", self._hb_seq),
+                0,
+            )
             try:
-                self._raw_send(
-                    ClientMulticast(
-                        self.pid,
-                        ServiceType.UNRELIABLE,
-                        self.heartbeat_group,
-                        ("hb", self._hb_seq),
-                        0,
-                    )
-                )
+                self._raw_send(ClientMulticastBatch((beacon,)))
                 self.counters["heartbeats_sent"] += 1
             except Exception:
                 pass

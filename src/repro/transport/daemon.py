@@ -69,10 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="silence before a peer daemon is suspected, seconds",
     )
     parser.add_argument(
-        "--packing", action="store_true",
-        help="enable sender-side message coalescing",
-    )
-    parser.add_argument(
         "--seed", type=int, default=0, help="rng seed for the clock"
     )
     parser.add_argument(
@@ -106,7 +102,6 @@ def make_config(args) -> SpreadConfig:
         fail_timeout=args.fail_timeout,
         gather_timeout=args.fail_timeout * 2,
         sync_timeout=args.fail_timeout * 4,
-        packing=args.packing,
     )
 
 

@@ -12,7 +12,6 @@ the same shape is accepted for programmatic writers::
     bind = "127.0.0.1"          # listener bind address on each machine
     hello_interval = 0.25
     fail_timeout = 1.5
-    packing = false
     seed = 0
 
     [[daemon]]
@@ -72,7 +71,6 @@ class Deployment:
     bind: str = "0.0.0.0"
     hello_interval: float = 0.25
     fail_timeout: float = 1.5
-    packing: bool = False
     seed: int = 0
 
     def spec(self, name: str) -> DaemonSpec:
@@ -102,7 +100,6 @@ class Deployment:
             fail_timeout=self.fail_timeout,
             gather_timeout=self.fail_timeout * 2,
             sync_timeout=self.fail_timeout * 4,
-            packing=self.packing,
         )
 
     def daemon_argv(self, machine: str) -> List[str]:
@@ -122,8 +119,6 @@ class Deployment:
             argv += ["--host", name]
         argv += ["--hello-interval", str(self.hello_interval)]
         argv += ["--fail-timeout", str(self.fail_timeout)]
-        if self.packing:
-            argv.append("--packing")
         if self.keyfile is not None:
             argv += ["--keyfile", self.keyfile]
         return argv
@@ -162,10 +157,7 @@ def parse_deployment(
     shared = document.get("deployment", {})
     if not isinstance(shared, dict):
         raise DeployError("[deployment] must be a table/object")
-    known = {
-        "keyfile", "bind", "hello_interval", "fail_timeout",
-        "packing", "seed",
-    }
+    known = {"keyfile", "bind", "hello_interval", "fail_timeout", "seed"}
     for key in shared:
         if key not in known:
             raise DeployError(f"[deployment]: unknown field {key!r}")
@@ -232,9 +224,6 @@ def parse_deployment(
             raise DeployError(f"[deployment]: {key} must be > 0")
         return float(value)
 
-    packing = shared.get("packing", False)
-    if not isinstance(packing, bool):
-        raise DeployError("[deployment]: packing must be a boolean")
     seed = shared.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise DeployError("[deployment]: seed must be an integer")
@@ -245,7 +234,6 @@ def parse_deployment(
         bind=bind,
         hello_interval=_number("hello_interval", 0.25),
         fail_timeout=_number("fail_timeout", 1.5),
-        packing=packing,
         seed=seed,
     )
 

@@ -14,9 +14,11 @@ An accepted client connection becomes a :class:`_ClientChannel`, which
 plays the *client* role of the daemon's IPC surface: the daemon calls
 ``deliver_event`` / ``daemon_down`` on it exactly as it would on a sim
 :class:`~repro.spread.client.SpreadClient`, and the channel turns each
-into a framed ``ClientDeliver`` / ``ClientBye``.  A socket that drops
-without a ``ClientDisconnect`` is reported as ``client_gone`` — the
-same "broken IPC channel" a crashed client produces in the sim.
+into a framed ``ClientDeliver`` / ``ClientBye``.  In the other direction
+it applies a ``ClientMulticastBatch`` only once every element has
+type-checked.  A socket that drops without a ``ClientDisconnect`` is
+reported as ``client_gone`` — the same "broken IPC channel" a crashed
+client produces in the sim.
 
 The CLI lives in :mod:`repro.transport.daemon`
 (``python -m repro.transport.daemon``).
@@ -40,6 +42,7 @@ from repro.transport.protocol import (
     ClientJoin,
     ClientLeave,
     ClientMulticast,
+    ClientMulticastBatch,
     ClientRefused,
     ClientWelcome,
 )
@@ -154,7 +157,10 @@ class _ClientChannel:
                 for op in decoder.feed(data):
                     if not self._handle(op):
                         return
-        except (FrameError, ConnectionError, OSError):
+        except FrameError:
+            if self._counters is not None:
+                self._counters["decode_errors"] += 1
+        except (ConnectionError, OSError):
             pass
         finally:
             self._drop()
@@ -194,10 +200,17 @@ class _ClientChannel:
         if self._private_name is None:
             self._write(ClientRefused("first frame must be ClientConnect"))
             return False
-        if isinstance(op, ClientMulticast):
-            daemon.client_multicast(
-                op.pid, op.service, op.group, op.payload, op.origin_seq
-            )
+        if isinstance(op, ClientMulticastBatch):
+            multicasts = op.multicasts
+            # Check the whole batch before applying any of it.
+            if type(multicasts) is not tuple or not all(
+                type(m) is ClientMulticast for m in multicasts
+            ):
+                raise FrameError("multicast batch holds a non-multicast")
+            for m in multicasts:
+                daemon.client_multicast(
+                    m.pid, m.service, m.group, m.payload, m.origin_seq
+                )
         elif isinstance(op, ClientJoin):
             daemon.client_join(op.pid, op.group)
         elif isinstance(op, ClientLeave):

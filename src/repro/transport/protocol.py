@@ -1,11 +1,16 @@
 """Client ↔ daemon IPC verbs for the TCP backend.
 
 One dataclass per operation of the Spread client API's connection half
-(plus the daemon-to-daemon ``PeerHello`` stream preamble).  Each is sent
-as one :mod:`repro.transport.wire` frame; the request verbs mirror the
-sim client's in-process daemon calls (``client_connect``,
-``client_join``, ``client_leave``, ``client_multicast``,
-``client_gone``) one-to-one, and ``ClientDeliver`` is the downstream half — the daemon pushing a
+(plus the daemon-to-daemon ``PeerHello`` stream preamble), each sent as
+one :mod:`repro.transport.wire` frame.  The request verbs mirror the sim
+client's in-process daemon calls (``client_connect``, ``client_join``,
+``client_leave``, ``client_multicast``, ``client_gone``) one-to-one.
+
+The client coalesces the multicasts it issues within one loop turn into
+one frame (:class:`~repro.transport.client.FrameBatch`), so the
+upstream data verb is ``ClientMulticastBatch``: a tuple of
+``ClientMulticast`` requests in call order, also when it holds one.
+``ClientDeliver`` is the downstream half — the daemon pushing a
 :class:`~repro.spread.events.DataEvent` / ``MembershipEvent`` /
 ``FlushRequestEvent`` / ``SelfLeaveEvent`` to the connection, exactly
 the objects :meth:`SpreadClient.deliver_event` receives in the sim.
@@ -74,13 +79,22 @@ class ClientLeave:
 
 @dataclass(frozen=True, slots=True)
 class ClientMulticast:
-    """``SP_multicast``: one send (fragments travel as separate verbs)."""
+    """``SP_multicast``: one send (fragments travel as separate sends).
+    Never a frame of its own: it travels inside a
+    :class:`ClientMulticastBatch`."""
 
     pid: ProcessId
     service: ServiceType
     group: str
     payload: Any
     origin_seq: int
+
+
+@dataclass(frozen=True, slots=True)
+class ClientMulticastBatch:
+    """The multicasts one client queued within one loop turn."""
+
+    multicasts: Tuple[ClientMulticast, ...]
 
 
 @dataclass(frozen=True, slots=True)

@@ -112,7 +112,7 @@ def _registry() -> Tuple[Dict[Type, int], Dict[int, Type]]:
         ClientDisconnect,
         ClientJoin,
         ClientLeave,
-        ClientMulticast,
+        ClientMulticastBatch,
         ClientRefused,
         ClientWelcome,
         PeerHello,
@@ -135,7 +135,7 @@ def _registry() -> Tuple[Dict[Type, int], Dict[int, Type]]:
         ClientRefused: 34,
         ClientJoin: 35,
         ClientLeave: 36,
-        ClientMulticast: 37,
+        ClientMulticastBatch: 37,
         ClientDisconnect: 38,
         ClientDeliver: 39,
         ClientBye: 40,
@@ -246,82 +246,95 @@ class FrameDecoder:
             self._counters[key] = self._counters.get(key, 0) + 1
 
     def feed(self, data: bytes) -> List[Any]:
-        """Absorb ``data`` and return every payload it completed."""
-        self._buffer += data
+        """Absorb ``data`` and return every payload it completed.
+
+        Frames are parsed at a read offset and the consumed prefix is
+        cut once per call, so a chunk of many small frames is never
+        shifted frame by frame; each body is copied out exactly once.
+        """
+        buffer = self._buffer
+        buffer += data
         self.bytes_fed += len(data)
         out: List[Any] = []
-        buffer = self._buffer
-        while True:
-            if len(buffer) < HEADER_SIZE:
-                return out
-            magic, version, flags, kind, length, crc = HEADER.unpack_from(buffer)
-            if magic != MAGIC:
-                raise FrameError(f"bad magic byte 0x{magic:02X}")
-            # Version gates every other field: layouts differ across
-            # versions, so nothing past byte 1 is interpreted until the
-            # version matches.
-            if version != VERSION:
-                self._count("stale_version_rejects")
-                raise WireVersionError(
-                    f"unsupported wire version {version} (this build "
-                    f"speaks {VERSION})"
+        offset = 0
+        size = len(buffer)
+        with memoryview(buffer) as view:
+            while size - offset >= HEADER_SIZE:
+                magic, version, flags, kind, length, crc = HEADER.unpack_from(
+                    buffer, offset
                 )
-            if flags & ~_KNOWN_FLAGS:
-                raise FrameError(f"unknown flag bits 0x{flags:02X}")
-            tagged = bool(flags & FLAG_AUTH)
-            if self._auth is not None and not tagged:
-                self._count("auth_missing_tag")
-                raise FrameAuthError(
-                    "unauthenticated frame on an authenticating endpoint"
-                )
-            if self._auth is None and tagged:
-                self._count("auth_unexpected_tag")
-                raise FrameAuthError(
-                    "authenticated frame on an endpoint with no deployment key"
-                )
-            tag_size = TAG_SIZE if tagged else 0
-            total = HEADER_SIZE + tag_size + length
-            if total > self.max_frame:
-                raise FrameError(
-                    f"declared frame of {total} bytes exceeds the "
-                    f"{self.max_frame}-byte limit"
-                )
-            if len(buffer) < total:
-                return out
-            header = bytes(buffer[:HEADER_SIZE])
-            tag = bytes(buffer[HEADER_SIZE : HEADER_SIZE + tag_size])
-            body = bytes(buffer[HEADER_SIZE + tag_size : total])
-            del buffer[:total]
-            # Authenticate before the CRC and long before unpickling:
-            # nothing downstream may touch unverified bytes.
-            if self._auth is not None and not self._auth.verify(
-                header, body, tag
-            ):
-                self._count("auth_bad_mac")
-                raise FrameAuthError(
-                    f"frame tag verification failed "
-                    f"(key_id={self._auth.key_id})"
-                )
-            if zlib.crc32(body) != crc:
-                raise FrameError("body CRC mismatch")
-            try:
-                payload = restricted_loads(body)
-            except RestrictedUnpickleError:
-                self._count("restricted_unpickle_rejects")
-                raise
-            except Exception as exc:
-                raise FrameError(f"undecodable frame body: {exc}") from exc
-            if kind != KIND_PYOBJ:
-                __, types = _tables()
-                expected = types.get(kind)
-                if expected is None:
-                    raise FrameError(f"unknown kind code {kind}")
-                if type(payload) is not expected:
-                    raise FrameError(
-                        f"kind code {kind} ({expected.__name__}) does not "
-                        f"match decoded {type(payload).__name__}"
+                if magic != MAGIC:
+                    raise FrameError(f"bad magic byte 0x{magic:02X}")
+                # Version gates every other field: layouts differ across
+                # versions, so nothing past byte 1 is interpreted until
+                # the version matches.
+                if version != VERSION:
+                    self._count("stale_version_rejects")
+                    raise WireVersionError(
+                        f"unsupported wire version {version} (this build "
+                        f"speaks {VERSION})"
                     )
-            self.frames_decoded += 1
-            if self._observe is not None:
-                self._observe(kind, total)
-            out.append(payload)
+                if flags & ~_KNOWN_FLAGS:
+                    raise FrameError(f"unknown flag bits 0x{flags:02X}")
+                tagged = bool(flags & FLAG_AUTH)
+                if self._auth is not None and not tagged:
+                    self._count("auth_missing_tag")
+                    raise FrameAuthError(
+                        "unauthenticated frame on an authenticating endpoint"
+                    )
+                if self._auth is None and tagged:
+                    self._count("auth_unexpected_tag")
+                    raise FrameAuthError(
+                        "authenticated frame on an endpoint with no "
+                        "deployment key"
+                    )
+                tag_size = TAG_SIZE if tagged else 0
+                total = HEADER_SIZE + tag_size + length
+                if total > self.max_frame:
+                    raise FrameError(
+                        f"declared frame of {total} bytes exceeds the "
+                        f"{self.max_frame}-byte limit"
+                    )
+                end = offset + total
+                if size < end:
+                    break
+                start = end - length
+                body = view[start:end].tobytes()
+                # Authenticate before the CRC and long before unpickling:
+                # nothing downstream may touch unverified bytes.
+                if self._auth is not None and not self._auth.verify(
+                    buffer[offset : offset + HEADER_SIZE],
+                    body,
+                    buffer[offset + HEADER_SIZE : start],
+                ):
+                    self._count("auth_bad_mac")
+                    raise FrameAuthError(
+                        f"frame tag verification failed "
+                        f"(key_id={self._auth.key_id})"
+                    )
+                if zlib.crc32(body) != crc:
+                    raise FrameError("body CRC mismatch")
+                try:
+                    payload = restricted_loads(body)
+                except RestrictedUnpickleError:
+                    self._count("restricted_unpickle_rejects")
+                    raise
+                except Exception as exc:
+                    raise FrameError(f"undecodable frame body: {exc}") from exc
+                if kind != KIND_PYOBJ:
+                    __, types = _tables()
+                    expected = types.get(kind)
+                    if expected is None:
+                        raise FrameError(f"unknown kind code {kind}")
+                    if type(payload) is not expected:
+                        raise FrameError(
+                            f"kind code {kind} ({expected.__name__}) does "
+                            f"not match decoded {type(payload).__name__}"
+                        )
+                self.frames_decoded += 1
+                if self._observe is not None:
+                    self._observe(kind, total)
+                out.append(payload)
+                offset = end
+        del buffer[:offset]
+        return out

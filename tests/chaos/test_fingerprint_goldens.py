@@ -19,34 +19,42 @@ counted in ``stale_nacks`` instead (2, 1, 1, 1 and 1 sequences in the
 five runs, 0 in the ten that stayed).  One datagram fewer shifts the
 seeded network's later draws; no delivery is withheld and every run
 stays ``result.ok``.
+
+Re-pinned once more, on purpose, when packing became the only daemon
+path (the commit after ``b0e59dc``): all fifteen moved.  Packing is now
+the wire — reliable data messages bound for one peer in one instant
+travel as one ``Packed`` datagram, so the seeded network draws once per
+envelope instead of once per message — and the periodic hello now sends
+the pack buffers before itself, so no hello advertises a sequence that
+is still buffered.  Every sim trace changes; every run stays
+``result.ok``.
 """
 
 import pytest
 
 from repro.chaos.harness import run_chaos
-from repro.spread.config import PACKING_ENV
 
 GOLDEN = {
     "cliques": (
-        "3786cf5eb8df277ce803ab6fe6be3755531450689414e3fafa4ee1bd7e763d4c",
-        "8daaa85fe31c786a8b8b6479cde3186d202a01579aa253bc78a02817ce1ddb12",
-        "453cf9732a0eb6adfc2b04d7e431eb26a96d1e95156895dde5d3e56d9f1937a9",
-        "83da269a6c0906112b72251fed42988238fb257c8467c30003dba0902f1f74a0",
-        "661f129751abe69ffbfa626554d7ea4a789d4126c28df39b86a470bde51260b8",
+        "7e6ee290dc75cf747fd0ac5548e85b1a688350d0dfff5a8d0fd4e8a67247c639",
+        "a29ba0a5edac9845d7ef15818bb663111a7537ce328611a68887f4a083219726",
+        "c63f68fc58354ceaa911e33fe5da9768a745c5181b11a229c894ee1d55cd9be2",
+        "2359ec446546bb59ac4554f964912f3f7f122ab20bbef38473ca79cf88a297f8",
+        "dc9870ce02782b78a9d531c12733171093092730d8b65f06e6987781e5dad18b",
     ),
     "ckd": (
-        "bbbb4ed5b632e2befc3999379315905c8bf6f7b5259f44a75e1c7db8f972caba",
-        "f4feed140fa616d44147a3feb87b2992da590185bdb85b34285af66ab9656fae",
-        "41f614c170ee602745ef97790be675e14981a116b97ee588f26b0087e933efb6",
-        "60c0c92bad4861138f8c54c575ee29cb61aa8e60e46eaa31be2bc469f0ffa842",
-        "6d061323ab42153728a42c9844cd67d16711ec7995c569bb411bb8bf6725c299",
+        "28c6d4f4ceb52a1ee4916dcbe39d96e273d871938c300baedb4c9a5794dea423",
+        "57e61fa1631c79dd8ea75983e17531bb9c96d7a2fbe186ee7a7e3085d65e84f2",
+        "323e17cea8c6eeca1b45d0bf39043c13ba5e4fd24c63140317e3c138fba53892",
+        "076755d83cafbd7754a30b5e8452ab9e89a7189f883165d971013e2fabf82e83",
+        "5ee76f9a0bacac77c8300aff05a654cfd6f79f257f3a5310b2770ca1eb435e5a",
     ),
     "tgdh": (
-        "240a374c203cc993360dd3a566730c4bd0332b937db49b7463d5d1c09c5f6567",
-        "7a5151b582075e266aaf8807a4aab8bad259d5cfb807b1b6a1936de13901dc35",
-        "85d3966e3b569326e3a33ecc17c73ff0605c3cd0cc772d18d22724b092009259",
-        "cfae0c85f7e41ea99295fbbd505e418cde5ddb64670b00d1872bc2403e77f40e",
-        "eda60f710d69c81da041ea29cec10c0c60d1c0d150eda29d68a9d298a35e2bcf",
+        "7e9ca5621e09f772cbb3d935aacb3cdb3b201440028bc54e14875e236834ee41",
+        "7362da122d6d1fa1809836b972f9ab2df8edceb2f4fe7e825d016e9f8efd5559",
+        "8901a9a74a4124f6f570ce4197e7bde91a7951a4e06a237017c30ae3844b9ca0",
+        "3a58324332733ce0efdf93d108f2071c1184be1c4c0f3a4f2acc20addfe51bc8",
+        "5c0a3d5f57261dce3d68ecd97b529cc7e7d754635cbc03e2f1f17d52c861a1ae",
     ),
 }
 
@@ -54,10 +62,7 @@ GOLDEN = {
 @pytest.mark.parametrize(
     "module,seed", [(m, s) for m in GOLDEN for s in range(len(GOLDEN[m]))]
 )
-def test_quick_chaos_fingerprint_is_pinned(module, seed, monkeypatch):
-    # As shipped: the packing spot suite sets REPRO_PACKING=1, which
-    # legitimately changes the wire and therefore the trace.
-    monkeypatch.delenv(PACKING_ENV, raising=False)
+def test_quick_chaos_fingerprint_is_pinned(module, seed):
     result = run_chaos(seed, module, quick=True)
     assert result.ok, result.violations
     assert result.fingerprint == GOLDEN[module][seed]

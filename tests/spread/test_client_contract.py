@@ -221,6 +221,41 @@ def test_disconnect_connect_disconnect(side):
         client.join("g")
 
 
+def test_verbs_of_one_turn_reach_the_daemon_in_call_order(side):
+    """Multicasts interleaved with a join, a leave and a disconnect, all
+    issued in one turn: the daemon applies them in call order (on TCP
+    the multicasts ride batch frames, which every other verb flushes)."""
+    client = joined(side)
+    daemon = side.daemon
+    calls = []
+    verbs = {
+        "client_multicast": lambda args: args[3],
+        "client_join": lambda args: args[1],
+        "client_leave": lambda args: args[1],
+        "client_gone": lambda args: args[0],
+    }
+    for verb, detail in verbs.items():
+        def record(*args, _verb=verb, _detail=detail,
+                   _original=getattr(daemon, verb)):
+            calls.append((_verb[len("client_"):], _detail(args)))
+            return _original(*args)
+
+        setattr(daemon, verb, record)
+    client.multicast(ServiceType.AGREED, "g", b"m1")
+    client.multicast(ServiceType.AGREED, "g", b"m2")
+    client.join("h")
+    client.multicast(ServiceType.AGREED, "g", b"m3")
+    client.leave("h")
+    client.multicast(ServiceType.AGREED, "g", b"m4")
+    client.disconnect()
+    side.wait(lambda: ("gone", "app") in calls)
+    assert calls == [
+        ("multicast", b"m1"), ("multicast", b"m2"), ("join", "h"),
+        ("multicast", b"m3"), ("leave", "h"), ("multicast", b"m4"),
+        ("gone", "app"),
+    ]
+
+
 def test_daemon_crash_disconnects_clients(side):
     """Exactly one ConnectionLostEvent per lost daemon, and the
     connection is closed with its groups."""

@@ -18,7 +18,7 @@ from repro.net.network import Network
 from repro.sim.kernel import Kernel
 from repro.sim.trace import Tracer
 from repro.spread.client import SpreadClient
-from repro.spread.config import PACKING_ENV, SpreadConfig, _packing_default
+from repro.spread.config import SpreadConfig
 from repro.spread.daemon import SpreadDaemon
 from repro.spread.events import DataEvent
 from repro.spread.messages import DataMessage, Hello, KIND_APP, Packed
@@ -128,21 +128,6 @@ def test_pack_unpack_roundtrip_property(payloads):
     assert [m.payload for m in clone.messages] == payloads
 
 
-# -- configuration -----------------------------------------------------------------
-
-
-def test_packing_env_switch(monkeypatch):
-    for value, expected in (
-        ("1", True), ("on", True), ("TRUE", True), (" yes ", True),
-        ("", False), ("0", False), ("off", False), ("no", False),
-    ):
-        monkeypatch.setenv(PACKING_ENV, value)
-        assert _packing_default() is expected
-        assert SpreadConfig(daemons=("a",)).packing is expected
-    monkeypatch.delenv(PACKING_ENV)
-    assert _packing_default() is False
-
-
 # -- integration: equivalence and attribution --------------------------------------
 
 
@@ -198,40 +183,71 @@ def test_delivery_run_counters_attributed():
     assert longest >= 2  # bursts release as multi-message runs
 
 
-def test_hello_never_advertises_unsent_sequences():
-    """Regression: a coalescing daemon must transmit buffered data before
-    any hello advertising those sequence numbers, or receivers discard
-    the horizon extension and delivery stalls until the next heartbeat."""
-    cluster = Cluster(daemon_count=3, seed=21, packing=True)
+def _record_sends(network):
+    """Wrap ``network.send``; returns the list it appends
+    ``(source, payload)`` to, in wire order."""
+    sent = []
+    original_send = network.send
+
+    def recording_send(source, destination, payload, size=None):
+        sent.append((source, payload))
+        return original_send(source, destination, payload, size)
+
+    network.send = recording_send
+    return sent
+
+
+def _burst_then_prompt_hello():
+    """A client burst; the daemon's prompt hello follows on its own."""
+    cluster = Cluster(daemon_count=3, seed=21)
     cluster.settle()
     a = cluster.client("a", "d0")
     b = cluster.client("b", "d1")
     a.join("g")
     b.join("g")
     cluster.run(1.0)
-    sent = []
-    original_send = cluster.network.send
-
-    def recording_send(source, destination, payload, size=None):
-        sent.append((source, payload))
-        return original_send(source, destination, payload, size)
-
-    cluster.network.send = recording_send
+    sent = _record_sends(cluster.network)
     for i in range(8):
         a.multicast(ServiceType.AGREED, "g", b"m%d" % i)
     cluster.run_until(lambda: len(payloads_of(b)) == 8, timeout=30)
-    max_data_seq = 0
-    for source, payload in sent:
-        if source != "d0":
-            continue
-        if isinstance(payload, Packed):
-            max_data_seq = max(
-                max_data_seq, max(m.seq for m in payload.messages)
-            )
-        elif isinstance(payload, DataMessage) and payload.seq:
-            max_data_seq = max(max_data_seq, payload.seq)
-        elif isinstance(payload, Hello):
-            assert payload.sent_seq <= max_data_seq
+    return sent
+
+
+def _burst_then_periodic_hello():
+    """The hello timer fires in the very instant a burst is buffered."""
+    cluster = _QuietCluster(packing=True, seed=5)
+    d0 = cluster.daemons["d0"]
+    sent = _record_sends(cluster.network)
+    for i in range(4):
+        d0.client_multicast(
+            cluster.clients[0].pid, ServiceType.AGREED, "g", b"p%d" % i, i + 1
+        )
+    d0._send_hello()
+    cluster.kernel.run_until(
+        lambda: len(payloads_of(cluster.clients[1])) == 4, timeout=30
+    )
+    return sent
+
+
+def test_hello_never_advertises_unsent_sequences():
+    """Regression: a coalescing daemon must transmit buffered data before
+    any hello advertising those sequence numbers, or receivers discard
+    the horizon extension and delivery stalls until the next heartbeat.
+    Two inputs: the prompt hello that follows a burst, and the periodic
+    hello timer firing while the burst is still buffered."""
+    for scenario in (_burst_then_prompt_hello, _burst_then_periodic_hello):
+        max_data_seq = 0
+        for source, payload in scenario():
+            if source != "d0":
+                continue
+            if isinstance(payload, Packed):
+                max_data_seq = max(
+                    max_data_seq, max(m.seq for m in payload.messages)
+                )
+            elif isinstance(payload, DataMessage) and payload.seq:
+                max_data_seq = max(max_data_seq, payload.seq)
+            elif isinstance(payload, Hello):
+                assert payload.sent_seq <= max_data_seq, scenario.__name__
 
 
 def test_view_change_flushes_pack_buffers():

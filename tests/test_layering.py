@@ -28,6 +28,9 @@ The paper's future-work services live in ``repro.ext``, outside the
 core: the core never imports them, the simulator path never loads them
 (nor the socket transport), the daemon reaches them through one
 three-call hook, and only the transport codec turns objects into bytes.
+
+Behaviour has no environment switches: the one ``REPRO_*`` variable is
+the deployment key file, read by the transport's auth module.
 """
 
 from __future__ import annotations
@@ -340,3 +343,41 @@ def test_the_wire_allowlist_names_core_modules_and_ext_registers_its_own():
     importlib.import_module("repro.ext")
     for module in ("repro.ext.daemon_model", "repro.ext.nonmember"):
         assert auth._module_allowed(module), module
+
+
+def _environment_reads(path: Path) -> list:
+    """Lines of ``path`` that read the process environment or name a
+    ``REPRO_*`` variable; a whole-environment copy (``dict(os.environ)``,
+    handed to child processes) reads no variable and is not one."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    copies = {
+        id(node.args[0])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "dict"
+        and len(node.args) == 1
+    }
+    lines = []
+    for node in ast.walk(tree):
+        environ = (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("environ", "getenv")
+        )
+        named = (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.startswith("REPRO_")
+        )
+        if (environ and id(node) not in copies) or named:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_deployment_key_file_is_read_from_the_environment():
+    readers = {
+        path.relative_to(SRC_ROOT / "repro").as_posix(): lines
+        for path in _library()
+        if (lines := _environment_reads(path))
+    }
+    assert set(readers) <= {"transport/auth.py"}, readers

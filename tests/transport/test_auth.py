@@ -268,6 +268,7 @@ def _sample_wire_payloads():
         ClientJoin,
         ClientLeave,
         ClientMulticast,
+        ClientMulticastBatch,
         ClientRefused,
         ClientWelcome,
         PeerHello,
@@ -322,10 +323,16 @@ def _sample_wire_payloads():
         ClientRefused(reason="dup"),
         ClientJoin(pid=pid, group="g"),
         ClientLeave(pid=pid, group="g"),
-        ClientMulticast(
-            pid=pid, service=ServiceType.AGREED, group="g",
-            payload=b"body", origin_seq=1,
-        ),
+        ClientMulticastBatch(multicasts=(
+            ClientMulticast(
+                pid=pid, service=ServiceType.AGREED, group="g",
+                payload=b"body", origin_seq=1,
+            ),
+            ClientMulticast(
+                pid=pid, service=ServiceType.FIFO, group="g",
+                payload=b"next", origin_seq=2,
+            ),
+        )),
         ClientDisconnect(private_name="m0"),
         ClientDeliver(event=data),
         ClientBye(),
@@ -433,9 +440,14 @@ if _HAVE_HYPOTHESIS:
         """Property: for every registered wire kind carrying fuzzed
         field values, encode → authenticate → decode → restricted
         unpickle is the identity."""
+        from repro.spread.events import DataEvent
         from repro.spread.messages import DataMessage
-        from repro.transport.protocol import ClientMulticast
-        from repro.types import ProcessId, ServiceType, ViewId
+        from repro.transport.protocol import (
+            ClientDeliver,
+            ClientMulticast,
+            ClientMulticastBatch,
+        )
+        from repro.types import GroupId, ProcessId, ServiceType, ViewId
 
         service = (
             ServiceType.AGREED if service_agreed else ServiceType.FIFO
@@ -448,10 +460,16 @@ if _HAVE_HYPOTHESIS:
                 service=service, kind="data", group=group, origin=pid,
                 origin_seq=seq, payload=payload, causal_vector=None,
             ),
-            ClientMulticast(
-                pid=pid, service=service, group=group,
-                payload=payload, origin_seq=seq,
-            ),
+            ClientMulticastBatch(multicasts=(
+                ClientMulticast(
+                    pid=pid, service=service, group=group,
+                    payload=payload, origin_seq=seq,
+                ),
+            )),
+            ClientDeliver(event=DataEvent(
+                group=GroupId(group), sender=pid, service=service,
+                payload=payload, seq=seq,
+            )),
         ):
             frame = encode_frame(sample, auth=KEY_A)
             assert FrameDecoder(auth=KEY_A).feed(frame) == [sample]

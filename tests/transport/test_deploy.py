@@ -27,7 +27,6 @@ keyfile = "deploy.key"
 bind = "127.0.0.1"
 hello_interval = 0.5
 fail_timeout = 2.0
-packing = true
 seed = 7
 
 [[daemon]]
@@ -68,7 +67,6 @@ def test_toml_round_trip(tmp_path):
     assert deployment.bind == "127.0.0.1"
     assert deployment.hello_interval == 0.5
     assert deployment.fail_timeout == 2.0
-    assert deployment.packing is True
     assert deployment.seed == 7
     # Relative keyfile is anchored at the config's directory.
     assert deployment.keyfile == str(tmp_path / "deploy.key")
@@ -95,7 +93,6 @@ def test_daemon_argv_regenerates_the_daemon_cli(tmp_path):
     assert "d1=10.0.0.2:4803:4813" in argv
     assert argv[argv.index("--host") + 1] == "d1"
     assert argv.count("--host") == 1
-    assert "--packing" in argv
     assert argv[argv.index("--keyfile") + 1] == str(tmp_path / "deploy.key")
     with pytest.raises(DeployError):
         deployment.daemon_argv("no-such-machine")
@@ -132,11 +129,12 @@ def test_transport_map_covers_every_daemon():
         (lambda d: d["daemon"][0].update(peer_port=True), "must be int"),
         (lambda d: d["daemon"][0].update(bogus=1), "unknown field"),
         (lambda d: d["deployment"].update(bogus=1), "unknown field"),
+        # Packing is the only daemon path: the old switch is refused.
+        (lambda d: d["deployment"].update(packing=True), "unknown field"),
         (lambda d: d["deployment"].update(keyfile=""), "keyfile"),
         (lambda d: d["deployment"].update(bind=""), "bind"),
         (lambda d: d["deployment"].update(hello_interval=0), "> 0"),
         (lambda d: d["deployment"].update(fail_timeout="x"), "number"),
-        (lambda d: d["deployment"].update(packing=1), "boolean"),
         (lambda d: d["deployment"].update(seed=True), "integer"),
         (lambda d: d["daemon"][0].update(machine=""), "machine"),
     ],

@@ -17,6 +17,7 @@ from repro.transport.protocol import (
     ClientConnect,
     ClientDeliver,
     ClientMulticast,
+    ClientMulticastBatch,
     PeerHello,
 )
 from repro.transport.wire import (
@@ -54,15 +55,20 @@ def sample_envelopes():
         Nack(sender="d2", view_id=view, target="d0", missing=(1, 2)),
         PeerHello("d0"),
         ClientConnect("m0"),
-        ClientMulticast(pid, ServiceType.SAFE, "g", b"payload", 9),
-        ClientDeliver(("opaque", ["python", "object"])),
-        ClientMulticast(
-            pid,
-            ServiceType.FIFO,
-            "g",
-            MessageFragment(fragment_id=1, index=0, total=2, chunk=b"c" * 30),
-            10,
+        ClientMulticastBatch(
+            (ClientMulticast(pid, ServiceType.SAFE, "g", b"payload", 9),)
         ),
+        ClientDeliver(("opaque", ["python", "object"])),
+        ClientMulticastBatch((
+            ClientMulticast(pid, ServiceType.FIFO, "g", b"first", 10),
+            ClientMulticast(
+                pid,
+                ServiceType.FIFO,
+                "g",
+                MessageFragment(fragment_id=1, index=0, total=2, chunk=b"c" * 30),
+                11,
+            ),
+        )),
         {"plain": "pyobj fallback"},
     ]
 
@@ -195,5 +201,9 @@ def test_kind_registry_is_stable():
     assert kind_code(sample_envelopes()[1]) == 2
     assert kind_code(PeerHello("d")) == 16
     assert kind_code(ClientConnect("m")) == 32
+    # The batch replaced the single multicast under its code; a bare
+    # ClientMulticast is no frame of its own any more.
+    assert kind_code(ClientMulticastBatch(())) == 37
+    assert kind_code(sample_envelopes()[6].multicasts[0]) == 0
     assert kind_code({"anything": "else"}) == 0
     assert kind_name(0) == "pyobj"
