@@ -11,7 +11,18 @@ verifies itself against Eric Young's published test vectors on first use.
 The round function is fully unrolled and operates on local 32-bit words
 (no per-round method calls, one mask per Feistel evaluation), and the
 cipher exposes whole-buffer CBC / CTR primitives that chain with integer
-XOR instead of per-byte generators.  A slow, readable per-block oracle
+XOR instead of per-byte generators.
+
+CBC *decryption* is not serial (P_i = D(C_i) xor C_(i-1), and every
+C_(i-1) is known up front), so
+:meth:`Blowfish.cbc_decrypt_chained` takes the chain as an argument and
+can decrypt the blocks of many messages at once: from
+:data:`_LANE_CROSSOVER` blocks up every block is a 64-bit lane of two big
+integers (left and right halves), the sixteen rounds run once over all
+lanes, and the S-box lookups are ``bytes.translate`` calls over byte
+planes.  Encryption stays scalar: CBC encryption is serial.
+
+A slow, readable per-block oracle
 lives in ``tests/crypto/reference.py``; the test suite pins this
 implementation against it.  Key schedules are expensive (521 block
 encryptions) — reuse instances via :mod:`repro.crypto.cipher_cache`
@@ -33,6 +44,13 @@ _SBOX_SIZE = 256
 _PI_WORDS = _P_SIZE + _SBOX_COUNT * _SBOX_SIZE  # 1042 32-bit words
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+#: One in the low bit of every 64-bit lane, per block; times a word it
+#: puts that word in every lane.
+_LANE_ONE = b"\0\0\0\0\0\0\0\1"
+#: Blocks at and above which :meth:`Blowfish.cbc_decrypt_chained` runs in
+#: lanes.  Lanes cost a fixed ~65 us per call, the scalar loop ~7 us per
+#: block; EXPERIMENTS.md records the measurement behind this number.
+_LANE_CROSSOVER = 14
 
 BLOCK_SIZE = 8
 MIN_KEY_BYTES = 4
@@ -82,7 +100,7 @@ class Blowfish:
     cipher-schedule cache tests use it to prove schedule reuse.
     """
 
-    __slots__ = ("_p", "_s0", "_s1", "_s2", "_s3")
+    __slots__ = ("_p", "_s0", "_s1", "_s2", "_s3", "_planes")
 
     #: Process-wide count of key schedules derived (each costs 521 block
     #: encryptions).  Diagnostic only — see repro.crypto.cipher_cache.
@@ -102,6 +120,14 @@ class Blowfish:
         self._s2 = list(words[_P_SIZE + 2 * _SBOX_SIZE : _P_SIZE + 3 * _SBOX_SIZE])
         self._s3 = list(words[_P_SIZE + 3 * _SBOX_SIZE : _P_SIZE + 4 * _SBOX_SIZE])
         self._expand_key(key)
+        # Byte j of S-box k as a 256-byte translate table (index 4k + j),
+        # for the lane decrypt: ~30 us against ~3.5 ms for the schedule.
+        self._planes = tuple(
+            packed[j::4]
+            for box in (self._s0, self._s1, self._s2, self._s3)
+            for packed in (_struct.pack(">256I", *box),)
+            for j in range(4)
+        )
 
     # -- key schedule -------------------------------------------------------
 
@@ -295,24 +321,38 @@ class Blowfish:
         return _struct.pack(f">{count}Q", *out)
 
     def cbc_decrypt_blocks(self, data: bytes, iv: bytes) -> bytes:
-        """CBC-decrypt a block-aligned buffer; returns padded plaintext.
+        """CBC-decrypt a block-aligned buffer; returns padded plaintext."""
+        return self.cbc_decrypt_chained(data, (iv + data)[: len(data)])
 
-        Rounds inlined per block, locals bound once — see
-        :meth:`cbc_encrypt_blocks`.
+    def cbc_decrypt_chained(self, data: bytes, chain: bytes) -> bytes:
+        """Return D(data_i) xor chain_i for every 8-byte block i.
+
+        With ``chain`` = IV followed by all but the last ciphertext block,
+        this is CBC decryption of one message; concatenating several
+        messages' blocks and chains decrypts them all in one call.
+        Buffers of :data:`_LANE_CROSSOVER` blocks or more go through
+        :meth:`_decrypt_lanes`; shorter ones through the scalar loop,
+        rounds inlined per block and locals bound once (see
+        :meth:`cbc_encrypt_blocks`).
         """
         length = len(data)
         if length % BLOCK_SIZE:
             raise CipherError("CBC buffer is not block aligned")
+        if len(chain) != length:
+            raise CipherError("CBC chain and data differ in length")
+        count = length // BLOCK_SIZE
+        if count >= _LANE_CROSSOVER:
+            return self._decrypt_lanes(data, chain)
         s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
         (p0, p1, p2, p3, p4, p5, p6, p7, p8, p9,
          p10, p11, p12, p13, p14, p15, p16, p17) = self._p
         mask32 = _MASK32
-        mask64 = _MASK64
-        count = length // BLOCK_SIZE
-        previous = int.from_bytes(iv, "big")
         out = []
         append = out.append
-        for block in _struct.unpack(f">{count}Q", data):
+        unpack = _struct.unpack
+        for block, previous in zip(
+            unpack(f">{count}Q", data), unpack(f">{count}Q", chain)
+        ):
             xl = block >> 32
             xr = block & mask32
             xl ^= p17
@@ -347,9 +387,69 @@ class Blowfish:
             xr ^= (((s0[xl >> 24] + s1[xl >> 16 & 255]) ^ s2[xl >> 8 & 255]) + s3[xl & 255]) & mask32
             xr ^= p2
             xl ^= (((s0[xr >> 24] + s1[xr >> 16 & 255]) ^ s2[xr >> 8 & 255]) + s3[xr & 255]) & mask32
-            append(((((xr ^ p0) << 32) | (xl ^ p1)) ^ previous) & mask64)
-            previous = block
+            append((((xr ^ p0) << 32) | (xl ^ p1)) ^ previous)
         return _struct.pack(f">{count}Q", *out)
+
+    def _decrypt_lanes(self, data: bytes, chain: bytes) -> bytes:
+        """:meth:`cbc_decrypt_chained` with every block a lane.
+
+        ``left`` and ``right`` hold one 32-bit half per block, each in
+        the low half of a 64-bit lane.  F is evaluated for all lanes at
+        once: the lane bytes are split into four byte planes, each plane
+        goes through four translate tables (one per byte of that S-box's
+        output), and the results are spread back into lanes.  The upper
+        half of every lane is headroom, so the two additions of F carry
+        into the lane's own bits and F needs one mask, as in the scalar
+        rounds.
+        """
+        size = len(data)
+        from_bytes = int.from_bytes
+        one = from_bytes(_LANE_ONE * (size // BLOCK_SIZE), "big")
+        mask = one * _MASK32
+        value = from_bytes(data, "big")
+        left = (value >> 32) & mask
+        right = value & mask
+        lanes = bytearray(size)  # headroom bytes stay zero throughout
+        (t00, t01, t02, t03, t10, t11, t12, t13,
+         t20, t21, t22, t23, t30, t31, t32, t33) = self._planes
+
+        def feistel(x: int) -> int:
+            # A bytearray plane translates to a bytearray, which the
+            # strided stores take without a conversion copy.
+            raw = bytearray(x.to_bytes(size, "big"))
+            plane = raw[4::8]
+            lanes[4::8] = plane.translate(t00)
+            lanes[5::8] = plane.translate(t01)
+            lanes[6::8] = plane.translate(t02)
+            lanes[7::8] = plane.translate(t03)
+            mixed = from_bytes(lanes, "big")
+            plane = raw[5::8]
+            lanes[4::8] = plane.translate(t10)
+            lanes[5::8] = plane.translate(t11)
+            lanes[6::8] = plane.translate(t12)
+            lanes[7::8] = plane.translate(t13)
+            mixed += from_bytes(lanes, "big")
+            plane = raw[6::8]
+            lanes[4::8] = plane.translate(t20)
+            lanes[5::8] = plane.translate(t21)
+            lanes[6::8] = plane.translate(t22)
+            lanes[7::8] = plane.translate(t23)
+            mixed ^= from_bytes(lanes, "big")
+            plane = raw[7::8]
+            lanes[4::8] = plane.translate(t30)
+            lanes[5::8] = plane.translate(t31)
+            lanes[6::8] = plane.translate(t32)
+            lanes[7::8] = plane.translate(t33)
+            return (mixed + from_bytes(lanes, "big")) & mask
+
+        p = self._p
+        for i in range(_P_SIZE - 1, 1, -2):
+            left ^= p[i] * one
+            right ^= feistel(left)
+            right ^= p[i - 1] * one
+            left ^= feistel(right)
+        value = ((right ^ p[0] * one) << 32) | (left ^ p[1] * one)
+        return (value ^ from_bytes(chain, "big")).to_bytes(size, "big")
 
     def ctr_xor(self, data: bytes, nonce: bytes) -> bytes:
         """Counter-mode transform (encrypt == decrypt) of any-length data.

@@ -8,14 +8,21 @@ drop-in-cipher architecture of §5.1.  In both modes the IV/nonce is
 prepended so each message is self-contained.
 
 When the cipher exposes the whole-buffer word-level primitives
-(``cbc_encrypt_blocks`` / ``cbc_decrypt_blocks`` / ``ctr_xor``, as
+(``cbc_encrypt_blocks`` / ``cbc_decrypt_chained`` / ``ctr_xor``, as
 :class:`~repro.crypto.blowfish.Blowfish` does), the modes run on them —
 integer XOR chaining, no per-byte generators.  Any object with only
 ``encrypt_block``/``decrypt_block`` (e.g. the reference oracle or a
 drop-in cipher) still works through a per-block fallback.
+
+CBC decryption takes a *run* of messages (:func:`cbc_decrypt_run`):
+each block's chain value is the ciphertext block before it, known up
+front, so the word-level primitive decrypts every block of every
+message in one call.
 """
 
 from __future__ import annotations
+
+from typing import List, Sequence
 
 from repro.crypto.blowfish import BLOCK_SIZE
 from repro.crypto.random_source import RandomSource, SystemSource
@@ -95,19 +102,48 @@ def cbc_encrypt(
 
 def cbc_decrypt(cipher, data: bytes) -> bytes:
     """Decrypt ``iv || ciphertext`` produced by :func:`cbc_encrypt`."""
-    if len(data) < 2 * BLOCK_SIZE or len(data) % BLOCK_SIZE != 0:
-        raise CipherError("ciphertext too short or not block aligned")
-    iv, ciphertext = data[:BLOCK_SIZE], data[BLOCK_SIZE:]
-    fast = getattr(cipher, "cbc_decrypt_blocks", None)
-    if fast is not None:
-        return pkcs7_unpad(fast(ciphertext, iv))
+    return cbc_decrypt_run(cipher, (data,))[0]
+
+
+def cbc_decrypt_run(cipher, messages: Sequence[bytes]) -> List[bytes]:
+    """Decrypt a run of ``iv || ciphertext`` messages, in order.
+
+    With ``cbc_decrypt_chained`` the whole run is one kernel call: the
+    data is every message's ciphertext, the chain every message's IV
+    and all but its last ciphertext block.  Raises
+    :class:`~repro.errors.CipherError` if any message is short,
+    misaligned or badly padded.
+    """
+    for data in messages:
+        if len(data) < 2 * BLOCK_SIZE or len(data) % BLOCK_SIZE != 0:
+            raise CipherError("ciphertext too short or not block aligned")
+    fast = getattr(cipher, "cbc_decrypt_chained", None)
+    if fast is None:
+        return [
+            pkcs7_unpad(_cbc_decrypt_per_block(cipher, data)) for data in messages
+        ]
+    padded = fast(
+        b"".join([data[BLOCK_SIZE:] for data in messages]),
+        b"".join([data[:-BLOCK_SIZE] for data in messages]),
+    )
+    plaintexts = []
+    offset = 0
+    for data in messages:
+        end = offset + len(data) - BLOCK_SIZE
+        plaintexts.append(pkcs7_unpad(padded[offset:end]))
+        offset = end
+    return plaintexts
+
+
+def _cbc_decrypt_per_block(cipher, data: bytes) -> bytes:
+    """CBC through ``decrypt_block`` only; returns padded plaintext."""
     plaintext = bytearray()
-    previous = iv
-    for offset in range(0, len(ciphertext), BLOCK_SIZE):
-        block = ciphertext[offset : offset + BLOCK_SIZE]
+    previous = data[:BLOCK_SIZE]
+    for offset in range(BLOCK_SIZE, len(data), BLOCK_SIZE):
+        block = data[offset : offset + BLOCK_SIZE]
         plaintext += _xor_block(cipher.decrypt_block(block), previous)
         previous = block
-    return pkcs7_unpad(bytes(plaintext))
+    return bytes(plaintext)
 
 
 def _ctr_transform(cipher, data: bytes, nonce: bytes) -> bytes:

@@ -277,7 +277,8 @@ class DaemonSecurity:
         if isinstance(payload, DaemonSealedControl):
             try:
                 protector = self._control_protector(payload.sender)
-                return decode_frame(protector.unseal(payload.sealed))
+                (frame,) = protector.unseal((payload.sealed,))
+                return decode_frame(frame)
             except ReproError:
                 self.daemon.kernel.tracer.record(
                     "daemon_security.reject_control", me=self.me, source=source
@@ -293,7 +294,7 @@ class DaemonSecurity:
             self._ack(source)
             return
         try:
-            secret_bytes = self._offer_protector(source).unseal(offer.sealed)
+            (secret_bytes,) = self._offer_protector(source).unseal((offer.sealed,))
         except ReproError:
             return  # corrupt or cross-view offer
         self._install_secret(int.from_bytes(secret_bytes, "big"))
@@ -317,7 +318,8 @@ class DaemonSecurity:
         if payload.view_id != self.view or self._protector is None:
             return None  # other daemon view; our pipeline ignores it anyway
         try:
-            message = decode_frame(self._protector.unseal(payload.sealed))
+            (frame,) = self._protector.unseal((payload.sealed,))
+            message = decode_frame(frame)
         except ReproError:
             self.daemon.kernel.tracer.record(
                 "daemon_security.reject", me=self.me, source=source

@@ -266,7 +266,7 @@ class GroupGateway:
         if protector is None:
             return
         try:
-            plaintext = protector.unseal(data.sealed)
+            (plaintext,) = protector.unseal((data.sealed,))
         except ReproError:
             return  # forged or replayed across channels
         self.client.send(self.group, _encode_relay(data.outsider, plaintext))
@@ -381,6 +381,6 @@ class OutsiderChannel:
             if self._protector is None:
                 return
             try:
-                self.received.append(self._protector.unseal(payload.sealed))
+                self.received.extend(self._protector.unseal((payload.sealed,)))
             except ReproError:
                 return

@@ -12,7 +12,9 @@ keyed cipher through :mod:`repro.crypto.cipher_cache`, so steady-state
 traffic under one session-key epoch reuses one Blowfish schedule.  Hot
 callers (``DataProtector``) resolve the cipher once per epoch and use
 ``encrypt_with``/``decrypt_with`` directly, skipping even the cache
-lookup.
+lookup.  Decryption takes a run of ciphertexts (what reached a member
+in one loop turn), so a suite can decrypt them in one pass:
+``blowfish-cbc`` makes one kernel call per run.
 
 Shipped suites:
 
@@ -28,11 +30,16 @@ producing garbage.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, List, Sequence
 
 from repro.crypto.blowfish import Blowfish
 from repro.crypto.cipher_cache import get_cached_cipher
-from repro.crypto.modes import cbc_decrypt, cbc_encrypt, ctr_decrypt, ctr_encrypt
+from repro.crypto.modes import (
+    cbc_decrypt_run,
+    cbc_encrypt,
+    ctr_decrypt,
+    ctr_encrypt,
+)
 from repro.crypto.random_source import RandomSource
 from repro.errors import ModuleNotFoundError_
 
@@ -46,7 +53,7 @@ class CipherSuite:
         self,
         name: str,
         encrypt: Callable[[Blowfish, bytes, RandomSource], bytes],
-        decrypt: Callable[[Blowfish, bytes], bytes],
+        decrypt: Callable[[Blowfish, Sequence[bytes]], List[bytes]],
     ) -> None:
         self.name = name
         self._encrypt = encrypt
@@ -63,8 +70,11 @@ class CipherSuite:
     ) -> bytes:
         return self._encrypt(cipher, plaintext, random_source)
 
-    def decrypt_with(self, cipher: Blowfish, data: bytes) -> bytes:
-        return self._decrypt(cipher, data)
+    def decrypt_with(
+        self, cipher: Blowfish, ciphertexts: Sequence[bytes]
+    ) -> List[bytes]:
+        """Decrypt a run of ciphertexts; the plaintexts, in order."""
+        return self._decrypt(cipher, ciphertexts)
 
     # -- byte-key convenience API ------------------------------------------
 
@@ -74,19 +84,19 @@ class CipherSuite:
         return self._encrypt(get_cached_cipher(key), plaintext, random_source)
 
     def decrypt(self, key: bytes, data: bytes) -> bytes:
-        return self._decrypt(get_cached_cipher(key), data)
+        return self._decrypt(get_cached_cipher(key), (data,))[0]
 
 
 _SUITES: Dict[str, CipherSuite] = {
     "blowfish-cbc": CipherSuite(
         "blowfish-cbc",
         lambda cipher, pt, rng: cbc_encrypt(cipher, pt, rng),
-        cbc_decrypt,
+        cbc_decrypt_run,
     ),
     "blowfish-ctr": CipherSuite(
         "blowfish-ctr",
         lambda cipher, pt, rng: ctr_encrypt(cipher, pt, rng),
-        ctr_decrypt,
+        lambda cipher, run: [ctr_decrypt(cipher, data) for data in run],
     ),
 }
 

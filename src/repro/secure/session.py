@@ -7,6 +7,12 @@ maps memberships to key operations (Table 1), drives the group's key
 agreement module, runs the cascade/confirmation machinery of
 :mod:`repro.secure.cascade`, and seals/unseals application data.
 
+Sealed messages that reach a session in one loop turn are unsealed as
+one *run*: the first one schedules a drain at the end of the turn, and
+any other event the session takes (or a rekey retiring the key) drains
+the run first, so deliveries keep their order against everything else
+the session emits.
+
 Timing hook: a :class:`CryptoCostModel` can charge virtual time for the
 modular exponentiations each protocol step performs, so simulated
 end-to-end timings (Figure 3) include the serial crypto path exactly as
@@ -16,7 +22,7 @@ the real system's wall clock did.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cliques.directory import KeyDirectory
 from repro.crypto.counters import ExpCounter
@@ -47,6 +53,14 @@ from repro.secure.events import (
     classify_event,
 )
 from repro.secure.handlers.base import KeyAgreementModule, OutMessage, ViewChange
+from repro.secure.member_auth import (
+    MemberAuthChallenge,
+    MemberAuthenticatedEvent,
+    MemberAuthResponse,
+    make_proof,
+    response_key,
+    verify_proof,
+)
 from repro.secure.policy import AllowAllPolicy, ModuleRegistry, default_registry
 from repro.spread.events import (
     DataEvent,
@@ -58,7 +72,7 @@ from repro.spread.events import (
 from repro.sim.trace import Tracer
 from repro.spread.client import EventQueue
 from repro.spread.flush import FlushClient
-from repro.types import GroupId, ProcessId, ServiceType
+from repro.types import GroupId, MembershipCause, ProcessId, ServiceType
 
 #: Shared sink for sessions whose flush stack has no kernel (unit tests).
 _NULL_TRACER = Tracer(enabled=False)
@@ -138,6 +152,10 @@ class SecureGroupSession:
         self.unsealed_messages = 0
         self.unsealed_bytes = 0
         self.rejected_messages = 0
+        # The unseal run: (group, sender, sealed) in arrival order, and
+        # whether its end-of-turn drain is scheduled.
+        self._run: List[Tuple[GroupId, str, SealedMessage]] = []
+        self._drain_scheduled = False
 
     # -- identity helpers -----------------------------------------------------
 
@@ -285,8 +303,6 @@ class SecureGroupSession:
         return shared
 
     def _auth_key(self, peer: str) -> bytes:
-        from repro.secure.member_auth import response_key
-
         low, high = sorted((self.me, peer))
         return response_key(
             self._auth_shared_secret(peer),
@@ -302,8 +318,6 @@ class SecureGroupSession:
         """Challenge ``peer`` to prove it is the authentic member holding
         the current group key; the verdict arrives as a
         :class:`~repro.secure.member_auth.MemberAuthenticatedEvent`."""
-        from repro.secure.member_auth import MemberAuthChallenge
-
         if self.state != STATE_CONFIRMED:
             raise NoGroupKeyError("cannot authenticate without a secure view")
         if not self._auth_material_ready():
@@ -323,8 +337,6 @@ class SecureGroupSession:
         self.flush.unicast(ProcessId.parse(peer), challenge)
 
     def _on_auth_challenge(self, challenge) -> None:
-        from repro.secure.member_auth import MemberAuthResponse, make_proof
-
         if (
             self.state != STATE_CONFIRMED
             or not self._auth_material_ready()
@@ -345,11 +357,6 @@ class SecureGroupSession:
         self.flush.unicast(ProcessId.parse(challenge.challenger), response)
 
     def _on_auth_response(self, response) -> None:
-        from repro.secure.member_auth import (
-            MemberAuthenticatedEvent,
-            verify_proof,
-        )
-
         challenge = self._pending_challenges.pop(response.nonce, None)
         if challenge is None or self.state != STATE_CONFIRMED:
             return
@@ -367,14 +374,18 @@ class SecureGroupSession:
     # -- event intake (called by SecureClient) ----------------------------------------
 
     def handle_event(self, event: Any) -> None:
+        if isinstance(event, DataEvent) and isinstance(event.payload, SealedMessage):
+            self._on_sealed(event.group, str(event.sender), event.payload)
+            return
+        # Every other event follows the sealed data that arrived before
+        # it: e.g. a view's data is delivered before its flush_ok.
+        self._drain()
         if isinstance(event, FlushRequestEvent):
             # §5.4: the layer cannot know yet what the membership change
             # is, so it must always let it proceed.
             self.flush.flush_ok(self.group)
             return
         if isinstance(event, MembershipEvent):
-            from repro.types import MembershipCause
-
             if event.cause == MembershipCause.TRANSITIONAL:
                 # EVS transitional signal: advisory; the re-key happens on
                 # the regular membership that follows.
@@ -459,6 +470,8 @@ class SecureGroupSession:
         self._maybe_confirm()
 
     def _begin_attempt(self, attempt: int, operation: KeyOperation) -> None:
+        # The run pending now arrived under the key about to be retired.
+        self._drain()
         self.state = STATE_AGREEING
         self.attempt = attempt
         self.operation = operation
@@ -519,11 +532,6 @@ class SecureGroupSession:
     # -- data / control message handling ------------------------------------------------
 
     def _on_data(self, event: DataEvent) -> None:
-        from repro.secure.member_auth import (
-            MemberAuthChallenge,
-            MemberAuthResponse,
-        )
-
         payload = event.payload
         sender = str(event.sender)
         if isinstance(payload, AgreementEnvelope):
@@ -534,8 +542,6 @@ class SecureGroupSession:
             self._on_refresh_announce(sender, payload)
         elif isinstance(payload, KeyConfirm):
             self._on_key_confirm(sender, payload)
-        elif isinstance(payload, SealedMessage):
-            self._on_sealed(event.group, sender, payload)
         elif isinstance(payload, MemberAuthChallenge):
             self._on_auth_challenge(payload)
         elif isinstance(payload, MemberAuthResponse):
@@ -586,39 +592,78 @@ class SecureGroupSession:
         self._maybe_complete()
 
     def _on_sealed(self, group: GroupId, sender: str, sealed: SealedMessage) -> None:
-        if self._protector is None:
-            self.rejected_messages += 1
-            if self._tracer.enabled:
-                self._tracer.record(
-                    "secure.reject",
-                    me=self.me,
-                    group=str(group),
-                    sender=sender,
-                    epoch=sealed.epoch_label,
-                    reason="no_key",
-                )
-            return  # no key (superseded traffic); VS makes this benign
-        try:
-            plaintext = self._protector.unseal(sealed)
-        except ReproError as exc:
-            # Wrong epoch or MAC: drop, as a router would — but leave a
-            # trace so the chaos invariants can count every rejection and
-            # prove no corrupted payload ever reached the application.
-            self.rejected_messages += 1
-            if self._tracer.enabled:
-                self._tracer.record(
-                    "secure.reject",
-                    me=self.me,
-                    group=str(group),
-                    sender=sender,
-                    epoch=sealed.epoch_label,
-                    reason=(
-                        "stale_epoch"
-                        if isinstance(exc, StaleKeyError)
-                        else "mac_fail"
-                    ),
-                )
+        """Add a sealed message to the run; the first schedules its drain."""
+        self._run.append((group, sender, sealed))
+        if self._drain_scheduled:
             return
+        kernel = self._kernel
+        if kernel is None:
+            self._drain()  # unit-test stand-in flush stack: no loop turns
+            return
+        self._drain_scheduled = True
+        kernel.call_later(
+            0.0, self._end_of_turn, label=f"secure.{self.group}.unseal"
+        )
+
+    def _end_of_turn(self) -> None:
+        self._drain_scheduled = False
+        self._drain()
+
+    def _drain(self) -> None:
+        """Unseal and deliver the pending run, in arrival order.
+
+        One :meth:`~repro.secure.dataprotect.DataProtector.unseal` call
+        for the whole run; if it raises, the run is retried one message
+        at a time so only the bad message is rejected.
+        """
+        run = self._run
+        if not run:
+            return
+        self._run = []
+        protector = self._protector
+        if protector is None:
+            # No key (superseded traffic); VS makes this benign.
+            for group, sender, sealed in run:
+                self._reject(group, sender, sealed, "no_key")
+            return
+        try:
+            plaintexts = protector.unseal([sealed for _, _, sealed in run])
+        except ReproError:
+            for group, sender, sealed in run:
+                try:
+                    (plaintext,) = protector.unseal((sealed,))
+                except ReproError as exc:
+                    # Wrong epoch or MAC: drop, as a router would — but
+                    # leave a trace so the chaos invariants can count
+                    # every rejection and prove no corrupted payload
+                    # ever reached the application.
+                    stale = isinstance(exc, StaleKeyError)
+                    self._reject(
+                        group, sender, sealed, "stale_epoch" if stale else "mac_fail"
+                    )
+                else:
+                    self._deliver(group, sender, sealed, plaintext)
+            return
+        for (group, sender, sealed), plaintext in zip(run, plaintexts):
+            self._deliver(group, sender, sealed, plaintext)
+
+    def _reject(
+        self, group: GroupId, sender: str, sealed: SealedMessage, reason: str
+    ) -> None:
+        self.rejected_messages += 1
+        if self._tracer.enabled:
+            self._tracer.record(
+                "secure.reject",
+                me=self.me,
+                group=str(group),
+                sender=sender,
+                epoch=sealed.epoch_label,
+                reason=reason,
+            )
+
+    def _deliver(
+        self, group: GroupId, sender: str, sealed: SealedMessage, plaintext: bytes
+    ) -> None:
         self.unsealed_messages += 1
         self.unsealed_bytes += sealed.wire_size()
         if self._tracer.enabled:

@@ -41,7 +41,7 @@ from repro.spread.events import (
     MembershipEvent,
     SelfLeaveEvent,
 )
-from repro.types import ProcessId, ServiceType
+from repro.types import MembershipCause, ProcessId, ServiceType
 
 
 @dataclass(frozen=True)
@@ -194,8 +194,6 @@ class FlushClient(EventQueue):
             self._emit(event)
 
     def _on_membership(self, event: MembershipEvent) -> None:
-        from repro.types import MembershipCause
-
         if event.cause == MembershipCause.TRANSITIONAL:
             # EVS transitional configuration: advisory only — it does not
             # start a flush round (the regular membership follows).

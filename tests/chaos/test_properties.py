@@ -96,12 +96,12 @@ def test_corrupted_sealed_message_never_opens(plaintext, seed):
     assert (damaged.ciphertext, damaged.tag) != (sealed.ciphertext, sealed.tag)
     # ...and the MAC rejects it without leaking the plaintext.
     with pytest.raises(IntegrityError) as excinfo:
-        protector.unseal(damaged)
+        protector.unseal((damaged,))
     if len(plaintext) >= 4:
         assert plaintext not in str(excinfo.value).encode()
     # The pristine copy still opens: corruption never mutates the sender
     # side (retransmission buffers hold clean bits).
-    assert protector.unseal(sealed) == plaintext
+    assert protector.unseal((sealed,)) == [plaintext]
 
 
 @settings(max_examples=50, deadline=None)

@@ -128,5 +128,5 @@ def test_keyed_cipher_is_cached_instance():
     assert suite.keyed(key) is cipher
     rng = DeterministicSource(6)
     sealed = suite.encrypt_with(cipher, b"direct", rng)
-    assert suite.decrypt_with(cipher, sealed) == b"direct"
+    assert suite.decrypt_with(cipher, [sealed]) == [b"direct"]
     invalidate_key(key)

@@ -185,7 +185,7 @@ def test_leaver_transcript_cannot_decrypt_future_traffic():
     from repro.errors import ReproError
 
     with pytest.raises(ReproError):
-        old_protector.unseal(captured)
+        old_protector.unseal((captured,))
 
 
 def test_tampered_ciphertext_rejected_and_group_survives():

@@ -1,4 +1,4 @@
-"""Batched data protection: seal_many / unseal_many / send_many.
+"""Batched data protection: seal_many / unseal of a run / send_many.
 
 The batched entry points exist for the data-plane fast path (one header
 build and one key-schedule lookup amortised over a burst) — their
@@ -41,23 +41,23 @@ def test_seal_many_bit_identical_to_sequential_seal():
     assert batched == sequential
 
 
-def test_unseal_many_roundtrip_preserves_order():
+def test_unseal_run_roundtrip_preserves_order():
     protector = make_protector()
     sealed = protector.seal_many(
         "g", "#a#d0", PLAINTEXTS, DeterministicSource(7)
     )
-    assert protector.unseal_many(sealed) == PLAINTEXTS
+    assert protector.unseal(sealed) == PLAINTEXTS
 
 
-def test_unseal_many_rejects_wrong_epoch():
+def test_unseal_run_rejects_wrong_epoch():
     sealed = make_protector().seal_many(
         "g", "#a#d0", PLAINTEXTS, DeterministicSource(7)
     )
     with pytest.raises(StaleKeyError):
-        make_protector(epoch="g|v|1").unseal_many(sealed)
+        make_protector(epoch="g|v|1").unseal(sealed)
 
 
-def test_unseal_many_rejects_tampered_member():
+def test_unseal_run_rejects_tampered_member():
     protector = make_protector()
     sealed = protector.seal_many(
         "g", "#a#d0", PLAINTEXTS, DeterministicSource(7)
@@ -71,7 +71,7 @@ def test_unseal_many_rejects_tampered_member():
         tag=bad.tag,
     )
     with pytest.raises(IntegrityError):
-        protector.unseal_many(sealed)
+        protector.unseal(sealed)
 
 
 def test_seal_header_is_the_sealed_message_header():

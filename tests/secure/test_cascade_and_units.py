@@ -91,7 +91,7 @@ def make_protector(epoch="g|v|0"):
 def test_seal_unseal_roundtrip():
     protector = make_protector()
     sealed = protector.seal("g", "#a#d0", b"hello", DeterministicSource(1))
-    assert protector.unseal(sealed) == b"hello"
+    assert protector.unseal((sealed,)) == [b"hello"]
 
 
 def test_seal_pinned_bytes():
@@ -113,7 +113,7 @@ def test_unseal_rejects_wrong_epoch():
     sealed = protector.seal("g", "#a#d0", b"hello", DeterministicSource(1))
     other = make_protector(epoch="g|v|1")
     with pytest.raises(StaleKeyError):
-        other.unseal(sealed)
+        other.unseal((sealed,))
 
 
 def test_unseal_rejects_tampered_ciphertext():
@@ -127,7 +127,7 @@ def test_unseal_rejects_tampered_ciphertext():
         tag=sealed.tag,
     )
     with pytest.raises(IntegrityError):
-        protector.unseal(tampered)
+        protector.unseal((tampered,))
 
 
 def test_unseal_rejects_forged_sender():
@@ -141,7 +141,7 @@ def test_unseal_rejects_forged_sender():
         tag=sealed.tag,
     )
     with pytest.raises(IntegrityError):
-        protector.unseal(forged)
+        protector.unseal((forged,))
 
 
 def test_sealed_wire_size():

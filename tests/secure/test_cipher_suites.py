@@ -96,7 +96,7 @@ def test_register_custom_suite():
     xor = CipherSuite(
         "test-xor",
         lambda cipher, pt, rng: bytes(b ^ 0x42 for b in pt),
-        lambda cipher, data: bytes(b ^ 0x42 for b in data),
+        lambda cipher, run: [bytes(b ^ 0x42 for b in data) for data in run],
     )
     register_cipher_suite(xor)
     assert "test-xor" in cipher_suite_names()
@@ -111,7 +111,15 @@ def test_protector_with_ctr_roundtrip():
     keys = derive_keys(4242, "g|v", 0)
     protector = DataProtector(keys, "g|v|0", cipher="blowfish-ctr")
     sealed = protector.seal("g", "#a#d0", b"via ctr", DeterministicSource(4))
-    assert protector.unseal(sealed) == b"via ctr"
+    assert protector.unseal((sealed,)) == [b"via ctr"]
+
+
+def test_ctr_protector_unseals_a_run():
+    keys = derive_keys(4242, "g|v", 0)
+    protector = DataProtector(keys, "g|v|0", cipher="blowfish-ctr")
+    payloads = [b"", b"one", b"x" * 100, bytes(range(256))]
+    sealed = protector.seal_many("g", "#a#d0", payloads, DeterministicSource(6))
+    assert protector.unseal(sealed) == payloads
 
 
 def test_cbc_and_ctr_protectors_incompatible():
@@ -122,7 +130,7 @@ def test_cbc_and_ctr_protectors_incompatible():
     # Same keys, same MAC: the tag verifies, but the plaintext differs
     # (CTR interprets the CBC bytes as a keystream xor) — which is why
     # the session folds the suite name into key derivation.
-    assert ctr.unseal(sealed) != b"mode matters"
+    assert ctr.unseal((sealed,)) != [b"mode matters"]
 
 
 # -- end to end -----------------------------------------------------------------------------

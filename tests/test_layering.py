@@ -31,6 +31,10 @@ three-call hook, and only the transport codec turns objects into bytes.
 
 Behaviour has no environment switches: the one ``REPRO_*`` variable is
 the deployment key file, read by the transport's auth module.
+
+The secure data path imports at module level: the session, the data
+protector and the flush layer run an ``import`` statement per event if
+one sits in a function body, and none of theirs closes a cycle.
 """
 
 from __future__ import annotations
@@ -381,3 +385,21 @@ def test_only_the_deployment_key_file_is_read_from_the_environment():
         if (lines := _environment_reads(path))
     }
     assert set(readers) <= {"transport/auth.py"}, readers
+
+
+#: Modules on the per-event secure data path.
+HOT_PATH_MODULES = ("secure/session.py", "secure/dataprotect.py", "spread/flush.py")
+
+
+def test_the_secure_data_path_imports_at_module_level():
+    local = []
+    for name in HOT_PATH_MODULES:
+        tree = ast.parse((SRC_ROOT / "repro" / name).read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local += [
+                    f"{name}:{node.lineno}"
+                    for node in ast.walk(function)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert local == [], local
