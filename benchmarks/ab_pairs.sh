@@ -5,7 +5,9 @@
 # parent.json and change.json (run.py's --out format) and hands them to
 # `run.py --compare`, which owns every statistic.  The parent is
 # unpacked with `git archive`: committed files only, as the PR driver
-# sees it, and nothing to prune from .git afterwards.
+# sees it, and nothing to prune from .git afterwards.  churn_sim is
+# seeded, so its exact counts (all but process.*) must match seed by
+# seed: the script diffs them and exits non-zero on any difference.
 #   sh benchmarks/ab_pairs.sh HEAD~1 sealed_flood_tcp        # ~9 min
 set -eu
 [ $# -ge 2 ] || { echo "usage: $0 PARENT_REF WORKLOAD [PAIRS=10]" >&2; exit 2; }
@@ -37,4 +39,29 @@ for side in parent change; do
       printf ']}\n'; } > "$work/$side.json"
 done
 echo "wrote $work/parent.json $work/change.json (A = $parent_ref, B = working tree)"
-python3 "$repo_root/benchmarks/e2e/run.py" --compare "$work/parent.json" "$work/change.json"
+status=0
+python3 "$repo_root/benchmarks/e2e/run.py" --compare "$work/parent.json" "$work/change.json" || status=$?
+if [ "$workload" = churn_sim ]; then
+    python3 - "$work" "$pairs" <<'EOF' || status=1
+import json, sys
+
+work, pairs = sys.argv[1], int(sys.argv[2])
+
+
+def counts(side, seed):
+    with open(f"{work}/{side}.{seed}.doc") as doc:
+        return {key: value for key, value in json.load(doc)["counts"].items()
+                if not key.startswith("process.")}
+
+
+differ = []
+for seed in range(1, pairs + 1):
+    parent, change = counts("parent", seed), counts("change", seed)
+    differ += [f"seed {seed}: {key} {parent.get(key)} -> {change.get(key)}"
+               for key in sorted(parent.keys() | change.keys())
+               if parent.get(key) != change.get(key)]
+print("\n".join(differ) if differ else f"counts identical ({pairs} seeds)")
+sys.exit(1 if differ else 0)
+EOF
+fi
+exit "$status"

@@ -15,39 +15,15 @@ Typical use::
 Higher layers rarely touch the kernel directly; they use
 :class:`~repro.sim.process.SimProcess` and :class:`~repro.sim.timers.Timer`.
 
-Hot-path design (pending events wait in one ``heapq`` binary heap; this
-kernel executes millions of events in the larger sweeps):
-
-* :class:`Event` is a ``__slots__`` class with a hand-written ``__lt__``
-  — no dataclass descriptor machinery, no per-comparison tuple field
-  walk beyond the one the heap needs.
-* Cancellation is lazy: cancelled events are skipped when they surface
-  at a queue head; the heap is never rebuilt.  A live event counter
-  makes :attr:`Kernel.pending_events` O(1) — ``cancel()`` and dispatch
-  each decrement it exactly once.
-* ``call_at(now, ...)`` / ``call_later(0, ...)`` at default priority
-  append to a FIFO *ready* deque instead of the heap.  Because virtual
-  time never moves backwards and sequence numbers grow monotonically,
-  the deque is always sorted by ``(time, priority, seq)``; the dispatch
-  loop two-way-merges the deque head with the heap head, so ordering is
-  exactly what one global queue would produce.
-* The run loop pops exactly once per dispatched event — no separate
-  peek pass re-draining cancelled heads — and hands the popped event to
-  the ``step(event=...)`` fast path.  An event popped but not run (the
-  ``until`` horizon passed) is stashed and re-served first.  Held
-  popped-but-unrun events (the stash and the merge's heap head) are
-  only served without re-checking the queues because ``call_at``
-  flushes them back into the heap the moment a new event sorts before
-  them — otherwise an event scheduled between runs (or from a callback
-  while the head is held) would dispatch after a later-timed held event
-  and the clock would move backwards.
+Pending events wait in one ``heapq`` binary heap.  Cancellation is
+lazy: a cancelled event is discarded when it surfaces at the heap head,
+and a live-event counter keeps :attr:`Kernel.pending_events` O(1).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heappop, heappush
-from typing import Callable, Deque, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import ClockError, DeadlockError
 from repro.sim.rng import DeterministicRng
@@ -55,11 +31,7 @@ from repro.sim.trace import Tracer
 
 
 class Event:
-    """A scheduled callback.
-
-    Ordering is by ``(time, priority, seq)``; the callback itself does not
-    participate in comparisons.
-    """
+    """A scheduled callback, dispatched in ``(time, priority, seq)`` order."""
 
     __slots__ = ("time", "priority", "seq", "callback", "cancelled", "label",
                  "_owner")
@@ -82,13 +54,6 @@ class Event:
         # event fires or is cancelled, so the live-event counter moves
         # exactly once per event.
         self._owner = None
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Safe to call more than once."""
@@ -130,19 +95,14 @@ class Kernel:
         seed: int = 0,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        self._heap: List[Event] = []
-        self._ready: Deque[Event] = deque()
-        # The heap's popped-but-unconsumed head (the two-way merge
-        # needs to look at it without losing it), and the globally
-        # popped event the run loop pushed back at an ``until`` horizon.
-        self._heap_head: Optional[Event] = None
-        self._stashed: Optional[Event] = None
+        # (time, priority, seq, event): seq is unique, so the tuple
+        # comparison never reaches the event.
+        self._heap: List[Tuple[float, int, int, Event]] = []
         self._next_seq = 0
         #: Current virtual time in seconds.  A plain attribute (not a
         #: property): it is read on every call_at and in most callbacks,
         #: so the descriptor call would be measurable on the hot path.
         self.now = 0.0
-        self._running = False
         self._events_processed = 0
         self._events_cancelled = 0
         self._pending = 0
@@ -168,7 +128,7 @@ class Kernel:
     @property
     def events_cancelled(self) -> int:
         """Cancelled events discarded so far (cancellation is lazy, so
-        this counts discard at the queue heads, not ``cancel()`` calls)."""
+        this counts discards at the heap head, not ``cancel()`` calls)."""
         return self._events_cancelled
 
     @property
@@ -197,32 +157,7 @@ class Kernel:
         event = Event(when, priority, seq, callback, label)
         event._owner = self
         self._pending += 1
-        # The dispatch loop serves held popped-but-unrun events (the
-        # run-horizon stash, the merge's heap head) without re-checking
-        # the heap, which is only sound while they sort before
-        # everything queued.  A new event that undercuts a held one
-        # flushes it back into the heap so both re-enter the merge.
-        # Seq is monotone, so ties never undercut and the comparison
-        # needs no seq term.
-        stash = self._stashed
-        if stash is not None and (
-            when < stash.time or (when == stash.time and priority < stash.priority)
-        ):
-            self._stashed = None
-            heappush(self._heap, stash)
-        head = self._heap_head
-        if head is not None and (
-            when < head.time or (when == head.time and priority < head.priority)
-        ):
-            self._heap_head = None
-            heappush(self._heap, head)
-        if when == self.now and priority == 0:
-            # Immediate default-priority work (the dominant schedule in
-            # dispatch chains): the ready deque stays sorted because now
-            # and seq are both monotone, so no heap insert is needed.
-            self._ready.append(event)
-        else:
-            heappush(self._heap, event)
+        heappush(self._heap, (when, priority, seq, event))
         return event
 
     def call_later(
@@ -239,66 +174,36 @@ class Kernel:
 
     # -- execution --------------------------------------------------------
 
-    def _pop_runnable(self) -> Optional[Event]:
-        """Pop the globally next non-cancelled event, or None when drained.
+    def _dispatch_next(self, until: Optional[float]) -> bool:
+        """Run the next live event unless it lies beyond ``until``.
 
-        Two-way merge of the ready deque and the heap, discarding
-        cancelled events lazily as they surface at either head.  An
-        event stashed back by :meth:`run` is served first.  The heap's
-        popped-but-unconsumed head is held in ``_heap_head`` so peeking
-        at it never loses it.
+        Returns False when the heap holds no live event at or before
+        ``until``; an event beyond it stays queued for a later run.
         """
-        stashed = self._stashed
-        if stashed is not None:
-            self._stashed = None
-            if not stashed.cancelled:
-                return stashed
-            self._events_cancelled += 1
-        ready = self._ready
-        while ready and ready[0].cancelled:
-            ready.popleft()
-            self._events_cancelled += 1
-        head = self._heap_head
-        if head is not None and head.cancelled:
-            self._events_cancelled += 1
-            head = None
-        if head is None:
-            heap = self._heap
-            while heap:
-                head = heappop(heap)
-                if not head.cancelled:
-                    break
+        heap = self._heap
+        while heap:
+            event = heap[0][3]
+            if event.cancelled:
+                heappop(heap)
                 self._events_cancelled += 1
-                head = None
-        if not ready:
-            self._heap_head = None
-            return head
-        if head is None or ready[0] < head:
-            self._heap_head = head
-            return ready.popleft()
-        self._heap_head = None
-        return head
-
-    def step(self, event: Optional[Event] = None) -> bool:
-        """Run a single event.  Returns False when the queue is empty.
-
-        ``event`` is the fast path for callers that already popped the
-        next runnable event (the fused run loop): it must come from
-        :meth:`_pop_runnable`, which guarantees it is not cancelled.
-        """
-        if event is None:
-            event = self._pop_runnable()
-            if event is None:
+                continue
+            if until is not None and event.time > until:
                 return False
-        self.now = event.time
-        event._owner = None
-        self._pending -= 1
-        self._events_processed += 1
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.record("kernel.event", time=self.now, label=event.label)
-        event.callback()
-        return True
+            heappop(heap)
+            self.now = event.time
+            event._owner = None
+            self._pending -= 1
+            self._events_processed += 1
+            tracer = self.tracer
+            if tracer.enabled:
+                tracer.record("kernel.event", time=self.now, label=event.label)
+            event.callback()
+            return True
+        return False
+
+    def step(self) -> bool:
+        """Run a single event.  Returns False when the queue is empty."""
+        return self._dispatch_next(None)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the queue drains, ``until`` passes, or the
@@ -308,64 +213,12 @@ class Kernel:
         advanced to exactly ``until`` even if the queue drains earlier
         (like real time passing with nothing to do).
         """
-        self._running = True
         executed = 0
-        # The hottest loop in the repo: the two-way merge and the
-        # dispatch body are inlined (no per-event Python calls beyond
-        # the callback itself).  Must mirror _pop_runnable + step.
-        ready = self._ready
-        heap = self._heap
-        try:
-            while True:
-                if max_events is not None and executed >= max_events:
-                    return
-                event = self._stashed
-                if event is not None:
-                    self._stashed = None
-                    if event.cancelled:
-                        self._events_cancelled += 1
-                        continue
-                else:
-                    while ready and ready[0].cancelled:
-                        ready.popleft()
-                        self._events_cancelled += 1
-                    head = self._heap_head
-                    if head is not None and head.cancelled:
-                        self._events_cancelled += 1
-                        head = None
-                    if head is None:
-                        while heap:
-                            head = heappop(heap)
-                            if not head.cancelled:
-                                break
-                            self._events_cancelled += 1
-                            head = None
-                    if not ready:
-                        self._heap_head = None
-                        event = head
-                        if event is None:
-                            break
-                    elif head is None or ready[0] < head:
-                        self._heap_head = head
-                        event = ready.popleft()
-                    else:
-                        self._heap_head = None
-                        event = head
-                if until is not None and event.time > until:
-                    # Beyond the horizon: push back for the next run call.
-                    self._stashed = event
-                    break
-                self.now = event.time
-                event._owner = None
-                self._pending -= 1
-                self._events_processed += 1
-                tracer = self.tracer
-                if tracer.enabled:
-                    tracer.record("kernel.event", time=self.now, label=event.label)
-                event.callback()
-                executed += 1
-        finally:
-            self._running = False
+        dispatch_next = self._dispatch_next
+        while max_events is None or executed < max_events:
+            if not dispatch_next(until):
+                break
+            executed += 1
         if until is not None and until > self.now:
             self.now = until
 

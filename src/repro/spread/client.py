@@ -38,7 +38,7 @@ from repro.sim.process import SimProcess
 from repro.spread.daemon import SpreadDaemon
 from repro.spread.events import ConnectionLostEvent, DataEvent, MembershipEvent
 from repro.spread.fragments import MessageFragment, Reassembler, split_payload
-from repro.types import ProcessId, ServiceType
+from repro.types import MembershipCause, ProcessId, ServiceType
 
 EventCallback = Callable[[Any], None]
 
@@ -165,8 +165,18 @@ class ClientCore(EventQueue):
     # -- receive side ------------------------------------------------------------
 
     def _deliver(self, event: Any) -> None:
-        """Queue one event the daemon pushed, reassembling fragments."""
-        if isinstance(event, DataEvent) and isinstance(
+        """Queue one event the daemon pushed, reassembling fragments.
+
+        A process that left the daemon (disconnect, crash or partition)
+        takes its fragment-train state along: a client reconnecting
+        under its pid numbers its trains from 1 again.
+        """
+        if isinstance(event, MembershipEvent) and event.cause in (
+            MembershipCause.DISCONNECT, MembershipCause.NETWORK
+        ):
+            for pid in event.left:
+                self._reassembler.drop_sender(str(pid))
+        elif isinstance(event, DataEvent) and isinstance(
             event.payload, MessageFragment
         ):
             whole = self._reassembler.accept(str(event.sender), event.payload)

@@ -677,8 +677,8 @@ class SpreadDaemon(SimProcess):
         """(pid string, client) for local clients that are in the group.
 
         Iterates the (small, local) client table in connect order — the
-        delivery order clients observe — against the slab's O(1)
-        membership set; the group's total size never enters the cost.
+        delivery order clients observe — checking each against the
+        group's members.
         """
         result = []
         is_member = self.groups.is_member

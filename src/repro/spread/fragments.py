@@ -166,10 +166,6 @@ class Reassembler:
 
     def __init__(self, tracer: Optional[Tracer] = None) -> None:
         self._partial: Dict[Tuple[str, int], _Partial] = {}
-        # Per-sender index of open fragment ids, so a view change with
-        # many in-flight messages drops a departed sender in O(its own
-        # partials) instead of scanning every open buffer.
-        self._open_ids: Dict[str, Set[int]] = {}
         # Highest fragment id already fully reassembled, per sender:
         # anything at or below it is superseded and must not reopen a
         # buffer (fragment ids grow monotonically per connection).
@@ -215,7 +211,6 @@ class Reassembler:
                 return bytes(fragment.chunk)
             partial = _Partial(total)
             self._partial[key] = partial
-            self._open_ids.setdefault(sender, set()).add(fragment.fragment_id)
         if partial.total != total:
             raise IllegalMessageError(
                 "fragment total changed mid-message"
@@ -239,11 +234,6 @@ class Reassembler:
         if len(partial.have) < total:
             return None
         del self._partial[key]
-        open_ids = self._open_ids.get(sender)
-        if open_ids is not None:
-            open_ids.discard(fragment.fragment_id)
-            if not open_ids:
-                del self._open_ids[sender]
         previous = self._completed.get(sender, 0)
         self._completed[sender] = max(previous, fragment.fragment_id)
         return partial.result()
@@ -253,7 +243,9 @@ class Reassembler:
         return len(self._partial)
 
     def drop_sender(self, sender: str) -> None:
-        """Discard partial state from a departed sender (view change)."""
-        for fragment_id in self._open_ids.pop(sender, ()):
-            self._partial.pop((sender, fragment_id), None)
+        """Forget a departed sender: its open partials and its completed
+        mark, so a new connection under the same pid, whose fragment ids
+        restart at 1, is not dropped as stale."""
+        for key in [key for key in self._partial if key[0] == sender]:
+            del self._partial[key]
         self._completed.pop(sender, None)

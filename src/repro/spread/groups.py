@@ -1,4 +1,4 @@
-"""Lightweight process-group state, slab-backed for many-group scale.
+"""Lightweight process-group state.
 
 Every daemon tracks the membership of every group (process ids, i.e.
 ``#name#daemon`` strings).  Group changes flow through the agreed-order
@@ -6,40 +6,18 @@ pipeline, so all daemons apply them in the same order; at daemon view
 changes the tables are merged/pruned by the membership protocol.  Both
 paths keep the tables identical across connected daemons.
 
-Layout: one daemon is expected to carry thousands of groups (the
-ROADMAP scale target), so per-group state lives in interned *slabs*
-rather than a dict of ad-hoc objects:
-
-* Group names are interned to small integer ids (``_gids``); dead ids
-  are recycled through a free list, so long-lived daemons with heavy
-  group churn keep the slab list compact.
-* A :class:`_GroupSlab` is a ``__slots__`` record holding the member
-  pid strings and a *parallel* list of their ``(daemon, private_name)``
-  sort keys, both kept sorted.  Joins are ``bisect`` insertions into
-  the already-sorted lists — O(log m + m) memmove, not the O(m log m)
-  re-sort per join the seed paid — and a membership set makes
-  :meth:`GroupTable.is_member` O(1) regardless of group size.
-* Because the sort key leads with the daemon name, *all members on one
-  daemon are one contiguous bisect range* (:meth:`GroupTable.members_on`)
-  — the daemon's local-delivery fan-out reads its slice directly
-  instead of filtering the whole group.
-* A reverse index (pid -> set of group ids) makes
-  :meth:`GroupTable.groups_of` and :meth:`GroupTable.remove_process`
-  proportional to the process's own groups, not to every group in the
-  daemon.
-
-``change_counter`` stays a plain dict on purpose: its lifecycle is
-observable through ``GroupViewId`` counters.  Entries survive
-empty-group collection — within one daemon view the counter is the
-only thing keeping group-view ids totally ordered and unique, so a
-group that empties and re-forms keeps counting — and reset only at
-view installation, where the daemon-view half of the id changes.
+``change_counter`` is kept apart from the members on purpose: its
+lifecycle is observable through ``GroupViewId`` counters.  Entries
+survive empty-group collection — within one daemon view the counter is
+the only thing keeping group-view ids totally ordered and unique, so a
+group that empties and re-forms keeps counting — and reset only at view
+installation, where the daemon-view half of the id changes.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, Mapping, Set, Tuple
 
 from repro.types import ProcessId
 
@@ -49,34 +27,16 @@ def daemon_of(pid_string: str) -> str:
     return ProcessId.parse(pid_string).daemon.name
 
 
-class _GroupSlab:
-    """Flat per-group record: sorted members plus parallel sort keys."""
-
-    __slots__ = ("name", "members", "keys", "member_set")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        #: Member pid strings, sorted by ``(daemon, private_name)``.
-        self.members: List[str] = []
-        #: Parallel ``(daemon, private_name)`` keys — the bisect axis.
-        self.keys: List[Tuple[str, str]] = []
-        #: Membership set for O(1) ``is_member``.
-        self.member_set: Set[str] = set()
-
-
 class GroupTable:
     """Group name -> ordered tuple of process id strings.
 
     Member order is deterministic (sorted by ``(daemon, name)``), so all
-    daemons present identical views to their clients.
+    daemons present identical views to their clients.  A group with no
+    members is not in the table.
     """
 
     def __init__(self) -> None:
-        self._gids: Dict[str, int] = {}
-        self._slabs: List[Optional[_GroupSlab]] = []
-        self._free: List[int] = []
-        # pid string -> gids of the groups it belongs to.
-        self._pid_gids: Dict[str, Set[int]] = {}
+        self._members: Dict[str, Tuple[str, ...]] = {}
         # Per-group change counter within the current daemon view.
         self.change_counter: Dict[str, int] = {}
 
@@ -85,47 +45,22 @@ class GroupTable:
         pid = ProcessId.parse(pid_string)
         return (pid.daemon.name, pid.private_name)
 
-    def _slab(self, group: str) -> Optional[_GroupSlab]:
-        gid = self._gids.get(group)
-        if gid is None:
-            return None
-        return self._slabs[gid]
-
     # -- queries -------------------------------------------------------------
 
     def members_of(self, group: str) -> Tuple[str, ...]:
-        slab = self._slab(group)
-        if slab is None:
-            return ()
-        return tuple(slab.members)
-
-    def members_on(self, group: str, daemon: str) -> Tuple[str, ...]:
-        """Members whose process lives on ``daemon`` — one contiguous
-        slice of the sorted slab, found with two bisects."""
-        slab = self._slab(group)
-        if slab is None:
-            return ()
-        keys = slab.keys
-        lo = bisect_left(keys, (daemon, ""))
-        hi = bisect_left(keys, (daemon + "\x00", ""))
-        return tuple(slab.members[lo:hi])
+        return self._members.get(group, ())
 
     def groups(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._gids))
-
-    def group_count(self) -> int:
-        return len(self._gids)
+        return tuple(sorted(self._members))
 
     def groups_of(self, pid_string: str) -> Tuple[str, ...]:
-        gids = self._pid_gids.get(pid_string)
-        if not gids:
-            return ()
-        slabs = self._slabs
-        return tuple(sorted(slabs[gid].name for gid in gids))
+        return tuple(sorted(
+            group for group, members in self._members.items()
+            if pid_string in members
+        ))
 
     def is_member(self, group: str, pid_string: str) -> bool:
-        slab = self._slab(group)
-        return slab is not None and pid_string in slab.member_set
+        return pid_string in self._members.get(group, ())
 
     def bump_change(self, group: str) -> int:
         counter = self.change_counter.get(group, 0) + 1
@@ -134,97 +69,35 @@ class GroupTable:
 
     # -- mutations (applied in agreed order) ---------------------------------
 
-    def _intern(self, group: str) -> _GroupSlab:
-        gid = self._gids.get(group)
-        if gid is not None:
-            return self._slabs[gid]
-        slab = _GroupSlab(group)
-        if self._free:
-            gid = self._free.pop()
-            self._slabs[gid] = slab
-        else:
-            gid = len(self._slabs)
-            self._slabs.append(slab)
-        self._gids[group] = gid
-        return slab
-
-    def _release(self, group: str) -> None:
-        gid = self._gids.pop(group)
-        self._slabs[gid] = None
-        self._free.append(gid)
-        # The change counter deliberately SURVIVES empty-group
-        # collection: GroupViewId promises a total order per group, and
-        # a counter restarting at 1 when a group empties and re-forms
-        # within one daemon view would alias new membership epochs onto
-        # old view ids (two different epochs both labelled "+4" — the
-        # transport crucible caught exactly this when every client of a
-        # group dropped and rejoined).  replace() still resets counters
-        # at view installation, where the daemon-view half of the id
-        # changes and keeps labels unique.
-
     def join(self, group: str, pid_string: str) -> bool:
         """Add a member; returns False when already present."""
-        slab = self._intern(group)
-        if pid_string in slab.member_set:
+        members = self._members.get(group, ())
+        if pid_string in members:
             return False
-        key = self._sort_key(pid_string)
-        index = bisect_left(slab.keys, key)
-        slab.keys.insert(index, key)
-        slab.members.insert(index, pid_string)
-        slab.member_set.add(pid_string)
-        self._pid_gids.setdefault(pid_string, set()).add(self._gids[group])
+        index = bisect_left(
+            members, self._sort_key(pid_string), key=self._sort_key
+        )
+        self._members[group] = members[:index] + (pid_string,) + members[index:]
         return True
 
     def leave(self, group: str, pid_string: str) -> bool:
         """Remove a member; returns False when not present.  Empty groups
-        are garbage collected."""
-        gid = self._gids.get(group)
-        if gid is None:
+        are garbage collected; their change counter survives."""
+        members = self._members.get(group, ())
+        if pid_string not in members:
             return False
-        slab = self._slabs[gid]
-        if pid_string not in slab.member_set:
-            return False
-        key = self._sort_key(pid_string)
-        index = bisect_left(slab.keys, key)
-        # Duplicate sort keys cannot occur (a pid is unique per group),
-        # so the bisect lands exactly on the member.
-        del slab.keys[index]
-        del slab.members[index]
-        slab.member_set.discard(pid_string)
-        gids = self._pid_gids.get(pid_string)
-        if gids is not None:
-            gids.discard(gid)
-            if not gids:
-                del self._pid_gids[pid_string]
-        if not slab.members:
-            self._release(group)
+        remaining = tuple(m for m in members if m != pid_string)
+        if remaining:
+            self._members[group] = remaining
+        else:
+            del self._members[group]
         return True
-
-    def remove_process(self, pid_string: str) -> Tuple[str, ...]:
-        """Remove a process from every group; returns the affected groups.
-
-        Walks the reverse index — O(groups of the process), not
-        O(every group on the daemon).
-        """
-        gids = self._pid_gids.get(pid_string)
-        if not gids:
-            return ()
-        slabs = self._slabs
-        affected = sorted(slabs[gid].name for gid in gids)
-        for group in affected:
-            self.leave(group, pid_string)
-        return tuple(affected)
 
     # -- view changes --------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Tuple[str, ...]]:
-        """Immutable copy for a SyncInfo message (groups sorted by name,
-        so the snapshot is independent of slab id recycling)."""
-        slabs = self._slabs
-        return {
-            group: tuple(slabs[gid].members)
-            for group, gid in sorted(self._gids.items())
-        }
+        """Immutable copy for a SyncInfo message (groups sorted by name)."""
+        return dict(sorted(self._members.items()))
 
     @classmethod
     def merged(
@@ -248,28 +121,13 @@ class GroupTable:
     def replace(self, table: Mapping[str, Tuple[str, ...]]) -> None:
         """Adopt a merged table at view installation; counters restart.
 
-        Empty member tuples are dropped: a group whose members all died
-        does not survive a view change.  :meth:`merged` already never
-        emits such entries (it filters groups with no surviving
-        members), so both layers agree — pinned by
-        ``tests/spread/test_group_slabs.py``.
+        Empty member tuples are dropped, so a group whose members all
+        died does not survive a view change — as in :meth:`merged`,
+        which never emits one.
         """
-        self._gids = {}
-        self._slabs = []
-        self._free = []
-        self._pid_gids = {}
+        self._members = {
+            group: tuple(sorted(members, key=self._sort_key))
+            for group, members in sorted(table.items())
+            if members
+        }
         self.change_counter = {}
-        for group in sorted(table):
-            members = table[group]
-            if not members:
-                continue
-            slab = self._intern(group)
-            gid = self._gids[group]
-            decorated = sorted(
-                (self._sort_key(member), member) for member in members
-            )
-            slab.keys = [key for key, __ in decorated]
-            slab.members = [member for __, member in decorated]
-            slab.member_set = set(slab.members)
-            for member in slab.members:
-                self._pid_gids.setdefault(member, set()).add(gid)

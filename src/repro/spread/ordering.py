@@ -65,10 +65,9 @@ def _is_safe(service: ServiceType) -> bool:
 class _PeerState:
     """Receive-side state for one view member.
 
-    A ``__slots__`` record, not a dataclass: a pipeline exists per
-    daemon per view and holds one of these per member, so at the
-    thousands-of-daemons scale target the dict-per-instance overhead
-    (and dataclass descriptor machinery) is measurable memory.
+    A ``__slots__`` record: a pipeline exists per daemon per view and
+    holds one of these per member, and its fields are read and written
+    for every ordered message.
     """
 
     __slots__ = (

@@ -13,7 +13,6 @@ Package layout mirrors :mod:`repro.cliques`:
 * :mod:`repro.tgdh.tree`    — the key tree (structure, sponsors, serialization)
 * :mod:`repro.tgdh.tokens`  — wire tokens (join announce / tree / blinded-key updates)
 * :mod:`repro.tgdh.context` — the per-member protocol state machine
-* :mod:`repro.tgdh.api`     — a thin driver API mirroring ``repro.cliques.api``
 """
 
 from repro.tgdh.context import TGDHContext

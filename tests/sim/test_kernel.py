@@ -165,14 +165,11 @@ def test_nested_scheduling_during_event():
     assert fired == ["outer", "sibling", "inner"]
 
 
-# -- held popped-but-unrun events must re-enter the dispatch merge --------
+# -- events left queued at a horizon keep their global order ---------------
 #
-# The run loop holds events it popped but did not run: an event past the
-# run(until=...) horizon (the stash) and the heap head that lost
-# the merge to a ready event.  An event scheduled afterwards that sorts
-# before a held one must still dispatch first — regression tests for a
-# bug where the held event was served unconditionally, dispatching after
-# it and rolling the clock backwards.
+# An event past the run(until=...) horizon stays queued, and an event
+# scheduled afterwards — between runs or from a callback — that sorts
+# before it must still dispatch first, without rolling the clock back.
 
 
 def test_event_scheduled_between_runs_beats_horizon_stash():
@@ -188,8 +185,8 @@ def test_event_scheduled_between_runs_beats_horizon_stash():
 
 
 def test_ready_event_scheduled_between_runs_beats_horizon_stash():
-    # The between-runs event lands on the ready deque (time == now,
-    # default priority), not the heap — same ordering requirement.
+    # The between-runs event is due at the current time, at default
+    # priority — same ordering requirement.
     kernel = Kernel()
     fired = []
     kernel.call_at(5.0, lambda: fired.append(("late", kernel.now)))
@@ -200,8 +197,8 @@ def test_ready_event_scheduled_between_runs_beats_horizon_stash():
 
 
 def test_callback_schedule_beats_held_scheduler_head():
-    # While the t=5 head is held by the merge (a ready event won), the
-    # ready callback schedules t=1 work; it must run before the head.
+    # A t=0 callback schedules t=1 work while the t=5 event is queued;
+    # it must run before the t=5 event.
     kernel = Kernel()
     fired = []
 
@@ -230,8 +227,8 @@ def test_clock_never_moves_backwards_across_horizon_runs():
 
 
 def test_cancelled_stash_and_undercutting_event_accounting():
-    # Cancel the stashed horizon event, then undercut it: it must not
-    # fire, and counters stay consistent.
+    # Cancel the event left beyond the horizon, then undercut it: it
+    # must not fire, and counters stay consistent.
     kernel = Kernel()
     fired = []
     handle = kernel.call_at(5.0, lambda: fired.append("late"))
@@ -267,7 +264,7 @@ def test_tied_times_dispatch_in_seq_order(times):
 #: A horizon-split program: per-segment event offsets (relative to the
 #: segment's start clock) plus the horizon gap to the next ``run(until)``
 #: call.  Events scheduled between runs can legally sort before an event
-#: popped-then-stashed at an earlier horizon — the regression surface.
+#: left queued at an earlier horizon — the regression surface.
 _SEGMENTS = st.lists(
     st.tuples(
         st.lists(

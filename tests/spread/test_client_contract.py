@@ -23,7 +23,7 @@ from repro.spread.client import SpreadClient
 from repro.spread.events import ConnectionLostEvent, DataEvent, MembershipEvent
 from repro.transport.client import TcpSpreadClient
 from repro.transport.host import DaemonHost, loopback_available, wait_for_condition
-from repro.types import ServiceType
+from repro.types import MembershipCause, ServiceType
 
 from tests.spread.conftest import Cluster
 from tests.transport.conftest import loopback_config
@@ -270,3 +270,30 @@ def test_daemon_crash_disconnects_clients(side):
         client.join("g")
     with pytest.raises(ConnectionClosedError):
         client.leave("g")
+
+
+def test_reincarnated_sender_fragments_are_reassembled(side):
+    """A client re-created under a departed client's private name gets
+    the same pid and numbers its fragment trains from 1 again: the
+    receivers must have forgotten the first incarnation's trains."""
+    receiver = joined(side, "rx")
+    limit = side.daemon.config.max_message_size
+    big = bytes(range(256)) * (2 * limit // 256) + b"tail"  # 3 fragments
+
+    def payloads():
+        return [e.payload for e in receiver.data_events()]
+
+    first = joined(side, "tx")
+    first.multicast(ServiceType.AGREED, "g", big)
+    side.wait(lambda: payloads() == [big])
+    first.disconnect()
+    side.wait(lambda: any(
+        isinstance(e, MembershipEvent) and e.cause is MembershipCause.DISCONNECT
+        for e in receiver.queue
+    ))
+
+    second = joined(side, "tx")
+    assert second.pid == first.pid
+    second.multicast(ServiceType.AGREED, "g", big[::-1])
+    side.wait(lambda: len(payloads()) == 2)
+    assert payloads() == [big, big[::-1]]

@@ -1,10 +1,11 @@
-"""Slab-backed GroupTable mechanics.
+"""GroupTable mechanics, checked through its public queries.
 
 Protocol-level group behaviour (joins through the agreed-order pipeline,
 merges at view changes) is covered by ``test_groups_and_data.py``; these
-tests target the slab layout itself — bisect insertion order, the
-contiguous per-daemon ``members_on`` range, the pid reverse index, and
-group-id recycling through the free list.
+tests target the table itself — insertion order, no-op mutations,
+empty-group collection, the change-counter lifecycle and the view-change
+pair ``merged``/``replace``.  The file name dates from the slab-backed
+table; the table is now one dict of sorted member tuples.
 """
 
 from repro.spread.groups import GroupTable
@@ -33,29 +34,6 @@ def test_duplicate_join_and_missing_leave_are_noops():
     assert not table.leave("nogroup", _pid("a", "d0"))
 
 
-def test_members_on_is_exact_daemon_slice():
-    table = GroupTable()
-    expectations = {}
-    for daemon in ("d0", "d1", "d2"):
-        for name in ("a", "b", "c"):
-            table.join("g", _pid(name, daemon))
-            expectations.setdefault(daemon, []).append(_pid(name, daemon))
-    for daemon, members in expectations.items():
-        assert table.members_on("g", daemon) == tuple(members)
-    assert table.members_on("g", "d9") == ()
-    assert table.members_on("nogroup", "d0") == ()
-
-
-def test_members_on_does_not_bleed_into_prefixed_daemon_names():
-    # "d1" and "d10" share a prefix; the bisect range for d1 must stop
-    # before d10's members.
-    table = GroupTable()
-    table.join("g", _pid("a", "d1"))
-    table.join("g", _pid("b", "d10"))
-    assert table.members_on("g", "d1") == (_pid("a", "d1"),)
-    assert table.members_on("g", "d10") == (_pid("b", "d10"),)
-
-
 def test_reverse_index_tracks_groups_of_process():
     table = GroupTable()
     pid = _pid("p", "d0")
@@ -63,24 +41,27 @@ def test_reverse_index_tracks_groups_of_process():
         table.join(group, pid)
     table.join("alpha", _pid("q", "d1"))
     assert table.groups_of(pid) == ("alpha", "beta", "gamma")
-    affected = table.remove_process(pid)
-    assert affected == ("alpha", "beta", "gamma")
+    for group in table.groups_of(pid):
+        assert table.leave(group, pid)
     assert table.groups_of(pid) == ()
     # beta/gamma became empty and were collected; alpha survives.
     assert table.groups() == ("alpha",)
-    assert table.remove_process(pid) == ()
+    assert table.members_of("alpha") == (_pid("q", "d1"),)
 
 
 def test_empty_groups_are_collected_and_gids_recycled():
     table = GroupTable()
     pid = _pid("p", "d0")
     table.join("old", pid)
-    gid = table._gids["old"]
     table.leave("old", pid)
     assert table.groups() == ()
-    # The freed slab id is reused by the next interned group.
+    assert table.snapshot() == {}
+    # A collected group leaves nothing behind for the next one, and its
+    # name re-forms from scratch.
     table.join("new", pid)
-    assert table._gids["new"] == gid
+    assert table.groups() == ("new",)
+    table.join("old", _pid("q", "d1"))
+    assert table.members_of("old") == (_pid("q", "d1"),)
 
 
 def test_snapshot_sorted_and_independent_of_recycling():
@@ -88,7 +69,7 @@ def test_snapshot_sorted_and_independent_of_recycling():
     table.join("zeta", _pid("a", "d0"))
     table.join("alpha", _pid("b", "d1"))
     table.leave("zeta", _pid("a", "d0"))
-    table.join("beta", _pid("c", "d0"))  # reuses zeta's slab id
+    table.join("beta", _pid("c", "d0"))
     snapshot = table.snapshot()
     assert list(snapshot) == ["alpha", "beta"]
     assert snapshot["beta"] == (_pid("c", "d0"),)
@@ -101,7 +82,7 @@ def test_is_member_and_counts():
     assert table.is_member("g", _pid("a", "d0"))
     assert not table.is_member("g", _pid("b", "d0"))
     assert not table.is_member("nogroup", _pid("a", "d0"))
-    assert table.group_count() == 2
+    assert len(table.groups()) == 2
 
 
 def test_change_counter_lifecycle():
@@ -114,6 +95,7 @@ def test_change_counter_lifecycle():
     # view it is the only thing keeping GroupViewId unique, so a group
     # that empties and re-forms must not reuse old view ids.
     table.leave("g", pid)
+    assert table.groups() == ()
     table.join("g", pid)
     assert table.bump_change("g") == 3
     table.replace({"g": (pid,)})  # view installation restarts counters
@@ -149,7 +131,7 @@ def test_empty_groups_do_not_survive_a_view_change():
     # The two view-change layers must agree on empty groups: merged()
     # never emits a group whose members were all on dead daemons, and
     # replace() drops empty member tuples — so a fully-dead group is
-    # gone from groups()/snapshot()/group_count() after installation.
+    # gone from groups()/snapshot() after installation.
     snap_a = {"doomed": (_pid("a", "d9"), _pid("b", "d8")),
               "mixed": (_pid("c", "d9"), _pid("d", "d0"))}
     snap_b = {"doomed": (_pid("e", "d8"),)}
@@ -159,7 +141,6 @@ def test_empty_groups_do_not_survive_a_view_change():
     table.join("doomed", _pid("a", "d9"))
     table.replace(merged)
     assert table.groups() == ("mixed",)
-    assert table.group_count() == 1
     assert table.snapshot() == {"mixed": (_pid("d", "d0"),)}
     # And replace() agrees even when handed an explicit empty entry.
     table.replace({"mixed": (_pid("d", "d0"),), "doomed": ()})
@@ -176,10 +157,8 @@ def test_large_group_stays_sorted_under_churn():
         table.leave("big", pid)
     for pid in pids[::6]:
         table.join("big", pid)
+    expected = set(pids) - set(pids[::3]) | set(pids[::6])
     members = table.members_of("big")
-    slab = table._slabs[table._gids["big"]]
     assert list(members) == sorted(members, key=GroupTable._sort_key)
-    assert slab.keys == [GroupTable._sort_key(m) for m in members]
-    assert slab.member_set == set(members)
-    total = sum(len(table.members_on("big", f"d{d}")) for d in range(7))
-    assert total == len(members)
+    assert set(members) == expected and len(members) == len(expected)
+    assert all(table.is_member("big", m) for m in members)

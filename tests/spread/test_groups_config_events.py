@@ -42,6 +42,18 @@ def test_join_idempotent():
     assert len(table.members_of("g")) == 1
 
 
+def test_d1_sorts_before_d10():
+    # "d1" is a prefix of "d10": members order by the daemon name as a
+    # whole, not by the pid string, where "#z#d1" > "#b#d10".
+    table = GroupTable()
+    table.join("g", pid("b", "d10"))
+    table.join("g", pid("z", "d1"))
+    table.join("g", pid("a", "d2"))
+    assert table.members_of("g") == (
+        pid("z", "d1"), pid("b", "d10"), pid("a", "d2")
+    )
+
+
 def test_leave_and_gc_empty_group():
     table = GroupTable()
     table.join("g", pid("a"))
@@ -58,16 +70,6 @@ def test_groups_of_process():
     table.join("g2", pid("b"))
     assert table.groups_of(pid("a")) == ("g1", "g2")
     assert table.groups_of(pid("b")) == ("g2",)
-
-
-def test_remove_process_returns_affected_groups():
-    table = GroupTable()
-    table.join("g1", pid("a"))
-    table.join("g2", pid("a"))
-    table.join("g2", pid("b"))
-    affected = table.remove_process(pid("a"))
-    assert set(affected) == {"g1", "g2"}
-    assert table.members_of("g2") == (pid("b"),)
 
 
 def test_change_counter_monotonic_per_group():
