@@ -34,7 +34,7 @@ def main() -> None:
         members.append(member)
         gateways.append(GroupGateway(member, GROUP))
     print("secure group up:",
-          members[0].sessions[GROUP]._session_keys.fingerprint())
+          members[0].sessions[GROUP].key_fingerprint)
 
     # The outsider: a plain Spread connection + a published identity key.
     raw = SpreadClient(testbed.kernel, "visitor", testbed.daemons["d1"])
@@ -55,16 +55,16 @@ def main() -> None:
     outsider.send(b"request: status report please")
     testbed.run_until(
         lambda: all(
-            any(e.payload == b"request: status report please" for e in gw.events)
+            any(e.payload == b"request: status report please" for e in gw.queue)
             for gw in gateways
         ),
         timeout=30,
     )
-    event = gateways[0].events[-1]
+    event = gateways[0].queue[-1]
     print(f"group received (from {event.outsider}):", event.payload.decode())
 
     # The outsider never saw the group key.
-    group_fingerprint = members[0].sessions[GROUP]._session_keys.fingerprint()
+    group_fingerprint = members[0].sessions[GROUP].key_fingerprint
     assert outsider._protector.keys.fingerprint() != group_fingerprint
 
     # Group -> outsider: the acting gateway relays the reply.

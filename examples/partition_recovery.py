@@ -26,7 +26,7 @@ def payloads(member):
 
 
 def fingerprint(member):
-    return member.sessions[GROUP]._session_keys.fingerprint()
+    return member.sessions[GROUP].key_fingerprint
 
 
 def main() -> None:

@@ -9,7 +9,8 @@ when membership changes.
 Run:  python examples/quickstart.py
 """
 
-from repro.secure.events import SecureDataEvent, SecureMembershipEvent
+from repro.ext import MemberAuthenticatedEvent, MemberAuthenticator
+from repro.secure.events import SecureDataEvent
 from repro.testbed import SecureTestbed
 
 
@@ -22,7 +23,7 @@ def payloads(member, group="chat"):
 
 
 def fingerprint(member, group="chat"):
-    return member.sessions[group]._session_keys.fingerprint()
+    return member.sessions[group].key_fingerprint
 
 
 def main() -> None:
@@ -58,15 +59,15 @@ def main() -> None:
     assert b"carol cannot read this" not in payloads(carol)
     print("post-leave secrecy holds: carol saw nothing new")
 
-    # Member authentication: alice verifies it is really bob — holder of
-    # bob's long-term key AND the current group key — on the other end.
-    from repro.secure.member_auth import MemberAuthenticatedEvent
-
-    alice.authenticate("chat", str(bob.pid))
-    testbed.run_until(
-        lambda: any(isinstance(e, MemberAuthenticatedEvent) for e in alice.queue)
-    )
-    verdict = [e for e in alice.queue if isinstance(e, MemberAuthenticatedEvent)][-1]
+    # Member authentication (an extension): alice verifies it is really
+    # bob — holder of bob's long-term key AND the current group key — on
+    # the other end.  Each side attaches an authenticator; bob's answers.
+    alice_auth = MemberAuthenticator(alice)
+    MemberAuthenticator(bob)
+    alice_auth.authenticate("chat", str(bob.pid))
+    testbed.run_until(lambda: alice_auth.queue)
+    verdict = alice_auth.queue[-1]
+    assert isinstance(verdict, MemberAuthenticatedEvent)
     assert verdict.authenticated
     print(f"member authentication: {verdict.peer} verified")
 

@@ -284,11 +284,10 @@ class Crucible:
     def end_state(self, failure: Optional[str], tag: bytes = b"probe:") -> EndState:
         views = {n: str(d.view) for n, d in self.daemons.items() if d.alive}
         keyed = {n: m.has_key(GROUP) for n, m in self.members.items()}
-        fingerprints = {}
-        for name, member in self.members.items():
-            session = member.sessions.get(GROUP)
-            if session is not None and session.has_key:
-                fingerprints[name] = session._session_keys.fingerprint()
+        fingerprints = {
+            n: m.sessions[GROUP].key_fingerprint
+            for n, m in self.members.items() if keyed[n]
+        }
         return EndState(
             daemon_views=views,
             member_keyed=keyed,

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cliques.directory import KeyDirectory
 from repro.crypto.bigint import int_to_bytes
@@ -55,7 +55,7 @@ from repro.errors import ReproError, SecureGroupError
 from repro.secure.dataprotect import DataProtector, SealedMessage
 from repro.secure.events import SecureDataEvent
 from repro.secure.session import SecureClient
-from repro.spread.client import SpreadClient
+from repro.spread.client import EventQueue, SpreadClient
 from repro.spread.events import DataEvent
 from repro.types import GroupId, ProcessId, ServiceType
 
@@ -165,26 +165,22 @@ def _decode_relay(body: bytes) -> Optional[Tuple[str, bytes]]:
     return outsider, body[start + length :]
 
 
-class GroupGateway:
+class GroupGateway(EventQueue):
     """Member-side gateway service, attached to a :class:`SecureClient`.
 
     Attach it at every member; only the member holding the controller
     role answers hellos and relays, so exactly one gateway is active per
     channel.  Relayed messages surface at every member as
-    :class:`OutsiderDataEvent` through the gateway's ``on_event``
-    callbacks.
+    :class:`OutsiderDataEvent` in the gateway's ``queue`` (and at its
+    ``on_event`` callbacks).
     """
 
     def __init__(self, client: SecureClient, group: str) -> None:
+        super().__init__()
         self.client = client
         self.group = group
         self._channels: Dict[str, DataProtector] = {}
-        self._callbacks: List[Callable[[OutsiderDataEvent], None]] = []
-        self.events: List[OutsiderDataEvent] = []
         client.on_event(self._on_event)
-
-    def on_event(self, callback: Callable[[OutsiderDataEvent], None]) -> None:
-        self._callbacks.append(callback)
 
     # -- inbound ------------------------------------------------------------------
 
@@ -216,7 +212,7 @@ class GroupGateway:
     def _on_relay(self, event: SecureDataEvent) -> None:
         relay = _decode_relay(event.payload)
         if relay is None:
-            tracer = self._session._tracer
+            tracer = self._session.flush.client.kernel.tracer
             if tracer.enabled:
                 tracer.record(
                     "secure.gateway_malformed",
@@ -226,12 +222,9 @@ class GroupGateway:
                 )
             return
         outsider, message = relay
-        delivered = OutsiderDataEvent(
-            group=event.group, outsider=outsider, payload=message
+        self._emit(
+            OutsiderDataEvent(group=event.group, outsider=outsider, payload=message)
         )
-        self.events.append(delivered)
-        for callback in list(self._callbacks):
-            callback(delivered)
 
     def _on_hello(self, hello: OutsiderHello) -> None:
         if not self._is_acting_gateway():

@@ -33,7 +33,6 @@ from repro.secure.ciphers import (
     get_cipher_suite,
     register_cipher_suite,
 )
-from repro.secure.member_auth import MemberAuthenticatedEvent
 
 __all__ = [
     "SecureClient",
@@ -51,5 +50,4 @@ __all__ = [
     "cipher_suite_names",
     "get_cipher_suite",
     "register_cipher_suite",
-    "MemberAuthenticatedEvent",
 ]

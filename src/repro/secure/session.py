@@ -53,14 +53,6 @@ from repro.secure.events import (
     classify_event,
 )
 from repro.secure.handlers.base import KeyAgreementModule, OutMessage, ViewChange
-from repro.secure.member_auth import (
-    MemberAuthChallenge,
-    MemberAuthenticatedEvent,
-    MemberAuthResponse,
-    make_proof,
-    response_key,
-    verify_proof,
-)
 from repro.secure.policy import AllowAllPolicy, ModuleRegistry, default_registry
 from repro.spread.events import (
     DataEvent,
@@ -69,13 +61,9 @@ from repro.spread.events import (
     MembershipEvent,
     SelfLeaveEvent,
 )
-from repro.sim.trace import Tracer
 from repro.spread.client import EventQueue
 from repro.spread.flush import FlushClient
 from repro.types import GroupId, MembershipCause, ProcessId, ServiceType
-
-#: Shared sink for sessions whose flush stack has no kernel (unit tests).
-_NULL_TRACER = Tracer(enabled=False)
 
 STATE_IDLE = "idle"
 STATE_AGREEING = "agreeing"
@@ -115,9 +103,6 @@ class SecureGroupSession:
         emit: Callable[[Any], None],
         random_source: RandomSource,
         cost_model: Optional[CryptoCostModel] = None,
-        params: Optional[DHParams] = None,
-        long_term: Optional[DHKeyPair] = None,
-        directory: Optional[KeyDirectory] = None,
         cipher: str = "blowfish-cbc",
     ) -> None:
         self.group = group
@@ -126,10 +111,6 @@ class SecureGroupSession:
         self._emit = emit
         self._random = random_source
         self.cost_model = cost_model or CryptoCostModel()
-        # Identity material for intra-group member authentication.
-        self.params = params
-        self.long_term = long_term
-        self.directory = directory
         # Bulk cipher suite for this group (§5.1 drop-in modularity).
         self.cipher = cipher
 
@@ -142,8 +123,6 @@ class SecureGroupSession:
         self._session_keys = None
         self._confirm_sent = False
         self.rekeys_completed = 0
-        self._auth_pairwise: Dict[str, int] = {}
-        self._pending_challenges: Dict[bytes, Any] = {}
         # Observability counters (repro.obs.metrics.collect_session):
         # sealed/unsealed totals count SealedMessage wire bytes, so the
         # cross-layer conservation inequalities compare like with like.
@@ -161,14 +140,11 @@ class SecureGroupSession:
 
     @property
     def _kernel(self):
-        # Tolerate stripped-down flush stand-ins in unit tests.
-        client = getattr(self.flush, "client", None)
-        return getattr(client, "kernel", None)
+        return self.flush.client.kernel
 
     @property
     def _tracer(self):
-        kernel = self._kernel
-        return kernel.tracer if kernel is not None else _NULL_TRACER
+        return self._kernel.tracer
 
     @property
     def me(self) -> str:
@@ -186,6 +162,13 @@ class SecureGroupSession:
     def has_key(self) -> bool:
         return self.state == STATE_CONFIRMED
 
+    @property
+    def key_fingerprint(self) -> Optional[str]:
+        """The confirmed group key's fingerprint, or None without one."""
+        if self.state != STATE_CONFIRMED:
+            return None
+        return self._session_keys.fingerprint()
+
     def members(self) -> List[str]:
         if self.view is None:
             return []
@@ -193,14 +176,19 @@ class SecureGroupSession:
 
     # -- application data ---------------------------------------------------------
 
-    def send(self, payload: bytes) -> None:
-        """Seal and multicast application data in the current secure view."""
+    def _confirmed_protector(self) -> DataProtector:
         if self.state != STATE_CONFIRMED or self._protector is None:
             raise NoGroupKeyError(
                 f"group {self.group!r} has no confirmed key"
                 f" (state={self.state})"
             )
-        sealed = self._protector.seal(self.group, self.me, payload, self._random)
+        return self._protector
+
+    def send(self, payload: bytes) -> None:
+        """Seal and multicast application data in the current secure view."""
+        sealed = self._confirmed_protector().seal(
+            self.group, self.me, payload, self._random
+        )
         self.sealed_messages += 1
         self.sealed_bytes += sealed.wire_size()
         if self._tracer.enabled:
@@ -223,14 +211,10 @@ class SecureGroupSession:
         the multicasts land back-to-back so the daemon's sender-side
         coalescing can pack them into few wire datagrams.
         """
-        if self.state != STATE_CONFIRMED or self._protector is None:
-            raise NoGroupKeyError(
-                f"group {self.group!r} has no confirmed key"
-                f" (state={self.state})"
-            )
+        protector = self._confirmed_protector()
         if not payloads:
             return
-        sealed_batch = self._protector.seal_many(
+        sealed_batch = protector.seal_many(
             self.group, self.me, payloads, self._random
         )
         self.sealed_messages += len(sealed_batch)
@@ -258,118 +242,6 @@ class SecureGroupSession:
         self._begin_attempt(self.attempt + 1, KeyOperation.REFRESH)
         messages, exps = self._run_module(self.module.refresh)
         self._dispatch_module_messages(messages, exps)
-
-    def enable_auto_refresh(self, period: float) -> None:
-        """Refresh the group key periodically (Section 4.4's unilateral
-        controller refresh, on a timer).
-
-        Every member may arm this: on each tick, only the member that is
-        currently the controller (and has a confirmed key) performs the
-        refresh, so exactly one re-key happens per period regardless of
-        who else armed the timer.
-        """
-        if period <= 0:
-            raise ValueError("refresh period must be positive")
-        kernel = self.flush.client.kernel
-
-        def tick() -> None:
-            if self.state == STATE_CONFIRMED and self.module.is_controller:
-                self.refresh()
-            kernel.call_later(period, tick, label=f"secure.{self.group}.refresh")
-
-        kernel.call_later(period, tick, label=f"secure.{self.group}.refresh")
-
-    # -- intra-group member authentication (§8) -----------------------------------
-
-    def _auth_material_ready(self) -> bool:
-        return (
-            self.params is not None
-            and self.long_term is not None
-            and self.directory is not None
-        )
-
-    def _auth_shared_secret(self, peer: str) -> int:
-        cached = self._auth_pairwise.get(peer)
-        if cached is not None:
-            return cached
-        counter = getattr(self.module, "counter", None)
-        shared = self.params.exp(
-            self.directory.lookup(peer),
-            self.long_term.private,
-            counter,
-            "member_auth",
-        )
-        self._auth_pairwise[peer] = shared
-        return shared
-
-    def _auth_key(self, peer: str) -> bytes:
-        low, high = sorted((self.me, peer))
-        return response_key(
-            self._auth_shared_secret(peer),
-            self.group,
-            self.view_key,
-            self.attempt,
-            self._session_keys.fingerprint(),
-            low,
-            high,
-        )
-
-    def challenge_member(self, peer: str) -> None:
-        """Challenge ``peer`` to prove it is the authentic member holding
-        the current group key; the verdict arrives as a
-        :class:`~repro.secure.member_auth.MemberAuthenticatedEvent`."""
-        if self.state != STATE_CONFIRMED:
-            raise NoGroupKeyError("cannot authenticate without a secure view")
-        if not self._auth_material_ready():
-            raise NoGroupKeyError("session lacks identity material")
-        if peer not in {str(m) for m in self.view.members}:
-            raise NoGroupKeyError(f"{peer} is not a member of {self.group!r}")
-        nonce = self._random.token_bytes(16)
-        challenge = MemberAuthChallenge(
-            group=self.group,
-            view_key=self.view_key,
-            attempt=self.attempt,
-            nonce=nonce,
-            challenger=self.me,
-            target=peer,
-        )
-        self._pending_challenges[nonce] = challenge
-        self.flush.unicast(ProcessId.parse(peer), challenge)
-
-    def _on_auth_challenge(self, challenge) -> None:
-        if (
-            self.state != STATE_CONFIRMED
-            or not self._auth_material_ready()
-            or challenge.target != self.me
-            or challenge.view_key != self.view_key
-            or challenge.attempt != self.attempt
-        ):
-            return
-        proof = make_proof(self._auth_key(challenge.challenger), challenge)
-        response = MemberAuthResponse(
-            group=self.group,
-            view_key=challenge.view_key,
-            attempt=challenge.attempt,
-            nonce=challenge.nonce,
-            responder=self.me,
-            proof=proof,
-        )
-        self.flush.unicast(ProcessId.parse(challenge.challenger), response)
-
-    def _on_auth_response(self, response) -> None:
-        challenge = self._pending_challenges.pop(response.nonce, None)
-        if challenge is None or self.state != STATE_CONFIRMED:
-            return
-        ok = verify_proof(
-            self._auth_key(challenge.target), challenge, response
-        )
-        self._emit(
-            MemberAuthenticatedEvent(
-                group=GroupId(self.group),
-                peer=challenge.target,
-                authenticated=ok,
-            )
-        )
 
     # -- event intake (called by SecureClient) ----------------------------------------
 
@@ -429,15 +301,7 @@ class SecureGroupSession:
             )
         self._emit(RekeyStartedEvent(group=event.group, operation=self.operation))
 
-        view_change = ViewChange(
-            group=self.group,
-            members=tuple(sorted(str(m) for m in event.members)),
-            joined=frozenset(str(m) for m in event.joined),
-            left=frozenset(str(m) for m in event.left),
-            me=self.me,
-            previous_members=previous_members,
-            operation=self.operation,
-        )
+        view_change = self._view_change(previous_members)
         members_now = {str(m) for m in event.members}
         explained = (
             previous_members - {str(m) for m in event.left}
@@ -483,7 +347,6 @@ class SecureGroupSession:
             self._protector.invalidate()
         self._protector = None
         self._session_keys = None
-        self._pending_challenges = {}  # stale challenges die with the view
         self._arm_watchdog()
 
     def _arm_watchdog(self) -> None:
@@ -493,9 +356,6 @@ class SecureGroupSession:
         very same (view, attempt) when it fires — any progress (a key
         confirmation, a newer view, a restart) disarms it implicitly.
         """
-        kernel = self._kernel
-        if kernel is None:
-            return  # unit-test stand-in flush stack: no timers available
         view_key, attempt = self.view_key, self.attempt
 
         def fire() -> None:
@@ -515,9 +375,10 @@ class SecureGroupSession:
                 )
             self._safe_multicast(RestartRequest(view_key, attempt))
 
-        kernel.call_later(AGREEMENT_WATCHDOG, fire, label="secure:watchdog")
+        self._kernel.call_later(AGREEMENT_WATCHDOG, fire, label="secure:watchdog")
 
-    def _current_view_change(self) -> ViewChange:
+    def _view_change(self, previous_members: frozenset) -> ViewChange:
+        """The key-agreement module's view of the current membership."""
         event = self.view
         return ViewChange(
             group=self.group,
@@ -525,7 +386,7 @@ class SecureGroupSession:
             joined=frozenset(str(m) for m in event.joined),
             left=frozenset(str(m) for m in event.left),
             me=self.me,
-            previous_members=frozenset(),
+            previous_members=previous_members,
             operation=self.operation,
         )
 
@@ -542,10 +403,6 @@ class SecureGroupSession:
             self._on_refresh_announce(sender, payload)
         elif isinstance(payload, KeyConfirm):
             self._on_key_confirm(sender, payload)
-        elif isinstance(payload, MemberAuthChallenge):
-            self._on_auth_challenge(payload)
-        elif isinstance(payload, MemberAuthResponse):
-            self._on_auth_response(payload)
         else:
             self._emit(event)
 
@@ -573,7 +430,7 @@ class SecureGroupSession:
         # the highest announced attempt is how the view reconverges.
         self._begin_attempt(request.from_attempt + 1, self.operation)
         messages, exps = self._run_module(
-            lambda: self.module.on_restart(self._current_view_change())
+            lambda: self.module.on_restart(self._view_change(frozenset()))
         )
         self._dispatch_module_messages(messages, exps)
         self._maybe_confirm()
@@ -596,12 +453,8 @@ class SecureGroupSession:
         self._run.append((group, sender, sealed))
         if self._drain_scheduled:
             return
-        kernel = self._kernel
-        if kernel is None:
-            self._drain()  # unit-test stand-in flush stack: no loop turns
-            return
         self._drain_scheduled = True
-        kernel.call_later(
+        self._kernel.call_later(
             0.0, self._end_of_turn, label=f"secure.{self.group}.unseal"
         )
 
@@ -710,8 +563,7 @@ class SecureGroupSession:
             )
         delay = self.cost_model.delay(exponentiations)
         if delay > 0:
-            kernel = self.flush.client.kernel
-            kernel.call_later(
+            self._kernel.call_later(
                 delay,
                 lambda: self._send_now(messages),
                 label=f"secure.{self.group}.crypto",
@@ -883,9 +735,6 @@ class SecureClient(EventQueue):
             emit=self._emit,
             random_source=self.random_source,
             cost_model=self.cost_model,
-            params=self.params,
-            long_term=self.long_term,
-            directory=self.directory,
             cipher=cipher,
         )
         self.sessions[group] = session
@@ -912,12 +761,6 @@ class SecureClient(EventQueue):
         """Force a key refresh (must be the group controller)."""
         self._session(group).refresh()
 
-    def authenticate(self, group: str, peer: str) -> None:
-        """Challenge ``peer`` to prove membership AND identity in the
-        group's current secure view; the verdict is delivered as a
-        :class:`~repro.secure.member_auth.MemberAuthenticatedEvent`."""
-        self._session(group).challenge_member(peer)
-
     def has_key(self, group: str) -> bool:
         session = self.sessions.get(group)
         return session is not None and session.has_key
@@ -932,23 +775,18 @@ class SecureClient(EventQueue):
 
     def _route(self, event: Any) -> None:
         group = getattr(event, "group", None)
-        if group is not None:
-            session = self.sessions.get(str(group))
-            if session is not None:
-                session.handle_event(event)
-                return
-            if str(group).startswith("#"):
-                # Private message to us: find the session by content.
-                if isinstance(event, DataEvent):
-                    payload = event.payload
-                    target_group = getattr(payload, "view_key", None)
-                    inner_group = getattr(payload, "group", None)
-                    # Agreement envelopes carry tokens that know their
-                    # group; route by that.
-                    token = getattr(payload, "token", None)
-                    token_group = getattr(token, "group", None)
-                    for candidate in (inner_group, token_group):
-                        if candidate is not None and candidate in self.sessions:
-                            self.sessions[candidate].handle_event(event)
-                            return
-        self._emit(event)
+        session = self.sessions.get(str(group)) if group is not None else None
+        if session is None and str(group).startswith("#") and isinstance(
+            event, DataEvent
+        ):
+            # Private message to us: find the session by content — the
+            # group it names, or (agreement envelopes) its token's group.
+            payload = event.payload
+            token = getattr(payload, "token", None)
+            session = self.sessions.get(
+                getattr(payload, "group", None)
+            ) or self.sessions.get(getattr(token, "group", None))
+        if session is not None:
+            session.handle_event(event)
+        else:
+            self._emit(event)

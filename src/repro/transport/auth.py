@@ -204,7 +204,6 @@ WIRE_SAFE_MODULES: Tuple[str, ...] = (
     "repro.secure.events",
     "repro.secure.cascade",
     "repro.secure.dataprotect",
-    "repro.secure.member_auth",
     "repro.cliques.tokens",
     "repro.ckd.protocol",
     "repro.tgdh.tokens",

@@ -32,7 +32,7 @@ def test_malformed_relay_body_is_dropped_and_traced():
         lambda: all(b"after" in h.payloads_of(name) for name in ("a", "b")),
         timeout=30,
     )
-    assert all(not gateway.events for gateway in gateways)
+    assert all(not gateway.queue for gateway in gateways)
     traced = h.cluster.tracer.of_kind("secure.gateway_malformed")
     assert len(traced) == len(MALFORMED) * len(gateways)
 
@@ -47,8 +47,8 @@ def test_outsider_attribution_is_the_relaying_members_claim():
         if not gateway._is_acting_gateway()
     )
     forger.send("g", _encode_relay("#spoofed#d9", b"i am an outsider"))
-    h.run_until(lambda: all(gateway.events for gateway in gateways), timeout=30)
+    h.run_until(lambda: all(gateway.queue for gateway in gateways), timeout=30)
     for gateway in gateways:
-        assert [(e.outsider, e.payload) for e in gateway.events] == [
+        assert [(e.outsider, e.payload) for e in gateway.queue] == [
             ("#spoofed#d9", b"i am an outsider")
         ]

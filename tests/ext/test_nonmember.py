@@ -47,13 +47,13 @@ def test_outsider_message_reaches_all_members():
     outsider.send(b"hello from outside")
     h.run_until(
         lambda: all(
-            any(e.payload == b"hello from outside" for e in gw.events)
+            any(e.payload == b"hello from outside" for e in gw.queue)
             for gw in gateways
         ),
         timeout=30,
     )
     for gateway in gateways:
-        event = gateway.events[-1]
+        event = gateway.queue[-1]
         assert event.outsider == str(outsider.me)
 
 
@@ -124,7 +124,7 @@ def test_forged_outsider_data_dropped():
     )
     h.run(2.0)
     for gateway in gateways:
-        assert all(e.payload != b"forged" for e in gateway.events)
+        assert all(e.payload != b"forged" for e in gateway.queue)
 
 
 def test_two_outsiders_independent_channels():
@@ -139,12 +139,12 @@ def test_two_outsiders_independent_channels():
     x.send(b"from x")
     y.send(b"from y")
     h.run_until(
-        lambda: any(e.payload == b"from x" for e in gateways[0].events)
-        and any(e.payload == b"from y" for e in gateways[0].events),
+        lambda: any(e.payload == b"from x" for e in gateways[0].queue)
+        and any(e.payload == b"from y" for e in gateways[0].queue),
         timeout=30,
     )
     events = {
-        (e.outsider, bytes(e.payload)) for e in gateways[0].events
+        (e.outsider, bytes(e.payload)) for e in gateways[0].queue
     }
     assert (str(x.me), b"from x") in events
     assert (str(y.me), b"from y") in events

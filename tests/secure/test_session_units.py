@@ -6,6 +6,8 @@ bumping, refresh announces, fingerprint-mismatch handling — without a
 simulator in the loop.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cliques.directory import KeyDirectory
@@ -29,6 +31,7 @@ from repro.secure.session import (
     STATE_CONFIRMED,
     SecureGroupSession,
 )
+from repro.sim.kernel import Kernel
 from repro.spread.events import (
     DataEvent,
     GroupViewId,
@@ -45,10 +48,13 @@ from repro.types import (
 
 
 class FakeFlush:
-    """Just enough of FlushClient for a session: records sends."""
+    """Just enough of FlushClient for a session: records sends.  Its
+    client's kernel is never run, so timers the session arms stay
+    pending."""
 
     def __init__(self, me="#me#d0"):
         self._pid = ProcessId.parse(me)
+        self.client = SimpleNamespace(kernel=Kernel())
         self.multicasts = []
         self.unicasts = []
         self.blocked = False
@@ -99,9 +105,6 @@ def make_session(me="#me#d0", peers=()):
         flush=flush,
         emit=events.append,
         random_source=source,
-        params=params,
-        long_term=keypair,
-        directory=directory,
     )
     return session, flush, events
 

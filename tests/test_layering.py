@@ -28,6 +28,9 @@ The paper's future-work services live in ``repro.ext``, outside the
 core: the core never imports them, the simulator path never loads them
 (nor the socket transport), the daemon reaches them through one
 three-call hook, and only the transport codec turns objects into bytes.
+The secure session keeps no identity material and no extension entry
+point, and nothing outside ``repro.secure`` reads a session's private
+state.
 
 Behaviour has no environment switches: the one ``REPRO_*`` variable is
 the deployment key file, read by the transport's auth module.
@@ -42,6 +45,7 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -241,6 +245,8 @@ def test_the_event_queue_is_defined_once():
             ("repro.transport.client", "TcpSpreadClient"),
             ("repro.spread.flush", "FlushClient"),
             ("repro.secure.session", "SecureClient"),
+            ("repro.ext.nonmember", "GroupGateway"),
+            ("repro.ext.member_auth", "MemberAuthenticator"),
         )
     ]
     for method in ("receive", "drain", "on_event", "_emit"):
@@ -276,7 +282,9 @@ def _library():
 
 def test_the_core_does_not_import_the_extensions():
     extensions = {p.stem for p in EXT.glob("*.py")}
-    assert {"daemon_model", "nonmember"} <= extensions, extensions
+    assert {"daemon_model", "nonmember", "member_auth", "refresh"} <= extensions, (
+        extensions
+    )
     core = [p for p in _library() if EXT not in p.parents]
     offenders = _offenders(core, ("repro.ext",))
     assert not offenders, (
@@ -345,8 +353,62 @@ def test_the_wire_allowlist_names_core_modules_and_ext_registers_its_own():
         importlib.import_module(module)
         assert not module.startswith("repro.ext"), module
     importlib.import_module("repro.ext")
-    for module in ("repro.ext.daemon_model", "repro.ext.nonmember"):
+    for module in (
+        "repro.ext.daemon_model", "repro.ext.nonmember", "repro.ext.member_auth"
+    ):
         assert auth._module_allowed(module), module
+
+
+def test_the_session_holds_no_extension():
+    core = [p for p in _library() if EXT not in p.parents]
+    offenders = [
+        f"{path.relative_to(REPO)}:{line}: {module}"
+        for path in core
+        for line, module in _imports(path)
+        if "member_auth" in module.split(".")
+    ]
+    assert not offenders, "\n".join(offenders)
+    from repro.secure.session import SecureClient, SecureGroupSession
+
+    for name in ("challenge_member", "enable_auto_refresh"):
+        assert not hasattr(SecureGroupSession, name), name
+    assert not hasattr(SecureClient, "authenticate")
+    parameters = inspect.signature(SecureGroupSession.__init__).parameters
+    assert not {"params", "long_term", "directory"} & set(parameters), parameters
+
+
+def _reads_session_private(node: ast.AST) -> bool:
+    """``session._x``, ``self._session._x`` or ``….sessions[…]._x``."""
+    if not (
+        isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+    ):
+        return False
+    owner = node.value
+    if isinstance(owner, ast.Subscript):
+        owner = owner.value
+        return isinstance(owner, ast.Attribute) and owner.attr == "sessions"
+    name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", "")
+    return name in ("session", "_session")
+
+
+def test_nothing_outside_the_secure_package_reads_a_sessions_private_state():
+    secure = SRC_ROOT / "repro" / "secure"
+    outside = [
+        *(p for p in _library() if secure not in p.parents),
+        *sorted((REPO / "examples").glob("*.py")),
+    ]
+    offenders = [
+        f"{path.relative_to(REPO)}:{node.lineno}: .{node.attr}"
+        for path in outside
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _reads_session_private(node)
+    ]
+    assert not offenders, (
+        "read the session's public state (has_key, view_key, attempt,"
+        " key_fingerprint, flush, ...) instead:\n" + "\n".join(offenders)
+    )
 
 
 def _environment_reads(path: Path) -> list:
