@@ -43,16 +43,16 @@ from repro.obs.metrics import (
 )
 from repro.secure.session import SecureClient
 from repro.sim.rng import DeterministicRng, stable_seed
-from repro.spread.config import SpreadConfig
 from repro.spread.daemon import SpreadDaemon
 from repro.spread.flush import FlushClient
 from repro.spread.membership import STATE_OP
 from repro.testbed import SecureTestbed
 from repro.transport.client import TcpSpreadClient
+from repro.transport.deploy import realtime_config
 from repro.transport.host import DaemonHost, wait_for_condition
 from repro.transport.netem import ALL_LINKS, NetemSchedule, NetemWorld
 
-#: Real-time daemon timers (the daemon CLI's defaults): tight enough
+#: Real-time daemon timers (a deployment file's defaults): tight enough
 #: that blackhole windows trip failure detection, loose enough that a
 #: loaded CI worker does not.
 HELLO_INTERVAL = 0.25
@@ -109,12 +109,8 @@ class TransportCrucible(Crucible):
         self.rng = DeterministicRng(
             stable_seed("tcrucible", seed, module), label="tcrucible"
         )
-        self.config = SpreadConfig(
-            daemons=self.DAEMONS,
-            hello_interval=HELLO_INTERVAL,
-            fail_timeout=FAIL_TIMEOUT,
-            gather_timeout=FAIL_TIMEOUT * 2,
-            sync_timeout=FAIL_TIMEOUT * 4,
+        self.config = realtime_config(
+            self.DAEMONS, HELLO_INTERVAL, FAIL_TIMEOUT
         )
         self.hosts: Dict[str, DaemonHost] = {}
         self.daemons: Dict[str, SpreadDaemon] = {}

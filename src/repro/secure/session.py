@@ -220,13 +220,14 @@ class SecureGroupSession:
         self.sealed_messages += len(sealed_batch)
         self.sealed_bytes += sum(s.wire_size() for s in sealed_batch)
         if self._tracer.enabled:
-            self._tracer.record(
-                "secure.send_batch",
-                me=self.me,
-                group=self.group,
-                epoch=sealed_batch[0].epoch_label,
-                count=len(sealed_batch),
-            )
+            for payload, sealed in zip(payloads, sealed_batch):
+                self._tracer.record(
+                    "secure.send",
+                    me=self.me,
+                    group=self.group,
+                    epoch=sealed.epoch_label,
+                    digest=hashlib.sha256(payload).hexdigest()[:16],
+                )
         multicast = self.flush.multicast
         group = self.group
         for sealed in sealed_batch:
@@ -561,19 +562,26 @@ class SecureGroupSession:
                 messages=len(messages),
                 exponentiations=exponentiations,
             )
+        # Label the round now: a restart or refresh inside the crypto
+        # delay must not send these tokens as the next attempt's.
+        envelopes = [
+            (message, AgreementEnvelope(self.view_key, self.attempt, message.token))
+            for message in messages
+        ]
         delay = self.cost_model.delay(exponentiations)
         if delay > 0:
             self._kernel.call_later(
                 delay,
-                lambda: self._send_now(messages),
+                lambda: self._send_now(envelopes),
                 label=f"secure.{self.group}.crypto",
             )
         else:
-            self._send_now(messages)
+            self._send_now(envelopes)
 
-    def _send_now(self, messages: List[OutMessage]) -> None:
-        for message in messages:
-            envelope = AgreementEnvelope(self.view_key, self.attempt, message.token)
+    def _send_now(
+        self, envelopes: List[Tuple[OutMessage, AgreementEnvelope]]
+    ) -> None:
+        for message, envelope in envelopes:
             try:
                 if message.is_multicast:
                     self.flush.multicast(self.group, envelope)

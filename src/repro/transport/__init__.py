@@ -18,19 +18,19 @@ sockets (docs/TRANSPORT.md):
 * :mod:`repro.transport.host` — ``DaemonHost``: real daemons on one
   asyncio loop (client listeners included).
 * :mod:`repro.transport.daemon` — the CLI
-  (``python -m repro.transport.daemon``).
+  (``python -m repro.transport.daemon CONFIG [--machine NAME]``).
 * :mod:`repro.transport.client` — ``TcpSpreadClient``: the shared
   Spread client core (:mod:`repro.spread.client`) over a socket, with
   auto-reconnect and heartbeat liveness.
 * :mod:`repro.transport.netem` — WAN-shaped fault injection: a seeded
   shaping TCP proxy (``NetemLink``/``NetemWorld``) plus declarative
-  ``NetemSchedule`` fault scripts; also a standalone CLI
-  (``python -m repro.transport.netem``).
+  ``NetemSchedule`` fault scripts.
 * :mod:`repro.transport.auth` — frame authentication: HMAC-SHA256 tags
   under a pre-shared deployment key (``FrameAuth``, key-file CLI) plus
   the restricted unpickler wire bodies decode through.
 * :mod:`repro.transport.deploy` — deployment config files (TOML/JSON:
-  daemon names, hosts, ports, key file) parsed to a ``Deployment``.
+  daemon names, hosts, ports, key file) parsed to a ``Deployment``;
+  the one description of a real deployment.
 * :mod:`repro.transport.launch` — ``python -m repro.transport.launch``:
   spawn the daemon processes of a deployment, wait for readiness,
   tear down cleanly.

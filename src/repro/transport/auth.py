@@ -9,9 +9,9 @@ halves of the fix:
 * :class:`FrameAuth` — HMAC-SHA256 tags over ``header || body`` under a
   pre-shared deployment key loaded from a key file.  Verification is
   constant-time.  Every process in a deployment shares one key
-  (``--keyfile`` / the ``REPRO_TRANSPORT_KEYFILE`` environment
-  variable); a frame whose tag does not verify is rejected before its
-  body is ever unpickled.
+  (a deployment file's ``keyfile`` / the ``REPRO_TRANSPORT_KEYFILE``
+  environment variable); a frame whose tag does not verify is rejected
+  before its body is ever unpickled.
 
 * :func:`restricted_loads` — a :class:`pickle.Unpickler` whose
   ``find_class`` only resolves classes defined in the registered

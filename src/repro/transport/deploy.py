@@ -1,11 +1,12 @@
 """Deployment config files for multi-machine (and multi-process) runs.
 
 A *deployment* names every daemon in a Spread configuration together
-with where it listens — turning the hand-built ``--peer`` incantations
-of ``python -m repro.transport.daemon`` into one reviewable file that
-every machine (and the launcher, and benches, and CI) loads
-identically.  TOML is the native format (stdlib ``tomllib``); JSON with
-the same shape is accepted for programmatic writers::
+with where it listens: the equivalent of Spread's static
+``spread.conf``.  It is the only description of a real deployment —
+``python -m repro.transport.daemon CONFIG --machine M`` on each box and
+the launcher that spawns that command read the same file.  TOML is the
+native format (stdlib ``tomllib``); JSON with the same shape is
+accepted for programmatic writers::
 
     [deployment]
     keyfile = "deploy.key"      # frame-auth key, relative to this file
@@ -86,6 +87,17 @@ class Deployment:
             groups.setdefault(daemon.machine, []).append(daemon.name)
         return groups
 
+    def hosted(self, machine: str) -> List[str]:
+        """The daemons ``machine`` hosts; :class:`DeployError` if the
+        file names no such machine."""
+        groups = self.machines()
+        if machine not in groups:
+            raise DeployError(
+                f"unknown machine {machine!r} "
+                f"(config has: {', '.join(groups)})"
+            )
+        return groups[machine]
+
     def transport_map(self) -> TransportMap:
         table = TransportMap()
         for daemon in self.daemons:
@@ -94,34 +106,26 @@ class Deployment:
         return table
 
     def spread_config(self) -> SpreadConfig:
-        return SpreadConfig(
-            daemons=tuple(d.name for d in self.daemons),
-            hello_interval=self.hello_interval,
-            fail_timeout=self.fail_timeout,
-            gather_timeout=self.fail_timeout * 2,
-            sync_timeout=self.fail_timeout * 4,
+        return realtime_config(
+            tuple(d.name for d in self.daemons),
+            self.hello_interval,
+            self.fail_timeout,
         )
 
-    def daemon_argv(self, machine: str) -> List[str]:
-        """CLI arguments for ``python -m repro.transport.daemon`` hosting
-        one machine's share of the deployment."""
-        hosted = self.machines().get(machine)
-        if not hosted:
-            raise DeployError(f"no daemons on machine {machine!r}")
-        argv = ["--bind", self.bind, "--seed", str(self.seed)]
-        for daemon in self.daemons:
-            argv += [
-                "--peer",
-                f"{daemon.name}={daemon.host}:{daemon.peer_port}"
-                f":{daemon.client_port}",
-            ]
-        for name in hosted:
-            argv += ["--host", name]
-        argv += ["--hello-interval", str(self.hello_interval)]
-        argv += ["--fail-timeout", str(self.fail_timeout)]
-        if self.keyfile is not None:
-            argv += ["--keyfile", self.keyfile]
-        return argv
+
+def realtime_config(
+    daemons: Tuple[str, ...], hello_interval: float, fail_timeout: float
+) -> SpreadConfig:
+    """A :class:`SpreadConfig` for daemons on wall-clock timers, where
+    the membership timeouts follow the failure timeout: gather 2×,
+    sync 4×.  Every real-time deployment takes its timers from here."""
+    return SpreadConfig(
+        daemons=daemons,
+        hello_interval=hello_interval,
+        fail_timeout=fail_timeout,
+        gather_timeout=fail_timeout * 2,
+        sync_timeout=fail_timeout * 4,
+    )
 
 
 def _require(table: dict, key: str, kind, where: str):
@@ -228,12 +232,20 @@ def parse_deployment(
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise DeployError("[deployment]: seed must be an integer")
 
+    hello_interval = _number("hello_interval", 0.25)
+    fail_timeout = _number("fail_timeout", 1.5)
+    if hello_interval >= fail_timeout:
+        raise DeployError(
+            f"[deployment]: hello_interval ({hello_interval}) must be"
+            f" below fail_timeout ({fail_timeout})"
+        )
+
     return Deployment(
         daemons=tuple(daemons),
         keyfile=keyfile,
         bind=bind,
-        hello_interval=_number("hello_interval", 0.25),
-        fail_timeout=_number("fail_timeout", 1.5),
+        hello_interval=hello_interval,
+        fail_timeout=fail_timeout,
         seed=seed,
     )
 

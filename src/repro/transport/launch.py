@@ -1,20 +1,18 @@
 """``python -m repro.transport.launch`` — run a deployment from a file.
 
-Spawns one ``python -m repro.transport.daemon`` process per *machine*
-group of a :mod:`repro.transport.deploy` config, waits until every
+Spawns ``python -m repro.transport.daemon CONFIG --machine M`` once per
+*machine* group of a :mod:`repro.transport.deploy` config file, so the
+launcher and every child read the same file.  It waits until every
 hosted daemon's listeners accept connections, and tears the processes
 down cleanly (SIGTERM, bounded wait, SIGKILL stragglers) on exit or
-ctrl-c.  With ``--machine`` only that machine's share is launched — the
-command each box of a real multi-host deployment runs against the same
-copied config file.
+ctrl-c.  With ``--machine`` only that machine's share is launched.
 
 :class:`LaunchedDeployment` is the library face of the same lifecycle;
 ``tests/transport/test_launch.py`` drives it directly::
 
-    deployment = load_deployment("deploy.toml")
-    with LaunchedDeployment(deployment) as launched:
+    with LaunchedDeployment("deploy.toml") as launched:
         launched.wait_ready()
-        ...  # connect TcpSpreadClients against deployment addresses
+        ...  # connect TcpSpreadClients against launched.deployment
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.errors import DeployError
 from repro.transport.auth import KEYFILE_ENV
-from repro.transport.deploy import Deployment, load_deployment
+from repro.transport.deploy import load_deployment
 
 #: How long ``stop`` lets SIGTERM work before SIGKILL.
 STOP_GRACE = 5.0
@@ -60,26 +58,24 @@ def _child_env() -> Dict[str, str]:
 
 
 class LaunchedDeployment:
-    """The daemon processes of one deployment, as a context manager."""
+    """The daemon processes of one deployment file, as a context
+    manager.  :class:`DeployError` if the file is malformed or lacks
+    one of ``machines``."""
 
     def __init__(
         self,
-        deployment: Deployment,
+        config: Union[str, Path],
         machines: Optional[Sequence[str]] = None,
         python: str = sys.executable,
         log_dir: Optional[Union[str, Path]] = None,
     ) -> None:
-        self.deployment = deployment
-        all_machines = deployment.machines()
+        self.config = str(config)
+        self.deployment = load_deployment(config)
         if machines is None:
-            self.machines = list(all_machines)
+            self.machines = list(self.deployment.machines())
         else:
             for machine in machines:
-                if machine not in all_machines:
-                    raise DeployError(
-                        f"unknown machine {machine!r} "
-                        f"(config has: {', '.join(all_machines)})"
-                    )
+                self.deployment.hosted(machine)
             self.machines = list(machines)
         self.python = python
         self.log_dir = Path(log_dir) if log_dir is not None else None
@@ -94,8 +90,8 @@ class LaunchedDeployment:
             raise DeployError("deployment already started")
         env = _child_env()
         for machine in self.machines:
-            argv = [self.python, "-m", "repro.transport.daemon"]
-            argv += self.deployment.daemon_argv(machine)
+            argv = [self.python, "-m", "repro.transport.daemon",
+                    self.config, "--machine", machine]
             if self.log_dir is not None:
                 self.log_dir.mkdir(parents=True, exist_ok=True)
                 log = open(self.log_dir / f"{machine}.log", "wb")
@@ -109,8 +105,11 @@ class LaunchedDeployment:
 
     def hosted_daemons(self) -> List[str]:
         """Names of the daemons the launched machines host."""
-        groups = self.deployment.machines()
-        return [name for machine in self.machines for name in groups[machine]]
+        return [
+            name
+            for machine in self.machines
+            for name in self.deployment.hosted(machine)
+        ]
 
     def poll(self) -> Dict[str, Optional[int]]:
         """Machine → exit code (None while running)."""
@@ -232,9 +231,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        deployment = load_deployment(args.config)
         launched = LaunchedDeployment(
-            deployment, machines=args.machine, log_dir=args.log_dir
+            args.config, machines=args.machine, log_dir=args.log_dir
         )
     except DeployError as exc:
         parser.error(str(exc))
@@ -255,7 +253,7 @@ def main(argv=None) -> int:
             launched.stop()
             return 1
         hosted = ", ".join(launched.hosted_daemons())
-        auth = "on" if deployment.keyfile else "off"
+        auth = "on" if launched.deployment.keyfile else "off"
         print(
             f"deployment ready: {hosted} "
             f"({len(launched.processes)} process(es), frame auth {auth}); "

@@ -4,9 +4,8 @@ The chaos crucible proves the protocol stack under the *simulated*
 adversary (:mod:`repro.net`); this module is the same idea one layer
 down, against the asyncio TCP backend: an in-process TCP proxy that
 sits on each peer or client link and shapes the byte stream the way a
-hostile wide-area network would.  Because it speaks plain TCP it also
-runs standalone (``python -m repro.transport.netem``) between real
-hosts — the multi-machine follow-on the ROADMAP names.
+hostile wide-area network would.  Between real hosts, ``tc netem``
+does the same job.
 
 Per link and per direction (``fwd`` = toward the target, ``back`` =
 toward the dialer), a mutable :class:`LinkShape` provides:
@@ -48,10 +47,7 @@ connection event is traced under the ``netem.*`` namespace.
 
 from __future__ import annotations
 
-import argparse
 import asyncio
-import signal
-import sys
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -688,103 +684,3 @@ class NetemWorld:
         for link in self.links.values():
             await link.close()
         self.links.clear()
-
-
-# ---------------------------------------------------------------------------
-# standalone CLI
-# ---------------------------------------------------------------------------
-
-
-def _parse_hostport(text: str) -> Tuple[str, int]:
-    host, __, port = text.rpartition(":")
-    if not host:
-        raise argparse.ArgumentTypeError(
-            f"want HOST:PORT, got {text!r}"
-        )
-    return host, int(port)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.transport.netem",
-        description="WAN-shaped TCP proxy: forward LISTEN -> TARGET with"
-        " deterministic latency/jitter/rate/loss/corruption shaping."
-        " Runs standalone between real hosts or in-process in tests.",
-    )
-    parser.add_argument(
-        "--listen", type=_parse_hostport, required=True,
-        metavar="HOST:PORT", help="local listener (port 0 = ephemeral)",
-    )
-    parser.add_argument(
-        "--target", type=_parse_hostport, required=True,
-        metavar="HOST:PORT", help="where shaped traffic is forwarded",
-    )
-    parser.add_argument("--latency", type=float, default=0.0,
-                        help="one-way added delay, seconds")
-    parser.add_argument("--jitter", type=float, default=0.0,
-                        help="uniform extra delay bound, seconds")
-    parser.add_argument("--rate", type=float, default=None,
-                        help="bandwidth cap, bytes/second")
-    parser.add_argument("--loss", type=float, default=0.0,
-                        help="per-chunk retransmit-penalty probability")
-    parser.add_argument("--corrupt", type=float, default=0.0,
-                        help="per-chunk byte-flip probability")
-    parser.add_argument("--truncate", type=float, default=0.0,
-                        help="per-chunk truncation probability")
-    parser.add_argument("--back-latency", type=float, default=None,
-                        help="asymmetric return-path delay (default: --latency)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="deterministic rng seed for every draw")
-    parser.add_argument("--name", default="netem",
-                        help="link name in traces and counter dumps")
-    return parser
-
-
-async def _run_cli(args) -> None:
-    link = NetemLink(
-        args.name, tuple(args.target),
-        rng=DeterministicRng(args.seed, label=args.name),
-    )
-    host, port = args.listen
-    bound = await link.start(host, port)
-    fwd = dict(
-        latency=args.latency, jitter=args.jitter, rate=args.rate,
-        loss=args.loss, corrupt=args.corrupt, truncate=args.truncate,
-    )
-    back = dict(fwd)
-    if args.back_latency is not None:
-        back["latency"] = args.back_latency
-    link.apply_shape("fwd", **fwd)
-    link.apply_shape("back", **back)
-    print(
-        f"netem {args.name}: {bound[0]}:{bound[1]} ->"
-        f" {args.target[0]}:{args.target[1]}"
-        f" latency={args.latency}s jitter={args.jitter}s"
-        f" loss={args.loss} corrupt={args.corrupt} seed={args.seed}",
-        flush=True,
-    )
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, stop.set)
-        except NotImplementedError:  # pragma: no cover - non-POSIX loops
-            pass
-    try:
-        await stop.wait()
-    finally:
-        await link.close()
-        print(f"netem {args.name} counters: {link.counters}", flush=True)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        asyncio.run(_run_cli(args))
-    except KeyboardInterrupt:  # pragma: no cover - interactive exit
-        pass
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -70,8 +70,9 @@ class TransportMap:
 
     Two address spaces per daemon: the *peer* listener (daemon-to-daemon
     frames) and the *client* listener (the Spread client API).  Entries
-    appear either from configuration (``parse``) or when a listener
-    binds (ephemeral-port discovery).
+    appear either from a deployment file
+    (:meth:`~repro.transport.deploy.Deployment.transport_map`) or when a
+    listener binds (ephemeral-port discovery).
     """
 
     def __init__(self) -> None:
@@ -92,45 +93,6 @@ class TransportMap:
 
     def knows(self, name: str) -> bool:
         return name in self._peers
-
-    @classmethod
-    def parse(cls, specs) -> "TransportMap":
-        """Build a map from ``name=host:peer_port:client_port`` strings
-        (the CLI's ``--peer`` format).  Raises
-        :class:`~repro.errors.TransportError` naming the exact defect —
-        missing ``=``, malformed address, non-integer port, duplicate
-        daemon name — so CLIs can surface it as a usage error."""
-        table = cls()
-        for spec in specs:
-            if "=" not in spec:
-                raise TransportError(
-                    f"bad peer spec {spec!r}: missing '=' "
-                    "(want name=host:peer_port:client_port)"
-                )
-            name, address = spec.split("=", 1)
-            name = name.strip()
-            if not name:
-                raise TransportError(f"bad peer spec {spec!r}: empty name")
-            if table.knows(name):
-                raise TransportError(
-                    f"bad peer spec {spec!r}: duplicate daemon name {name!r}"
-                )
-            parts = address.rsplit(":", 2)
-            if len(parts) != 3 or not parts[0]:
-                raise TransportError(
-                    f"bad peer spec {spec!r}: address must be "
-                    "host:peer_port:client_port"
-                )
-            host, peer_port, client_port = parts
-            try:
-                table.set_peer(name, host, int(peer_port))
-                table.set_client(name, host, int(client_port))
-            except ValueError:
-                raise TransportError(
-                    f"bad peer spec {spec!r}: ports must be integers, "
-                    f"got {peer_port!r} and {client_port!r}"
-                )
-        return table
 
 
 async def drain_tasks(tasks: set, writers: set, timeout: float = 2.0) -> None:

@@ -121,3 +121,22 @@ def test_send_many_empty_burst_is_noop():
     a.send_many("g", [])
     h.run(0.2)
     assert h.payloads_of("a") == []
+
+
+def test_send_many_payloads_are_known_to_the_secrecy_check():
+    """Each payload of a burst is recorded as sent, as ``send`` records
+    it, so the crucible's secrecy check accepts its deliveries."""
+    from repro.chaos.harness import GROUP, ChaosHarness
+    from repro.chaos.invariants import InvariantChecker
+
+    harness = ChaosHarness(0, "cliques")
+    members = harness.establish_group()
+    burst = [b"burst-0", b"burst-1"]
+    harness.members["m0"].send_many(GROUP, burst)
+    harness.run(1.0)
+    events = harness.tracer.events
+    assert InvariantChecker(events).check_secrecy() == []
+    sends = [e for e in events if e.kind == "secure.send"]
+    delivered = [e for e in events if e.kind == "secure.data"]
+    assert len(sends) == len(burst)
+    assert len(delivered) == len(burst) * len(members)

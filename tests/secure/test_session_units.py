@@ -29,6 +29,7 @@ from repro.secure.handlers.cliques_handler import CliquesModule
 from repro.secure.session import (
     STATE_AGREEING,
     STATE_CONFIRMED,
+    CryptoCostModel,
     SecureGroupSession,
 )
 from repro.sim.kernel import Kernel
@@ -218,6 +219,38 @@ def test_restart_as_singleton_founder_rekeys():
     session.handle_event(data_from("#me#d0", confirm))
     assert session.state == STATE_CONFIRMED
     assert session._session_keys.fingerprint() != old
+
+
+def test_delayed_round_keeps_the_attempt_it_was_computed_for():
+    """A costed round is labelled when computed: a restart landing
+    inside its crypto delay must not relabel it as the next attempt."""
+    session, flush, events = make_session(peers=("#peer#d1",))
+    session.handle_event(view_event(["#me#d0"], joined=["#me#d0"]))
+    confirm = next(p for __, p in flush.multicasts if isinstance(p, KeyConfirm))
+    session.handle_event(data_from("#me#d0", confirm))
+    session.cost_model = CryptoCostModel(exp_cost=0.01)
+    computed_for = {}
+    dispatch = session._dispatch_module_messages
+
+    def record(messages, exponentiations=0):
+        for message in messages:
+            computed_for[id(message.token)] = session.attempt
+        dispatch(messages, exponentiations)
+
+    session._dispatch_module_messages = record
+    # The peer joins: our join round costs exponentiations, so it waits.
+    session.handle_event(
+        view_event(["#me#d0", "#peer#d1"], joined=["#peer#d1"], change=2)
+    )
+    assert computed_for and not flush.unicasts
+    # A restart lands inside the delay and computes attempt 1's round.
+    session.handle_event(data_from("#peer#d1", RestartRequest(session.view_key, 0)))
+    assert session.attempt == 1
+    flush.client.kernel.run()
+    sent = [p for __, p in flush.unicasts if isinstance(p, AgreementEnvelope)]
+    assert sorted(e.attempt for e in sent) == [0, 1]
+    for envelope in sent:
+        assert envelope.attempt == computed_for[id(envelope.token)]
 
 
 # -- refresh announce ------------------------------------------------------------------------

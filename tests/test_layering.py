@@ -38,6 +38,9 @@ the deployment key file, read by the transport's auth module.
 The secure data path imports at module level: the session, the data
 protector and the flush layer run an ``import`` statement per event if
 one sits in a function body, and none of theirs closes a cycle.
+
+A real-time deployment's membership timers follow one rule from its
+failure timeout, written once in ``repro.transport.deploy``.
 """
 
 from __future__ import annotations
@@ -465,3 +468,39 @@ def test_the_secure_data_path_imports_at_module_level():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
     assert local == [], local
+
+
+#: The membership timers a real-time deployment derives from its
+#: failure timeout.
+DERIVED_TIMERS = {"gather_timeout", "sync_timeout"}
+
+
+def _derives_from_fail_timeout(value: ast.AST) -> bool:
+    return any(
+        (isinstance(node, ast.Name) and node.id.lower() == "fail_timeout")
+        or (isinstance(node, ast.Attribute) and node.attr.lower() == "fail_timeout")
+        for node in ast.walk(value)
+    )
+
+
+def test_the_real_time_timer_rule_is_written_once():
+    """``gather = 2×``, ``sync = 4×`` the failure timeout lives in
+    ``repro.transport.deploy.realtime_config``; the daemon CLI and the
+    TCP crucible call it instead of restating it."""
+    derived = []
+    for path in _library():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            values = []
+            if isinstance(node, ast.keyword) and node.arg in DERIVED_TIMERS:
+                values.append(node.value)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {getattr(t, "id", getattr(t, "attr", None)) for t in targets}
+                if names & DERIVED_TIMERS:
+                    values.append(node.value)
+            derived += [
+                f"{path.relative_to(SRC_ROOT / 'repro').as_posix()}:{value.lineno}"
+                for value in values
+                if _derives_from_fail_timeout(value)
+            ]
+    assert {where.split(":")[0] for where in derived} == {"transport/deploy.py"}, derived

@@ -3,8 +3,8 @@
 A deployment file is shared state across machines, so parsing is
 all-or-nothing: every malformed field must raise a
 :class:`~repro.errors.DeployError` naming the offender, and a parsed
-:class:`Deployment` must regenerate the exact daemon CLI the launcher
-spawns.
+:class:`Deployment` must give every machine the same daemon list,
+address map and timers.
 """
 
 from __future__ import annotations
@@ -82,22 +82,6 @@ def test_json_is_accepted_by_suffix(tmp_path):
     assert deployment.keyfile is None
 
 
-def test_daemon_argv_regenerates_the_daemon_cli(tmp_path):
-    config = tmp_path / "deploy.toml"
-    config.write_text(GOOD_TOML)
-    deployment = load_deployment(config)
-    argv = deployment.daemon_argv("box-b")
-    # Full peer map (every machine needs every address), own hosts only.
-    assert argv.count("--peer") == 2
-    assert "d0=10.0.0.1:4803:4813" in argv
-    assert "d1=10.0.0.2:4803:4813" in argv
-    assert argv[argv.index("--host") + 1] == "d1"
-    assert argv.count("--host") == 1
-    assert argv[argv.index("--keyfile") + 1] == str(tmp_path / "deploy.key")
-    with pytest.raises(DeployError):
-        deployment.daemon_argv("no-such-machine")
-
-
 def test_spread_config_derives_timeouts():
     deployment = parse_deployment(good_document())
     config = deployment.spread_config()
@@ -137,6 +121,11 @@ def test_transport_map_covers_every_daemon():
         (lambda d: d["deployment"].update(fail_timeout="x"), "number"),
         (lambda d: d["deployment"].update(seed=True), "integer"),
         (lambda d: d["daemon"][0].update(machine=""), "machine"),
+        # The daemon's own check, raised before any process starts.
+        (
+            lambda d: d["deployment"].update(hello_interval=2.0, fail_timeout=1.0),
+            r"hello_interval \(2.0\) must be below fail_timeout \(1.0\)",
+        ),
     ],
 )
 def test_malformed_documents_are_refused(mutate, match):

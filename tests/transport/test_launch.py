@@ -1,21 +1,22 @@
 """The deployment launcher (:mod:`repro.transport.launch`).
 
-These tests spawn real ``python -m repro.transport.daemon`` processes
-on loopback — the cheapest honest exercise of the multi-host deployment
-path: config file → subprocesses → listeners up → clean teardown, plus
-the fail-fast paths (dead child, impossible config).
+These tests spawn real ``python -m repro.transport.daemon CONFIG
+--machine M`` processes on loopback — the cheapest honest exercise of
+the multi-host deployment path: config file → subprocesses reading the
+same file → listeners up → clean teardown, plus the fail-fast paths
+(dead child, impossible config).
 """
 
 from __future__ import annotations
 
 import os
 import socket
+import sys
 
 import pytest
 
 from repro.errors import DeployError
 from repro.transport.auth import KEYFILE_ENV, generate_keyfile
-from repro.transport.deploy import load_deployment
 from repro.transport.launch import LaunchedDeployment, _child_env
 
 
@@ -51,15 +52,19 @@ def write_config(tmp_path, daemons: int, keyfile=None) -> str:
 
 
 def test_launch_two_daemons_ready_and_stop(tmp_path):
-    deployment = load_deployment(write_config(tmp_path, 2))
-    with LaunchedDeployment(
-        deployment, log_dir=tmp_path / "logs"
-    ) as launched:
+    config = write_config(tmp_path, 2)
+    with LaunchedDeployment(config, log_dir=tmp_path / "logs") as launched:
         launched.wait_ready(timeout=30.0)
         assert sorted(launched.hosted_daemons()) == ["d0", "d1"]
         assert all(code is None for code in launched.poll().values())
+        # Each child read the launcher's own file, for its own machine.
+        for machine, process in launched.processes.items():
+            assert process.args == [
+                sys.executable, "-m", "repro.transport.daemon",
+                str(config), "--machine", machine,
+            ]
         # Listeners really accept.
-        for spec in deployment.daemons:
+        for spec in launched.deployment.daemons:
             with socket.create_connection(spec.client_address, timeout=2.0):
                 pass
     # Context exit stopped every child.
@@ -69,29 +74,28 @@ def test_launch_two_daemons_ready_and_stop(tmp_path):
 
 
 def test_launch_subset_of_machines(tmp_path):
-    deployment = load_deployment(write_config(tmp_path, 2))
-    with LaunchedDeployment(deployment, machines=["d1"]) as launched:
+    config = write_config(tmp_path, 2)
+    with LaunchedDeployment(config, machines=["d1"]) as launched:
         launched.wait_ready(timeout=30.0)
         assert launched.hosted_daemons() == ["d1"]
         # d0 was not launched: nothing listens there.
         with pytest.raises(OSError):
             socket.create_connection(
-                deployment.spec("d0").client_address, timeout=0.5
+                launched.deployment.spec("d0").client_address, timeout=0.5
             )
 
 
 def test_unknown_machine_is_refused(tmp_path):
-    deployment = load_deployment(write_config(tmp_path, 1))
+    config = write_config(tmp_path, 1)
     with pytest.raises(DeployError, match="unknown machine"):
-        LaunchedDeployment(deployment, machines=["nope"])
+        LaunchedDeployment(config, machines=["nope"])
 
 
 def test_dead_child_fails_wait_ready_fast(tmp_path):
     # A keyfile that does not exist makes the daemon exit at startup;
     # wait_ready must surface that immediately, not burn the timeout.
     config = write_config(tmp_path, 1, keyfile="missing.key")
-    deployment = load_deployment(config)
-    launched = LaunchedDeployment(deployment)
+    launched = LaunchedDeployment(config)
     launched.start()
     try:
         with pytest.raises(DeployError, match="exited with code"):
@@ -101,8 +105,8 @@ def test_dead_child_fails_wait_ready_fast(tmp_path):
 
 
 def test_double_start_is_refused(tmp_path):
-    deployment = load_deployment(write_config(tmp_path, 1))
-    with LaunchedDeployment(deployment) as launched:
+    config = write_config(tmp_path, 1)
+    with LaunchedDeployment(config) as launched:
         with pytest.raises(DeployError, match="already started"):
             launched.start()
 
@@ -150,14 +154,12 @@ def test_authenticated_deployment_end_to_end(tmp_path, deployment_keyed, imposte
         "keyless": AUTH_DISABLED,
         "keyed": str(keyfile),
     }[imposter]
-    deployment = load_deployment(
-        write_config(tmp_path, 1, keyfile=keyfile if deployment_keyed else None)
+    config = write_config(
+        tmp_path, 1, keyfile=keyfile if deployment_keyed else None
     )
-    with LaunchedDeployment(
-        deployment, log_dir=tmp_path / "logs"
-    ) as launched:
+    with LaunchedDeployment(config, log_dir=tmp_path / "logs") as launched:
         launched.wait_ready(timeout=30.0)
-        spec = deployment.daemons[0]
+        spec = launched.deployment.daemons[0]
 
         async def imposter_is_cut_off():
             clock = RealtimeClock(asyncio.get_running_loop())

@@ -16,7 +16,6 @@ from repro.transport.netem import (
     LinkShape,
     NetemSchedule,
     NetemWorld,
-    build_parser,
 )
 
 from tests.transport.conftest import run
@@ -233,25 +232,6 @@ def test_linkshape_passthrough_detection():
     stalled = LinkShape()
     stalled.stalled = True
     assert not stalled.is_passthrough()
-
-
-def test_cli_parser_shapes_and_addresses():
-    parser = build_parser()
-    args = parser.parse_args(
-        [
-            "--listen", "127.0.0.1:0",
-            "--target", "127.0.0.1:4803",
-            "--latency", "0.05",
-            "--loss", "0.02",
-            "--back-latency", "0.01",
-            "--seed", "9",
-        ]
-    )
-    assert args.listen == ("127.0.0.1", 0)
-    assert args.target == ("127.0.0.1", 4803)
-    assert args.latency == 0.05
-    assert args.loss == 0.02
-    assert args.seed == 9
 
 
 def test_authenticated_frames_pass_through_byte_identically():
