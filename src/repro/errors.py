@@ -191,7 +191,7 @@ class FrameError(TransportError):
 
 class WireVersionError(FrameError):
     """A frame carried a wire version this build does not speak (e.g. a
-    replayed pre-auth VERSION=1 frame against a VERSION=2 endpoint)."""
+    replayed VERSION=2 frame against a VERSION=3 endpoint)."""
 
 
 class FrameAuthError(FrameError):

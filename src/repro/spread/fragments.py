@@ -11,12 +11,20 @@ per-sender ordering guarantees (FIFO and above) make reassembly a
 simple append — a gap or reordering within one sender's fragments is
 impossible at the service levels that deliver them.
 
-The data plane is zero-copy on both sides: :func:`split_payload` hands
-out read-only ``memoryview`` slices of the original payload (no bytes
-are duplicated at send time), and the :class:`Reassembler` writes each
-arriving chunk straight into a preallocated ``bytearray`` at its final
-offset — one copy per byte end to end, instead of slice-copies plus a
-``b"".join`` of the whole message.
+:func:`split_payload` hands out read-only ``memoryview`` slices of the
+original payload, so no byte is duplicated at send time.  On the TCP
+backend each chunk then travels beside the pickled envelope as an
+out-of-band buffer (:mod:`repro.transport.wire`), and the copies a byte
+of a fragmented message goes through are, per hop:
+
+* the sender's frame encoder joins the chunk into the frame;
+* the receiver's decoder appends the read to its stream buffer, then
+  copies the chunk out of it, once (a daemon forwards that copy as is);
+
+and, at the receiving client only, one more: the :class:`Reassembler`
+keeps each chunk as it arrived and joins them into the ``bytes`` the
+application receives when the last one is in (``bytes_copied`` counts
+these bytes).  On the simulator that join is the only copy.
 
 The reassembler is nevertheless hardened against an adversarial
 substrate (the chaos crucible's duplication faults): a re-delivered
@@ -29,7 +37,7 @@ partial entry that can never complete.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import IllegalMessageError
 from repro.sim.trace import Tracer
@@ -41,6 +49,8 @@ class MessageFragment:
 
     ``chunk`` is ``bytes`` or a read-only ``memoryview`` (the zero-copy
     split path); content equality and hashing treat the two identically.
+    The wire codec sends the chunk out of band and hands the receiver
+    ``bytes``.
     """
 
     fragment_id: int  # per-sender-connection counter
@@ -50,15 +60,6 @@ class MessageFragment:
 
     def wire_size(self) -> int:
         return 32 + len(self.chunk)
-
-    def __reduce__(self):
-        # memoryview chunks are not picklable (and need not be: pickling
-        # is serialization, so materializing the slice is the copy the
-        # wire format would make anyway).
-        return (
-            MessageFragment,
-            (self.fragment_id, self.index, self.total, bytes(self.chunk)),
-        )
 
 
 def split_payload(
@@ -93,72 +94,41 @@ def split_payload(
 class _Partial:
     """Reassembly state for one (sender, fragment id).
 
-    ``buffer`` is preallocated at ``chunk_size * total`` once the common
-    chunk size is known (any non-final fragment reveals it); chunks are
-    written at ``index * chunk_size``.  A final fragment arriving before
-    the size is known (impossible under FIFO, tolerated for hardening)
-    waits in ``stash``.
+    ``chunks`` holds each arrived chunk by index, as it came: chunks are
+    immutable (``bytes`` off the wire, slices of the sender's ``bytes``
+    on the simulator), so nothing is copied until :meth:`result` joins
+    them.  Every non-final chunk has the common size and the final one
+    is no larger, whichever arrives first: a longer final chunk would
+    grow the message.
     """
 
-    __slots__ = ("total", "chunk_size", "buffer", "have", "tail_len", "stash")
+    __slots__ = ("total", "chunks", "chunk_size", "tail_len")
 
     def __init__(self, total: int) -> None:
         self.total = total
+        self.chunks: Dict[int, Any] = {}
         self.chunk_size: Optional[int] = None
-        self.buffer: Optional[bytearray] = None
-        self.have: Set[int] = set()
         self.tail_len: Optional[int] = None
-        self.stash: Dict[int, bytes] = {}
 
-    def stored(self, index: int):
-        """The already-stored content at ``index`` (duplicate checks)."""
-        if index in self.stash:
-            return self.stash[index]
-        chunk_size = self.chunk_size
-        length = (
-            self.tail_len
-            if index == self.total - 1 and self.tail_len is not None
-            else chunk_size
-        )
-        offset = index * chunk_size
-        return memoryview(self.buffer)[offset : offset + length]
-
-    def write(self, index: int, chunk) -> int:
-        """Place one chunk; returns the bytes copied."""
-        is_final = index == self.total - 1
-        if self.chunk_size is None and not is_final:
-            self.chunk_size = len(chunk)
-            self.buffer = bytearray(self.chunk_size * self.total)
-            stash, self.stash = self.stash, {}
-            copied = 0
-            for stashed_index, stashed in stash.items():
-                copied += self.write(stashed_index, stashed)
-            offset = index * self.chunk_size
-            self.buffer[offset : offset + len(chunk)] = chunk
-            self.have.add(index)
-            return copied + len(chunk)
-        if self.buffer is None:
-            # Final fragment first (size still unknown): hold it aside.
-            self.stash[index] = bytes(chunk)
-            self.have.add(index)
-            self.tail_len = len(chunk)
-            return len(chunk)
-        if not is_final and len(chunk) != self.chunk_size:
+    def add(self, index: int, chunk) -> None:
+        final = index == self.total - 1
+        size = len(chunk)
+        common = self.chunk_size
+        if common is None and not final:
+            common = size
+        tail = size if final else self.tail_len
+        if (not final and size != common) or (
+            common is not None and tail is not None and tail > common
+        ):
             raise IllegalMessageError(
                 "fragment size inconsistent within one message"
             )
-        if is_final:
-            self.tail_len = len(chunk)
-        offset = index * self.chunk_size
-        self.buffer[offset : offset + len(chunk)] = chunk
-        self.have.add(index)
-        return len(chunk)
+        self.chunk_size, self.tail_len = common, tail
+        self.chunks[index] = chunk
 
     def result(self) -> bytes:
-        length = (self.total - 1) * (self.chunk_size or 0) + (
-            self.tail_len if self.tail_len is not None else self.chunk_size
-        )
-        return bytes(memoryview(self.buffer)[:length])
+        chunks = self.chunks
+        return b"".join([chunks[index] for index in range(self.total)])
 
 
 class Reassembler:
@@ -173,7 +143,7 @@ class Reassembler:
         self._tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.stale_dropped = 0
         self.duplicates_ignored = 0
-        self.bytes_copied = 0  # payload bytes written into buffers
+        self.bytes_copied = 0  # payload bytes copied into whole messages
 
     def accept(self, sender: str, fragment: MessageFragment) -> Optional[bytes]:
         """Feed one fragment; returns the whole payload when complete.
@@ -215,8 +185,8 @@ class Reassembler:
             raise IllegalMessageError(
                 "fragment total changed mid-message"
             )
-        if index in partial.have:
-            if partial.stored(index) != fragment.chunk:
+        if index in partial.chunks:
+            if partial.chunks[index] != fragment.chunk:
                 raise IllegalMessageError(
                     f"conflicting re-delivery of fragment"
                     f" {index}/{total} from {sender}"
@@ -230,13 +200,15 @@ class Reassembler:
                     index=index,
                 )
             return None
-        self.bytes_copied += partial.write(index, fragment.chunk)
-        if len(partial.have) < total:
+        partial.add(index, fragment.chunk)
+        if len(partial.chunks) < total:
             return None
         del self._partial[key]
         previous = self._completed.get(sender, 0)
         self._completed[sender] = max(previous, fragment.fragment_id)
-        return partial.result()
+        whole = partial.result()
+        self.bytes_copied += len(whole)
+        return whole
 
     def pending_count(self) -> int:
         """Messages currently awaiting fragments (for monitoring)."""

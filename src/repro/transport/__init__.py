@@ -8,7 +8,7 @@ sockets (docs/TRANSPORT.md):
 * :mod:`repro.transport.base` — the ``Transport`` / ``Clock`` seam
   contracts (Protocols; backends duck-type).
 * :mod:`repro.transport.wire` — length-prefixed, versioned,
-  CRC-checked frame codec with an incremental decoder.
+  tag- or CRC-checked frame codec with an incremental decoder.
 * :mod:`repro.transport.protocol` — client ↔ daemon IPC verbs.
 * :mod:`repro.transport.rtclock` — ``RealtimeClock``: the kernel
   scheduling surface bridged to ``asyncio.loop.call_at``.

@@ -6,12 +6,25 @@ peer or client port could forge membership traffic — or worse, execute
 arbitrary code through ``pickle.loads``.  This module supplies the two
 halves of the fix:
 
-* :class:`FrameAuth` — HMAC-SHA256 tags over ``header || body`` under a
-  pre-shared deployment key loaded from a key file.  Verification is
-  constant-time.  Every process in a deployment shares one key
-  (a deployment file's ``keyfile`` / the ``REPRO_TRANSPORT_KEYFILE``
-  environment variable); a frame whose tag does not verify is rejected
-  before its body is ever unpickled.
+* :class:`FrameAuth` — HMAC-SHA256 tags under a pre-shared deployment
+  key loaded from a key file.  A frame's tag covers
+  ``header || body || SHA-256(buffer)...``: the header, the pickled
+  envelope (with the buffer lengths before it) and the digest of each
+  out-of-band buffer (a fragment chunk, see :mod:`repro.transport.wire`).
+  Verification is constant-time.  Every process in a deployment shares
+  one key (a deployment file's ``keyfile`` / the
+  ``REPRO_TRANSPORT_KEYFILE`` environment variable); a frame whose tag
+  does not verify is rejected before its body is ever unpickled.  The
+  tag is a tagged frame's only integrity check: the CRC-32 is computed
+  on untagged frames alone.
+
+* :class:`VerifiedBuffer` — a received buffer that keeps the digest its
+  frame's tag was verified under.  When a daemon forwards a fragment
+  unchanged, :meth:`FrameAuth.tag` reuses that digest instead of hashing
+  the chunk again, so each fragment is hashed once by its sender and
+  once by each receiver.  A digest is bound to an immutable ``bytes``
+  object and only the decoder creates one, so it cannot go stale; a
+  slice or a copy is plain ``bytes`` and is hashed again.
 
 * :func:`restricted_loads` — a :class:`pickle.Unpickler` whose
   ``find_class`` only resolves classes defined in the registered
@@ -42,8 +55,19 @@ import os
 import pickle
 import secrets
 import sys
+from hashlib import sha256
 from pathlib import Path
-from typing import Any, FrozenSet, Optional, Set, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.crypto.hmac_mac import (
     SHA256_DIGEST_SIZE,
@@ -84,12 +108,30 @@ AUTH_DISABLED = _AuthDisabled()
 AuthSpec = Union[None, "_AuthDisabled", "FrameAuth", str, Path]
 
 
+class VerifiedBuffer(bytes):
+    """A frame buffer received under a tag that verified, with the
+    SHA-256 (``sha256``) the tag was checked against.
+
+    Only :meth:`FrameAuth.verify` sets ``sha256``; :meth:`FrameAuth.tag`
+    trusts it for this exact object and nothing derived from it.
+    """
+
+    sha256: bytes
+
+
+def _digest(buffer: Any) -> bytes:
+    if type(buffer) is VerifiedBuffer:
+        return buffer.sha256
+    return sha256(buffer).digest()
+
+
 class FrameAuth:
     """A prepared deployment key for HMAC-SHA256 frame tags.
 
     Hashes the padded key's inner/outer blocks once (midstate caching,
     mirroring :class:`repro.crypto.hmac_mac.HmacKey`) so each frame pays
-    only for its own bytes.
+    only for its own bytes.  A frame's out-of-band buffers enter the tag
+    as their SHA-256 digests, after the header and body.
     """
 
     __slots__ = ("_key", "key_id")
@@ -110,13 +152,27 @@ class FrameAuth:
         """Load a deployment key from a hex-encoded key file."""
         return cls(load_keyfile(path))
 
-    def tag(self, header: bytes, body: bytes) -> bytes:
-        """The HMAC-SHA256 tag authenticating ``header || body``."""
-        return self._key.digest(header, body)
+    def tag(self, header: bytes, body: bytes, buffers: Iterable = ()) -> bytes:
+        """The HMAC-SHA256 tag authenticating ``header || body`` and the
+        SHA-256 of each buffer.  A :class:`VerifiedBuffer` forwarded
+        whole contributes the digest it arrived under, unhashed."""
+        return self._key.digest(header, body, *map(_digest, buffers))
 
-    def verify(self, header: bytes, body: bytes, tag: bytes) -> bool:
-        """Constant-time verification of a frame tag."""
-        return hmac.compare_digest(self._key.digest(header, body), tag)
+    def verify(
+        self,
+        header: bytes,
+        body: bytes,
+        tag: bytes,
+        buffers: Sequence[VerifiedBuffer] = (),
+    ) -> bool:
+        """Constant-time verification of a frame tag.  Each buffer is
+        hashed here and keeps its digest as ``sha256``."""
+        for buffer in buffers:
+            buffer.sha256 = sha256(buffer).digest()
+        expected = self._key.digest(
+            header, body, *[buffer.sha256 for buffer in buffers]
+        )
+        return hmac.compare_digest(expected, tag)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FrameAuth(key_id={self.key_id})"
@@ -231,10 +287,20 @@ def _module_allowed(module: str) -> bool:
     return module in WIRE_SAFE_MODULES or module in _EXTRA_MODULES
 
 
+#: Every (module, name) a frame body has resolved, so that each class
+#: goes through the import machinery once per process, not once per
+#: frame.  Only allowed classes enter, and the allowlist only grows, so
+#: an entry never goes stale.
+_RESOLVED: Dict[Tuple[str, str], type] = {}
+
+
 class _RestrictedUnpickler(pickle.Unpickler):
     """``find_class`` limited to classes in the wire-safe modules."""
 
     def find_class(self, module: str, name: str) -> Any:
+        resolved = _RESOLVED.get((module, name))
+        if resolved is not None:
+            return resolved
         if not _module_allowed(module):
             if module == "builtins" and name in _SAFE_BUILTINS:
                 import builtins
@@ -255,19 +321,21 @@ class _RestrictedUnpickler(pickle.Unpickler):
             raise RestrictedUnpickleError(
                 f"frame body references non-class {module}.{name}"
             )
+        _RESOLVED[module, name] = obj
         return obj
 
 
-def restricted_loads(data: bytes) -> Any:
+def restricted_loads(data: bytes, buffers: Optional[Iterable] = None) -> Any:
     """Unpickle a wire frame body, resolving only allowlisted classes.
 
     The single choke point through which every byte received off a
-    socket is deserialized.  Raises
+    socket is deserialized; ``buffers`` are the frame's out-of-band
+    buffers, in order (pickle protocol 5).  Raises
     :class:`~repro.errors.RestrictedUnpickleError` when the body
     references anything outside :data:`WIRE_SAFE_MODULES` (plus the
     handful of safe builtin container constructors).
     """
-    return _RestrictedUnpickler(io.BytesIO(data)).load()
+    return _RestrictedUnpickler(io.BytesIO(data), buffers=buffers).load()
 
 
 # ---------------------------------------------------------------------------

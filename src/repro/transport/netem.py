@@ -20,7 +20,7 @@ toward the dialer), a mutable :class:`LinkShape` provides:
   the stream (a hole in a TCP stream is corruption, which is separate);
 * **corrupt / truncate** — byte flips and mid-frame truncation aimed at
   :class:`~repro.transport.wire.FrameDecoder`; both are
-  connection-fatal by design (CRC / desync), so they exercise the
+  connection-fatal by design (tag, CRC or desync), so they exercise the
   decode-reject + reconnect path;
 * **stall** — hold bytes without closing the socket (the half-open
   manufacturing knob: the connection looks alive, nothing moves);

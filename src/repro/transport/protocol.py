@@ -34,7 +34,6 @@ class PeerHello:
     """
 
     sender: str
-    wire_version: int = 2
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,32 +9,49 @@ one *frame*:
 offset   size  field
 =======  ====  =========================================================
 0        1     magic, ``0xC5``
-1        1     wire version, currently ``2``
-2        1     flags — bit 0 (:data:`FLAG_AUTH`): frame carries a tag
+1        1     wire version, currently ``3``
+2        1     flags — bit 0 (:data:`FLAG_AUTH`): frame carries a tag;
+               bit 1 (:data:`FLAG_BUFFERS`): body has a buffer section
 3        2     kind code (big-endian) — see :data:`WIRE_KINDS`
 5        4     body length in bytes (big-endian; excludes the tag)
-9        4     CRC-32 of the body (big-endian)
-13       32    HMAC-SHA256 tag over ``header || body`` — only when
-               :data:`FLAG_AUTH` is set
-13|45    n     body: the pickled payload object
+9        4     CRC-32 of the body (big-endian) on untagged frames;
+               ``0`` on tagged frames, whose tag is their only check
+13       32    HMAC-SHA256 tag — only when :data:`FLAG_AUTH` is set
+13|45    n     body
 =======  ====  =========================================================
+
+A body is the pickled payload object.  With :data:`FLAG_BUFFERS` it is
+instead a buffer section — a 2-byte count and one 4-byte length per
+buffer (big-endian) — then the pickled envelope, then the raw buffers
+back to back.  The buffers are fragment chunks: this module's pickler
+hands every :class:`~repro.spread.fragments.MessageFragment` chunk to
+pickle protocol 5 as an out-of-band ``PickleBuffer``, so a 64 KiB chunk
+is copied once into the frame and once out of it, and never re-pickled.
+A frame without fragments has no buffer section.
+
+The tag is HMAC-SHA256 over ``header || body-before-the-buffers ||
+SHA-256(buffer)...`` (:class:`~repro.transport.auth.FrameAuth`).  The
+decoder hands each buffer on as a
+:class:`~repro.transport.auth.VerifiedBuffer` holding the digest it was
+verified under; a daemon that forwards the fragment re-tags it with
+that digest instead of hashing the chunk again.
 
 The kind code lets a receiver classify a frame without unpickling it
 (frame-size histograms, dispatch counters) and cross-checks the decoded
 type; unknown payload types fall back to :data:`KIND_PYOBJ`.
 
-Version 2 closes the unauthenticated-pickle hole of version 1: when a
-deployment key is configured (see :mod:`repro.transport.auth`), every
-frame carries an HMAC-SHA256 tag verified — in constant time — *before*
-the body is deserialized, and bodies always go through
+When a deployment key is configured (see :mod:`repro.transport.auth`),
+every frame carries an HMAC-SHA256 tag verified — in constant time —
+*before* any of it is deserialized, and bodies always go through
 :func:`~repro.transport.auth.restricted_loads`, which resolves only the
-registered wire-kind classes, never bare ``pickle.loads``.  Version-1
-frames (and any other version mismatch) are rejected before any other
-header field is interpreted, so the 12-byte v1 layout can never be
-misparsed as v2.  Auth-config mismatches fail loudly in both
-directions: an untagged frame at an authenticating endpoint and a
-tagged frame at a non-authenticating endpoint are both connection-fatal
-:class:`~repro.errors.FrameAuthError`\\ s, counted separately.
+registered wire-kind classes, never bare ``pickle.loads``.  Frames of
+any other version (v1, v2) are rejected before any other header field
+is interpreted and counted as ``stale_version_rejects``, so an older
+layout can never be misparsed.  Auth-config mismatches fail loudly in
+both directions: an untagged frame at an authenticating endpoint and a
+tagged frame at a non-authenticating endpoint are both
+connection-fatal :class:`~repro.errors.FrameAuthError`\\ s, counted
+separately.
 
 A frame longer than :data:`MAX_FRAME` (16 MiB) is refused on both
 ends — a stream desync otherwise turns into a multi-gigabyte allocation
@@ -48,6 +65,7 @@ each payload exactly once, raising :class:`~repro.errors.FrameError`
 
 from __future__ import annotations
 
+import io
 import pickle
 import struct
 import zlib
@@ -59,21 +77,32 @@ from repro.errors import (
     RestrictedUnpickleError,
     WireVersionError,
 )
-from repro.transport.auth import TAG_SIZE, FrameAuth, restricted_loads
+from repro.transport.auth import (
+    TAG_SIZE,
+    FrameAuth,
+    VerifiedBuffer,
+    restricted_loads,
+)
 
 MAGIC = 0xC5
-VERSION = 2
+VERSION = 3
 
 #: Flags bit 0: the frame carries an HMAC-SHA256 tag after the header.
 FLAG_AUTH = 0x01
+#: Flags bit 1: the body opens with a buffer section and ends with the
+#: out-of-band buffers it describes.
+FLAG_BUFFERS = 0x02
 
-_KNOWN_FLAGS = FLAG_AUTH
+_KNOWN_FLAGS = FLAG_AUTH | FLAG_BUFFERS
 
 #: Maximum frame size (header + tag + body) in bytes.
 MAX_FRAME = 16 * 1024 * 1024
 
 HEADER = struct.Struct(">BBBHII")
 HEADER_SIZE = HEADER.size  # 13
+
+_COUNT = struct.Struct(">H")
+_LENGTH_SIZE = 4
 
 #: Fallback kind: any picklable object without a registered code.
 KIND_PYOBJ = 0
@@ -140,6 +169,8 @@ def _registry() -> Tuple[Dict[Type, int], Dict[int, Type]]:
         ClientDeliver: 39,
         ClientBye: 40,
     }
+    # The encoder's pickler sends fragment chunks out of band.
+    _Pickler.dispatch_table = {MessageFragment: _reduce_fragment}
     return codes, {code: cls for cls, code in codes.items()}
 
 
@@ -152,6 +183,22 @@ def _tables() -> Tuple[Dict[Type, int], Dict[int, Type]]:
     if _CODES is None:
         _CODES, _TYPES = _registry()
     return _CODES, _TYPES
+
+
+def _reduce_fragment(fragment):
+    # The chunk goes out of band: pickle hands it to the buffer callback
+    # instead of copying it into the envelope.
+    return type(fragment), (
+        fragment.fragment_id,
+        fragment.index,
+        fragment.total,
+        pickle.PickleBuffer(fragment.chunk),
+    )
+
+
+class _Pickler(pickle.Pickler):
+    #: Filled in with the kind registry (:func:`_registry`).
+    dispatch_table: Dict[Type, Callable] = {}
 
 
 def kind_code(payload: Any) -> int:
@@ -175,23 +222,43 @@ def encode_frame(
     """Serialize one payload into a complete wire frame.
 
     With ``auth`` the frame carries :data:`FLAG_AUTH` and an
-    HMAC-SHA256 tag over ``header || body`` between header and body.
+    HMAC-SHA256 tag between header and body; without it, a CRC-32 of
+    the body.  Fragment chunks inside ``payload`` travel as raw buffers
+    after the envelope (:data:`FLAG_BUFFERS`).
     """
-    body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    kind = kind_code(payload)  # loads the registry, and the pickler's table
+    file = io.BytesIO()
+    pickled: List[pickle.PickleBuffer] = []
+    _Pickler(
+        file, pickle.HIGHEST_PROTOCOL, buffer_callback=pickled.append
+    ).dump(payload)
+    body = file.getvalue()
     flags = FLAG_AUTH if auth is not None else 0
-    tag_size = TAG_SIZE if auth is not None else 0
-    total = HEADER_SIZE + tag_size + len(body)
+    length = len(body)
+    raws: List[memoryview] = []
+    if pickled:
+        flags |= FLAG_BUFFERS
+        raws = [buffer.raw() for buffer in pickled]
+        sizes = [raw.nbytes for raw in raws]
+        body = struct.pack(f">H{len(sizes)}I", len(sizes), *sizes) + body
+        length = len(body) + sum(sizes)
+    total = HEADER_SIZE + (TAG_SIZE if auth is not None else 0) + length
     if total > max_frame:
         raise FrameError(
             f"frame of {total} bytes exceeds the {max_frame}-byte limit "
             f"({type(payload).__name__})"
         )
-    header = HEADER.pack(
-        MAGIC, VERSION, flags, kind_code(payload), len(body), zlib.crc32(body)
-    )
     if auth is None:
-        return header + body
-    return header + auth.tag(header, body) + body
+        crc = zlib.crc32(body)
+        for raw in raws:
+            crc = zlib.crc32(raw, crc)
+        header = HEADER.pack(MAGIC, VERSION, flags, kind, length, crc)
+        return b"".join((header, body, *raws))
+    header = HEADER.pack(MAGIC, VERSION, flags, kind, length, 0)
+    # ``raw.obj`` is the chunk object itself, so a forwarded
+    # VerifiedBuffer is recognised and not hashed again.
+    tag = auth.tag(header, body, [raw.obj for raw in raws])
+    return b"".join((header, tag, body, *raws))
 
 
 def decode_frame(data: bytes, auth: Optional[FrameAuth] = None) -> Any:
@@ -204,6 +271,34 @@ def decode_frame(data: bytes, auth: Optional[FrameAuth] = None) -> Any:
             f"with {decoder.pending} bytes left over"
         )
     return frames[0]
+
+
+def _buffer_section(
+    view: memoryview, start: int, end: int, tagged: bool
+) -> Tuple[int, int, List[bytes]]:
+    """Parse the buffer section of the body at ``view[start:end]``.
+
+    Returns where the envelope starts and ends, and a copy of each
+    buffer — a :class:`VerifiedBuffer` on a tagged frame, for
+    :meth:`FrameAuth.verify` to record its digest on.
+    """
+    if end - start < _COUNT.size:
+        raise FrameError("body too short for its buffer section")
+    (count,) = _COUNT.unpack_from(view, start)
+    envelope_start = start + _COUNT.size + _LENGTH_SIZE * count
+    if envelope_start > end:
+        raise FrameError(f"body too short for {count} buffer lengths")
+    sizes = struct.unpack_from(f">{count}I", view, start + _COUNT.size)
+    envelope_end = end - sum(sizes)
+    if envelope_end < envelope_start:
+        raise FrameError("buffer lengths exceed the frame body")
+    make = VerifiedBuffer if tagged else bytes
+    buffers = []
+    at = envelope_end
+    for size in sizes:
+        buffers.append(make(view[at : at + size]))
+        at += size
+    return envelope_start, envelope_end, buffers
 
 
 class FrameDecoder:
@@ -250,7 +345,8 @@ class FrameDecoder:
 
         Frames are parsed at a read offset and the consumed prefix is
         cut once per call, so a chunk of many small frames is never
-        shifted frame by frame; each body is copied out exactly once.
+        shifted frame by frame; each envelope and each buffer is copied
+        out exactly once.
         """
         buffer = self._buffer
         buffer += data
@@ -299,28 +395,40 @@ class FrameDecoder:
                 if size < end:
                     break
                 start = end - length
-                body = view[start:end].tobytes()
-                # Authenticate before the CRC and long before unpickling:
-                # nothing downstream may touch unverified bytes.
-                if self._auth is not None and not self._auth.verify(
-                    buffer[offset : offset + HEADER_SIZE],
-                    body,
-                    buffer[offset + HEADER_SIZE : start],
-                ):
-                    self._count("auth_bad_mac")
-                    raise FrameAuthError(
-                        f"frame tag verification failed "
-                        f"(key_id={self._auth.key_id})"
+                if flags & FLAG_BUFFERS:
+                    envelope_start, envelope_end, buffers = _buffer_section(
+                        view, start, end, tagged
                     )
-                if zlib.crc32(body) != crc:
+                else:
+                    envelope_start, envelope_end, buffers = start, end, None
+                if tagged:
+                    # The tag is a tagged frame's only integrity check,
+                    # and nothing downstream may touch unverified bytes.
+                    if not self._auth.verify(
+                        view[offset : offset + HEADER_SIZE],
+                        view[start:envelope_end],
+                        view[offset + HEADER_SIZE : start],
+                        buffers or (),
+                    ):
+                        self._count("auth_bad_mac")
+                        raise FrameAuthError(
+                            f"frame tag verification failed "
+                            f"(key_id={self._auth.key_id})"
+                        )
+                elif zlib.crc32(view[start:end]) != crc:
                     raise FrameError("body CRC mismatch")
+                remaining = iter(buffers) if buffers else None
                 try:
-                    payload = restricted_loads(body)
+                    payload = restricted_loads(
+                        view[envelope_start:envelope_end].tobytes(), remaining
+                    )
                 except RestrictedUnpickleError:
                     self._count("restricted_unpickle_rejects")
                     raise
                 except Exception as exc:
                     raise FrameError(f"undecodable frame body: {exc}") from exc
+                if remaining is not None and next(remaining, None) is not None:
+                    raise FrameError("frame carries a buffer it never uses")
                 if kind != KIND_PYOBJ:
                     __, types = _tables()
                     expected = types.get(kind)

@@ -177,7 +177,7 @@ def test_reassembler_bytes_copied_counts_payload_once():
     for fragment in split_payload(payload, 256, fragment_id=1):
         result = reassembler.accept("#a#d0", fragment)
     assert result == payload
-    # Each payload byte lands in the preallocated buffer exactly once.
+    # Each payload byte is copied into the whole message exactly once.
     assert reassembler.bytes_copied == len(payload)
 
 
@@ -189,18 +189,6 @@ def test_reassembler_accepts_out_of_order_final_first():
     for fragment in [fragments[-1]] + fragments[:-1]:
         result = reassembler.accept("#a#d0", fragment)
     assert result == payload
-
-
-def test_fragment_pickle_roundtrip_materialises_bytes():
-    import pickle
-
-    fragment = split_payload(b"abcdef" * 10, 16, fragment_id=9)[1]
-    assert isinstance(fragment.chunk, memoryview)
-    clone = pickle.loads(pickle.dumps(fragment))
-    assert isinstance(clone.chunk, bytes)
-    assert clone.chunk == bytes(fragment.chunk)
-    assert (clone.fragment_id, clone.index, clone.total) == (
-        fragment.fragment_id, fragment.index, fragment.total)
 
 
 def test_drop_sender_leaves_other_senders_partials():
@@ -216,10 +204,35 @@ def test_drop_sender_leaves_other_senders_partials():
 
 
 def test_inconsistent_fragment_size_raises():
-    reassembler = Reassembler()
-    reassembler.accept("#a#d0", MessageFragment(1, 0, 3, b"aaaa"))
-    with pytest.raises(IllegalMessageError, match="size inconsistent"):
-        reassembler.accept("#a#d0", MessageFragment(1, 1, 3, b"bb"))
+    cases = [
+        # A short middle fragment.
+        [MessageFragment(1, 0, 3, b"aaaa"), MessageFragment(1, 1, 3, b"bb")],
+        # A final fragment longer than the common size would grow the
+        # message; in either order.
+        [MessageFragment(1, 0, 2, b"a" * 4),
+         MessageFragment(1, 1, 2, b"b" * 10)],
+        [MessageFragment(1, 1, 2, b"b" * 10),
+         MessageFragment(1, 0, 2, b"a" * 4)],
+    ]
+    for *accepted, offending in cases:
+        reassembler = Reassembler()
+        for fragment in accepted:
+            assert reassembler.accept("#a#d0", fragment) is None
+        with pytest.raises(IllegalMessageError, match="size inconsistent"):
+            reassembler.accept("#a#d0", offending)
+
+
+def test_final_fragment_of_the_common_size_or_shorter_completes():
+    for tail in (b"b" * 4, b"b"):
+        for order in (0, 1):
+            parts = [
+                MessageFragment(1, 0, 2, b"a" * 4),
+                MessageFragment(1, 1, 2, tail),
+            ]
+            reassembler = Reassembler()
+            reassembler.accept("#a#d0", parts[order])
+            whole = reassembler.accept("#a#d0", parts[1 - order])
+            assert whole == b"a" * 4 + tail
 
 
 # -- config --------------------------------------------------------------------------

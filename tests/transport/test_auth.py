@@ -71,8 +71,8 @@ def test_authenticated_round_trip():
 
 def test_tampered_body_is_rejected_with_bad_mac():
     frame = bytearray(encode_frame(b"payload", auth=KEY_A))
-    frame[-1] ^= 0x01  # flip one body byte; CRC would also catch this,
-    counters = fresh_counters()  # but the MAC must reject *first*
+    frame[-1] ^= 0x01  # flip one body byte: the tag is a tagged frame's
+    counters = fresh_counters()  # only integrity check
     decoder = FrameDecoder(auth=KEY_A, counters=counters)
     with pytest.raises(FrameAuthError):
         decoder.feed(bytes(frame))
@@ -80,8 +80,8 @@ def test_tampered_body_is_rejected_with_bad_mac():
 
 
 def test_tampered_header_is_rejected_with_bad_mac():
-    # The tag covers the header too: rewriting the kind code (which the
-    # CRC does NOT cover) must still fail verification.
+    # The tag covers the header too: rewriting the kind code must fail
+    # verification.
     frame = bytearray(encode_frame(b"payload", auth=KEY_A))
     frame[4] ^= 0x01  # low byte of the 2-byte kind field
     counters = fresh_counters()
@@ -141,7 +141,7 @@ def test_replayed_version1_frame_is_rejected_before_parsing():
     # A wire-v1 frame: 12-byte >BBHII header, no flags byte, no tag.
     # Version is checked before any other field, so the v1 layout can
     # never be misparsed — even though its kind/length bytes land where
-    # v2 expects flags/kind.
+    # v3 expects flags/kind.
     body = pickle.dumps(b"replayed")
     v1 = struct.Struct(">BBHII").pack(MAGIC, 1, 1, len(body), 0) + body
     counters = fresh_counters()
