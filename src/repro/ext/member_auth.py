@@ -177,7 +177,7 @@ class MemberAuthenticator(EventQueue):
             if self._session_of(pending) is not None
         }
         self._pending[challenge.nonce] = challenge
-        session.flush.unicast(ProcessId.parse(peer), challenge)
+        self.client.flush.unicast(ProcessId.parse(peer), challenge)
 
     def _session_of(
         self, challenge: MemberAuthChallenge
@@ -212,7 +212,7 @@ class MemberAuthenticator(EventQueue):
             responder=self.client.me,
             proof=make_proof(self._key(session, challenge.challenger), challenge),
         )
-        session.flush.unicast(ProcessId.parse(challenge.challenger), response)
+        self.client.flush.unicast(ProcessId.parse(challenge.challenger), response)
 
     def _on_response(self, response: MemberAuthResponse) -> None:
         challenge = self._pending.pop(response.nonce, None)

@@ -184,10 +184,6 @@ class GroupGateway(EventQueue):
 
     # -- inbound ------------------------------------------------------------------
 
-    @property
-    def _session(self):
-        return self.client.sessions[self.group]
-
     def _is_acting_gateway(self) -> bool:
         session = self.client.sessions.get(self.group)
         return (
@@ -212,7 +208,7 @@ class GroupGateway(EventQueue):
     def _on_relay(self, event: SecureDataEvent) -> None:
         relay = _decode_relay(event.payload)
         if relay is None:
-            tracer = self._session.flush.client.kernel.tracer
+            tracer = self.client.flush.client.kernel.tracer
             if tracer.enabled:
                 tracer.record(
                     "secure.gateway_malformed",
@@ -229,7 +225,6 @@ class GroupGateway(EventQueue):
     def _on_hello(self, hello: OutsiderHello) -> None:
         if not self._is_acting_gateway():
             return
-        session = self._session
         gateway_nonce = self.client.random_source.token_bytes(16)
         pairwise = self.client.params.exp(
             self.client.directory.lookup(hello.outsider),
@@ -250,7 +245,7 @@ class GroupGateway(EventQueue):
             outsider_nonce=hello.nonce,
             gateway_nonce=gateway_nonce,
         )
-        session.flush.unicast(ProcessId.parse(hello.outsider), accept)
+        self.client.flush.unicast(ProcessId.parse(hello.outsider), accept)
 
     def _on_outsider_data(self, data: OutsiderData) -> None:
         if not self._is_acting_gateway():
@@ -275,7 +270,7 @@ class GroupGateway(EventQueue):
         sealed = protector.seal(
             self.group, self.client.me, payload, self.client.random_source
         )
-        self._session.flush.unicast(
+        self.client.flush.unicast(
             ProcessId.parse(outsider),
             OutsiderData(group=self.group, outsider=outsider, sealed=sealed),
         )

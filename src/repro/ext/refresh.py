@@ -18,7 +18,7 @@ def auto_refresh(client: SecureClient, group: str, period: float) -> None:
     if period <= 0:
         raise ValueError("refresh period must be positive")
     session = client.sessions[group]
-    kernel = session.flush.client.kernel
+    kernel = client.flush.client.kernel
     label = f"secure.{group}.refresh"
     left = False
 
@@ -31,7 +31,7 @@ def auto_refresh(client: SecureClient, group: str, period: float) -> None:
         if left or client.sessions.get(group) is not session:
             return
         if session.has_key and session.module.is_controller:
-            session.refresh()
+            client.refresh(group)
         kernel.call_later(period, tick, label=label)
 
     client.on_event(on_event)

@@ -1,4 +1,4 @@
-"""Application-facing events of the secure layer, and the Table-1 map.
+"""Events and effects of the secure layer, and the Table-1 map.
 
 The secure layer consumes flush-layer events and produces:
 
@@ -8,6 +8,10 @@ The secure layer consumes flush-layer events and produces:
 * :class:`RekeyStartedEvent` — a membership change arrived and the key
   agreement began (sends are blocked until the secure view arrives).
 
+A session returns these events to its driver among its *effects*; the
+other effects are the I/O it leaves to the driver: :class:`Send`,
+:class:`Timer` and :data:`FLUSH_OK`.
+
 This module also implements the paper's Table 1: the mapping from group
 communication membership events to key management operations.
 """
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Any, NamedTuple, Optional, Tuple
 
 from repro.spread.events import GroupViewId, MembershipEvent
 from repro.types import GroupId, MembershipCause, ProcessId
@@ -113,3 +117,33 @@ class RekeyStartedEvent:
     @property
     def is_membership(self) -> bool:
         return False
+
+
+class Send(NamedTuple):
+    """Effect: control messages for the group, as ``(target, payload)``
+    pairs in sending order; a ``None`` target multicasts.  A blocked or
+    closed connection drops the pairs not yet sent."""
+
+    messages: Tuple[Tuple[Optional[str], Any], ...]
+
+
+class Timer(NamedTuple):
+    """Effect: give this back to ``handle_event`` after ``delay`` seconds.
+
+    ``kind`` is ``"unseal"`` (the end-of-turn drain), ``"watchdog"``
+    (``data`` is the ``(view_key, attempt)`` it guards) or ``"crypto"``
+    (``data`` is the :class:`Send` a costed round waits to make).
+    """
+
+    delay: float
+    kind: str
+    data: Any = None
+
+
+class _FlushOk:
+    def __repr__(self) -> str:
+        return "FLUSH_OK"
+
+
+#: Effect: answer the group's pending flush request.
+FLUSH_OK = _FlushOk()

@@ -5,10 +5,12 @@
 paper's "event handling loop" (§5.2): it consumes flush-layer events,
 maps memberships to key operations (Table 1), drives the group's key
 agreement module, runs the cascade/confirmation machinery of
-:mod:`repro.secure.cascade`, and seals/unseals application data.
+:mod:`repro.secure.cascade`, and seals/unseals application data.  It
+does no I/O: each event in returns the *effects* it decided on, in
+order (:mod:`repro.secure.events`), and the client performs them.
 
 Sealed messages that reach a session in one loop turn are unsealed as
-one *run*: the first one schedules a drain at the end of the turn, and
+one *run*: the first one asks for an end-of-turn ``unseal`` timer, and
 any other event the session takes (or a rekey retiring the key) drains
 the run first, so deliveries keep their order against everything else
 the session emits.
@@ -46,10 +48,13 @@ from repro.secure.cascade import (
 )
 from repro.secure.dataprotect import DataProtector, SealedMessage
 from repro.secure.events import (
+    FLUSH_OK,
     KeyOperation,
     RekeyStartedEvent,
     SecureDataEvent,
     SecureMembershipEvent,
+    Send,
+    Timer,
     classify_event,
 )
 from repro.secure.handlers.base import KeyAgreementModule, OutMessage, ViewChange
@@ -63,6 +68,7 @@ from repro.spread.events import (
 )
 from repro.spread.client import EventQueue
 from repro.spread.flush import FlushClient
+from repro.sim.trace import Tracer
 from repro.types import GroupId, MembershipCause, ProcessId, ServiceType
 
 STATE_IDLE = "idle"
@@ -99,16 +105,16 @@ class SecureGroupSession:
         self,
         group: str,
         module: KeyAgreementModule,
-        flush: FlushClient,
-        emit: Callable[[Any], None],
+        me: str,
+        tracer: Tracer,
         random_source: RandomSource,
         cost_model: Optional[CryptoCostModel] = None,
         cipher: str = "blowfish-cbc",
     ) -> None:
         self.group = group
         self.module = module
-        self.flush = flush
-        self._emit = emit
+        self.me = me
+        self._tracer = tracer
         self._random = random_source
         self.cost_model = cost_model or CryptoCostModel()
         # Bulk cipher suite for this group (§5.1 drop-in modularity).
@@ -135,20 +141,10 @@ class SecureGroupSession:
         # whether its end-of-turn drain is scheduled.
         self._run: List[Tuple[GroupId, str, SealedMessage]] = []
         self._drain_scheduled = False
+        # What the call in progress decided, in order.
+        self._effects: List[Any] = []
 
     # -- identity helpers -----------------------------------------------------
-
-    @property
-    def _kernel(self):
-        return self.flush.client.kernel
-
-    @property
-    def _tracer(self):
-        return self._kernel.tracer
-
-    @property
-    def me(self) -> str:
-        return str(self.flush.pid)
 
     @property
     def view_key(self) -> Optional[GroupViewId]:
@@ -184,39 +180,33 @@ class SecureGroupSession:
             )
         return self._protector
 
-    def send(self, payload: bytes) -> None:
-        """Seal and multicast application data in the current secure view."""
+    def seal(self, payload: bytes) -> SealedMessage:
+        """Seal application data for the current secure view."""
         sealed = self._confirmed_protector().seal(
             self.group, self.me, payload, self._random
         )
-        self.sealed_messages += 1
-        self.sealed_bytes += sealed.wire_size()
-        if self._tracer.enabled:
-            self._tracer.record(
-                "secure.send",
-                me=self.me,
-                group=self.group,
-                epoch=sealed.epoch_label,
-                digest=hashlib.sha256(payload).hexdigest()[:16],
-            )
-        self.flush.multicast(self.group, sealed)
+        self._count_sealed((payload,), (sealed,))
+        return sealed
 
-    def send_many(self, payloads: Sequence[bytes]) -> None:
-        """Seal and multicast a batch of payloads in one pass.
+    def seal_many(self, payloads: Sequence[bytes]) -> List[SealedMessage]:
+        """Seal a batch of payloads in one pass.
 
-        Wire- and delivery-identical to calling :meth:`send` per
-        payload, but the seal loop reuses the epoch cipher schedule,
-        MAC midstates and header through
-        :meth:`~repro.secure.dataprotect.DataProtector.seal_many`, and
-        the multicasts land back-to-back so the daemon's sender-side
-        coalescing can pack them into few wire datagrams.
+        Identical to calling :meth:`seal` per payload, but the seal loop
+        reuses the epoch cipher schedule, MAC midstates and header
+        through :meth:`~repro.secure.dataprotect.DataProtector.seal_many`.
         """
         protector = self._confirmed_protector()
         if not payloads:
-            return
+            return []
         sealed_batch = protector.seal_many(
             self.group, self.me, payloads, self._random
         )
+        self._count_sealed(payloads, sealed_batch)
+        return sealed_batch
+
+    def _count_sealed(
+        self, payloads: Sequence[bytes], sealed_batch: Sequence[SealedMessage]
+    ) -> None:
         self.sealed_messages += len(sealed_batch)
         self.sealed_bytes += sum(s.wire_size() for s in sealed_batch)
         if self._tracer.enabled:
@@ -228,53 +218,78 @@ class SecureGroupSession:
                     epoch=sealed.epoch_label,
                     digest=hashlib.sha256(payload).hexdigest()[:16],
                 )
-        multicast = self.flush.multicast
-        group = self.group
-        for sealed in sealed_batch:
-            multicast(group, sealed)
 
-    def refresh(self) -> None:
-        """Voluntary re-key (controller only), per Section 4.4."""
+    def refresh(self) -> List[Any]:
+        """Voluntary re-key (controller only), per Section 4.4; returns
+        its effects."""
         if self.state != STATE_CONFIRMED:
             raise NoGroupKeyError("cannot refresh while agreement in progress")
         if not self.module.is_controller:
             raise ControllerError(f"{self.me} is not the group controller")
-        self._safe_multicast(RefreshAnnounce(self.view_key, self.attempt))
+        self._effects = effects = []
+        self._multicast(RefreshAnnounce(self.view_key, self.attempt))
         self._begin_attempt(self.attempt + 1, KeyOperation.REFRESH)
         messages, exps = self._run_module(self.module.refresh)
         self._dispatch_module_messages(messages, exps)
+        return effects
 
     # -- event intake (called by SecureClient) ----------------------------------------
 
-    def handle_event(self, event: Any) -> None:
+    def handle_event(self, event: Any) -> List[Any]:
+        """Take one flush-layer event or due :class:`Timer`; return the
+        effects it causes, in the order they must be performed."""
+        self._effects = effects = []
         if isinstance(event, DataEvent) and isinstance(event.payload, SealedMessage):
             self._on_sealed(event.group, str(event.sender), event.payload)
-            return
+            return effects
+        if isinstance(event, Timer):
+            self._on_timer(event)
+            return effects
         # Every other event follows the sealed data that arrived before
         # it: e.g. a view's data is delivered before its flush_ok.
         self._drain()
         if isinstance(event, FlushRequestEvent):
             # §5.4: the layer cannot know yet what the membership change
             # is, so it must always let it proceed.
-            self.flush.flush_ok(self.group)
-            return
-        if isinstance(event, MembershipEvent):
+            effects.append(FLUSH_OK)
+        elif isinstance(event, MembershipEvent):
             if event.cause == MembershipCause.TRANSITIONAL:
                 # EVS transitional signal: advisory; the re-key happens on
                 # the regular membership that follows.
-                self._emit(event)
-                return
-            self._on_view(event)
-            return
-        if isinstance(event, SelfLeaveEvent):
+                effects.append(event)
+            else:
+                self._on_view(event)
+        elif isinstance(event, SelfLeaveEvent):
             self.state = STATE_IDLE
             self.module.reset()
-            self._emit(event)
-            return
-        if isinstance(event, DataEvent):
+            self._retire_key()
+            effects.append(event)
+        elif isinstance(event, DataEvent):
             self._on_data(event)
-            return
-        self._emit(event)
+        else:
+            effects.append(event)
+        return effects
+
+    def _on_timer(self, timer: Timer) -> None:
+        if timer.kind == "unseal":
+            self._drain_scheduled = False
+            self._drain()
+        elif timer.kind == "crypto":
+            self._effects.append(timer.data)
+        elif self.state == STATE_AGREEING and timer.data == (
+            self.view_key, self.attempt
+        ):
+            # This attempt wedged: any progress (a key confirmation, a
+            # newer view, a restart) would have disarmed the watchdog.
+            if self._tracer.enabled:
+                self._tracer.record(
+                    "secure.watchdog",
+                    me=self.me,
+                    group=self.group,
+                    view=str(self.view_key),
+                    attempt=self.attempt,
+                )
+            self._multicast(RestartRequest(self.view_key, self.attempt))
 
     # -- membership handling --------------------------------------------------------
 
@@ -300,7 +315,9 @@ class SecureGroupSession:
                 operation=self.operation.value,
                 members=sorted(str(m) for m in event.members),
             )
-        self._emit(RekeyStartedEvent(group=event.group, operation=self.operation))
+        self._effects.append(
+            RekeyStartedEvent(group=event.group, operation=self.operation)
+        )
 
         view_change = self._view_change(previous_members)
         members_now = {str(m) for m in event.members}
@@ -316,7 +333,7 @@ class SecureGroupSession:
             # Cascaded event: the previous agreement never finished here
             # (or a whole view was skipped).  Ask the whole view to
             # restart from scratch.
-            self._safe_multicast(RestartRequest(event.view_id, from_attempt=0))
+            self._multicast(RestartRequest(event.view_id, from_attempt=0))
             return
         messages, exps = self._run_module(lambda: self.module.on_view(view_change))
         self._dispatch_module_messages(messages, exps)
@@ -330,7 +347,7 @@ class SecureGroupSession:
             # state (e.g. it entered the group during the partition), so
             # no component can claim the base role.  Fall back to the
             # restart protocol, which needs no prior state.
-            self._safe_multicast(RestartRequest(event.view_id, from_attempt=0))
+            self._multicast(RestartRequest(event.view_id, from_attempt=0))
             return
         self._maybe_confirm()
 
@@ -342,41 +359,19 @@ class SecureGroupSession:
         self.operation = operation
         self._confirms = {}
         self._confirm_sent = False
+        self._retire_key()
+        # A restart round in case this attempt wedges.
+        self._effects.append(
+            Timer(AGREEMENT_WATCHDOG, "watchdog", (self.view_key, attempt))
+        )
+
+    def _retire_key(self) -> None:
+        """Drop the current key and evict its cached cipher schedule, so
+        the shared cache never serves key material the group abandoned."""
         if self._protector is not None:
-            # Rekey retires the old epoch: evict its cached cipher
-            # schedule so it can never be served for a later epoch.
             self._protector.invalidate()
         self._protector = None
         self._session_keys = None
-        self._arm_watchdog()
-
-    def _arm_watchdog(self) -> None:
-        """Schedule a restart round in case this attempt wedges.
-
-        The timer is a no-op unless the session is still AGREEING the
-        very same (view, attempt) when it fires — any progress (a key
-        confirmation, a newer view, a restart) disarms it implicitly.
-        """
-        view_key, attempt = self.view_key, self.attempt
-
-        def fire() -> None:
-            if (
-                self.state != STATE_AGREEING
-                or self.view_key != view_key
-                or self.attempt != attempt
-            ):
-                return
-            if self._tracer.enabled:
-                self._tracer.record(
-                    "secure.watchdog",
-                    me=self.me,
-                    group=self.group,
-                    view=str(view_key),
-                    attempt=attempt,
-                )
-            self._safe_multicast(RestartRequest(view_key, attempt))
-
-        self._kernel.call_later(AGREEMENT_WATCHDOG, fire, label="secure:watchdog")
 
     def _view_change(self, previous_members: frozenset) -> ViewChange:
         """The key-agreement module's view of the current membership."""
@@ -405,7 +400,7 @@ class SecureGroupSession:
         elif isinstance(payload, KeyConfirm):
             self._on_key_confirm(sender, payload)
         else:
-            self._emit(event)
+            self._effects.append(event)
 
     def _on_envelope(self, sender: str, envelope: AgreementEnvelope) -> None:
         if envelope.view_key != self.view_key or envelope.attempt != self.attempt:
@@ -417,7 +412,7 @@ class SecureGroupSession:
         except ReproError:
             # A token the protocol state cannot absorb: recover by
             # restarting the agreement for this view.
-            self._safe_multicast(RestartRequest(self.view_key, self.attempt))
+            self._multicast(RestartRequest(self.view_key, self.attempt))
             return
         self._dispatch_module_messages(messages, exps)
         self._maybe_confirm()
@@ -452,16 +447,9 @@ class SecureGroupSession:
     def _on_sealed(self, group: GroupId, sender: str, sealed: SealedMessage) -> None:
         """Add a sealed message to the run; the first schedules its drain."""
         self._run.append((group, sender, sealed))
-        if self._drain_scheduled:
-            return
-        self._drain_scheduled = True
-        self._kernel.call_later(
-            0.0, self._end_of_turn, label=f"secure.{self.group}.unseal"
-        )
-
-    def _end_of_turn(self) -> None:
-        self._drain_scheduled = False
-        self._drain()
+        if not self._drain_scheduled:
+            self._drain_scheduled = True
+            self._effects.append(Timer(0.0, "unseal"))
 
     def _drain(self) -> None:
         """Unseal and deliver the pending run, in arrival order.
@@ -529,7 +517,7 @@ class SecureGroupSession:
                 epoch=sealed.epoch_label,
                 digest=hashlib.sha256(plaintext).hexdigest()[:16],
             )
-        self._emit(
+        self._effects.append(
             SecureDataEvent(
                 group=group,
                 sender=ProcessId.parse(sender),
@@ -564,46 +552,18 @@ class SecureGroupSession:
             )
         # Label the round now: a restart or refresh inside the crypto
         # delay must not send these tokens as the next attempt's.
-        envelopes = [
-            (message, AgreementEnvelope(self.view_key, self.attempt, message.token))
-            for message in messages
-        ]
-        delay = self.cost_model.delay(exponentiations)
-        if delay > 0:
-            self._kernel.call_later(
-                delay,
-                lambda: self._send_now(envelopes),
-                label=f"secure.{self.group}.crypto",
+        send = Send(tuple(
+            (
+                None if message.is_multicast else message.target,
+                AgreementEnvelope(self.view_key, self.attempt, message.token),
             )
-        else:
-            self._send_now(envelopes)
+            for message in messages
+        ))
+        delay = self.cost_model.delay(exponentiations)
+        self._effects.append(Timer(delay, "crypto", send) if delay > 0 else send)
 
-    def _send_now(
-        self, envelopes: List[Tuple[OutMessage, AgreementEnvelope]]
-    ) -> None:
-        for message, envelope in envelopes:
-            try:
-                if message.is_multicast:
-                    self.flush.multicast(self.group, envelope)
-                else:
-                    self.flush.unicast(
-                        ProcessId.parse(message.target),
-                        envelope,
-                        service=ServiceType.AGREED,
-                    )
-            except (SendBlockedError, ConnectionClosedError):
-                # Blocked: a newer membership is flushing, so this
-                # agreement is about to be superseded.  Closed: the
-                # transport client is mid-reconnect (real backend only)
-                # and its re-join will resync membership and restart
-                # agreement — either way, don't send, don't raise.
-                return
-
-    def _safe_multicast(self, payload: Any) -> None:
-        try:
-            self.flush.multicast(self.group, payload)
-        except (SendBlockedError, ConnectionClosedError):
-            pass
+    def _multicast(self, payload: Any) -> None:
+        self._effects.append(Send(((None, payload),)))
 
     # -- completion ----------------------------------------------------------------------
 
@@ -618,7 +578,7 @@ class SecureGroupSession:
         )
         self._session_keys = keys
         self._confirm_sent = True
-        self._safe_multicast(
+        self._multicast(
             KeyConfirm(self.view_key, self.attempt, keys.fingerprint())
         )
         self._maybe_complete()
@@ -632,7 +592,7 @@ class SecureGroupSession:
         mine = self._session_keys.fingerprint()
         if any(fp != mine for m, fp in self._confirms.items() if m in needed):
             # Fingerprint mismatch: somebody computed a different key.
-            self._safe_multicast(RestartRequest(self.view_key, self.attempt))
+            self._multicast(RestartRequest(self.view_key, self.attempt))
             return
         self._protector = DataProtector(
             self._session_keys, self.epoch_label, cipher=self.cipher
@@ -649,7 +609,7 @@ class SecureGroupSession:
                 members=self.members(),
                 fingerprint=mine,
             )
-        self._emit(
+        self._effects.append(
             SecureMembershipEvent(
                 group=self.view.group,
                 view_id=self.view.view_id,
@@ -669,6 +629,10 @@ class SecureClient(EventQueue):
     security sessions.  The API mirrors the insecure client —
     ``join`` / ``leave`` / ``send`` / ``receive`` — plus ``refresh`` and
     per-group module selection, exactly the surface the paper describes.
+
+    It is the one driver of its sessions: every flush-layer event goes
+    to the group's session, and the effects that come back are
+    performed here, in order, by :meth:`_perform`.
     """
 
     def __init__(
@@ -694,7 +658,7 @@ class SecureClient(EventQueue):
         self.cost_model = cost_model
         self.counter = counter if counter is not None else ExpCounter()
         self.sessions: Dict[str, SecureGroupSession] = {}
-        flush.on_event(self._route)
+        flush.stack(self._route)
 
     # -- identity ---------------------------------------------------------------
 
@@ -739,8 +703,8 @@ class SecureClient(EventQueue):
         session = SecureGroupSession(
             group=group,
             module=handler,
-            flush=self.flush,
-            emit=self._emit,
+            me=self.me,
+            tracer=self.flush.client.kernel.tracer,
             random_source=self.random_source,
             cost_model=self.cost_model,
             cipher=cipher,
@@ -757,17 +721,19 @@ class SecureClient(EventQueue):
 
     def send(self, group: str, payload: bytes) -> None:
         """Encrypt-and-multicast application data."""
-        session = self._session(group)
-        session.send(payload)
+        self.flush.multicast(group, self._session(group).seal(payload))
 
     def send_many(self, group: str, payloads: Sequence[bytes]) -> None:
-        """Encrypt-and-multicast a batch of payloads in one seal pass."""
-        session = self._session(group)
-        session.send_many(payloads)
+        """Encrypt-and-multicast a batch of payloads in one seal pass; the
+        multicasts land back-to-back for the daemon to pack."""
+        multicast = self.flush.multicast
+        for sealed in self._session(group).seal_many(payloads):
+            multicast(group, sealed)
 
     def refresh(self, group: str) -> None:
         """Force a key refresh (must be the group controller)."""
-        self._session(group).refresh()
+        session = self._session(group)
+        self._perform(session, session.refresh())
 
     def has_key(self, group: str) -> bool:
         session = self.sessions.get(group)
@@ -795,6 +761,40 @@ class SecureClient(EventQueue):
                 getattr(payload, "group", None)
             ) or self.sessions.get(getattr(token, "group", None))
         if session is not None:
-            session.handle_event(event)
+            self._perform(session, session.handle_event(event))
         else:
             self._emit(event)
+
+    def _perform(self, session: SecureGroupSession, effects: List[Any]) -> None:
+        """Carry out a session's effects in the order it decided them."""
+        for effect in effects:
+            if isinstance(effect, Send):
+                try:
+                    for target, payload in effect.messages:
+                        if target is None:
+                            self.flush.multicast(session.group, payload)
+                        else:
+                            self.flush.unicast(
+                                ProcessId.parse(target),
+                                payload,
+                                service=ServiceType.AGREED,
+                            )
+                except (SendBlockedError, ConnectionClosedError):
+                    # Blocked: a newer membership is flushing, so this
+                    # agreement is about to be superseded.  Closed: the
+                    # transport client is mid-reconnect (real backend
+                    # only) and its re-join will resync membership and
+                    # restart agreement.  Either way, don't send.
+                    pass
+            elif isinstance(effect, Timer):
+                self.flush.client.kernel.call_later(
+                    effect.delay,
+                    lambda timer=effect: self._perform(
+                        session, session.handle_event(timer)
+                    ),
+                    label=f"secure.{session.group}.{effect.kind}",
+                )
+            elif effect is FLUSH_OK:
+                self.flush.flush_ok(session.group)
+            else:
+                self._emit(effect)

@@ -48,16 +48,25 @@ class EventQueue:
 
     Every event a layer delivers is appended to ``queue`` and handed to
     each ``on_event`` callback; applications poll with :meth:`receive` /
-    :meth:`drain` or react in the callbacks.
+    :meth:`drain` or react in the callbacks.  Once a layer is stacked on
+    this one (:meth:`stack`), the layer above queues what it delivers
+    and this ``queue`` stays empty.
     """
 
     def __init__(self) -> None:
         self.queue: Deque[Any] = deque()
         self._callbacks: List[EventCallback] = []
+        self._stacked = False
 
     def on_event(self, callback: EventCallback) -> None:
-        """Register a delivery callback (fires for every queued event)."""
+        """Register a delivery callback (fires for every delivered event)."""
         self._callbacks.append(callback)
+
+    def stack(self, intake: EventCallback) -> None:
+        """Hand every event to the layer above through ``intake`` (a
+        callback like any other) instead of queueing it here."""
+        self._stacked = True
+        self._callbacks.append(intake)
 
     def receive(self) -> Optional[Any]:
         """Pop the next delivered event, or None when the queue is empty."""
@@ -72,7 +81,8 @@ class EventQueue:
         return events
 
     def _emit(self, event: Any) -> None:
-        self.queue.append(event)
+        if not self._stacked:
+            self.queue.append(event)
         for callback in list(self._callbacks):
             callback(event)
 

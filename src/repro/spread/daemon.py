@@ -13,8 +13,8 @@ Failure model: daemons are fail-stop and may recover with a fresh
 incarnation (volatile state lost); the network may partition and merge.
 
 The daemon is written against two seams rather than concrete backends
-(contracts in :mod:`repro.transport.base`, deliberately *not* imported
-here — the sim path must not depend on the transport package):
+(contracts tabled in ``docs/TRANSPORT.md``; both backends satisfy them
+structurally, so the sim path never depends on the transport package):
 
 * a **transport** providing ``add_node`` / ``has_node`` / ``send``
   datagram service — :class:`repro.net.network.Network` in simulation,
@@ -105,8 +105,7 @@ class SpreadDaemon(SimProcess):
         super().__init__(kernel, name)
         if name not in config.daemons:
             raise SpreadError(f"daemon {name!r} missing from configuration")
-        #: The Transport seam (repro.transport.base): the sim Network or
-        #: a TcpTransport.
+        #: The transport seam: the sim Network or a TcpTransport.
         self.transport = transport
         self.config = config
         self.daemon_id = DaemonId(name)

@@ -107,7 +107,7 @@ class FlushClient(EventQueue):
         self.client = client
         self.auto_flush = auto_flush
         self._groups: Dict[str, _GroupFlushState] = {}
-        client.on_event(self._on_raw_event)
+        client.stack(self._on_raw_event)
 
     # -- identity -----------------------------------------------------------
 

@@ -1,12 +1,11 @@
 """repro.transport — the real-network backend behind the transport seam.
 
 The deterministic sim kernel stays the reference backend; this package
-makes the seams it sat behind explicit and adds an asyncio TCP backend
-so the *same* daemons, clients and secure sessions run over real
-sockets (docs/TRANSPORT.md):
+is the second implementation of the transport and clock seams the
+daemons are written against (their contracts are tabled in
+docs/TRANSPORT.md), so the *same* daemons, clients and secure clients
+run over real sockets:
 
-* :mod:`repro.transport.base` — the ``Transport`` / ``Clock`` seam
-  contracts (Protocols; backends duck-type).
 * :mod:`repro.transport.wire` — length-prefixed, versioned,
   tag- or CRC-checked frame codec with an incremental decoder.
 * :mod:`repro.transport.protocol` — client ↔ daemon IPC verbs.

@@ -5,11 +5,11 @@
 (returning a cancellable handle with a readable ``cancelled``
 attribute), ``tracer``, ``rng`` and the counter properties — so
 :class:`~repro.sim.process.SimProcess` subclasses (the Spread daemon),
-:class:`~repro.sim.timers.TimerWheel` and
-:class:`~repro.secure.session.SecureGroupSession` run over a live
-asyncio loop without modification.  Time is seconds since the clock's
-construction (``loop.time()`` relative to an epoch), so protocol
-timeouts written in sim seconds keep their meaning.
+:class:`~repro.sim.timers.TimerWheel` and the Spread clients (on whose
+clock :class:`~repro.secure.session.SecureClient` arms its sessions'
+timers) run over a live asyncio loop without modification.  Time is
+seconds since the clock's construction (``loop.time()`` relative to an
+epoch), so protocol timeouts written in sim seconds keep their meaning.
 
 Two deliberate divergences from the virtual-time kernel:
 

@@ -9,6 +9,7 @@ import pytest
 from repro.cliques.directory import KeyDirectory
 from repro.crypto.dh import DHKeyPair, DHParams
 from repro.crypto.random_source import DeterministicSource
+from repro.secure.dataprotect import SealedMessage
 from repro.secure.events import SecureDataEvent, SecureMembershipEvent
 from repro.secure.session import CryptoCostModel, SecureClient
 from repro.spread.flush import FlushClient
@@ -106,6 +107,27 @@ class SecureHarness:
             ) and self.same_key(names, group)
 
         self.run_until(done, timeout=timeout)
+
+
+def hand_up(member: SecureClient, *events) -> None:
+    """Deliver ``events`` to ``member`` as its flush layer does."""
+    for event in events:
+        member.flush._emit(event)
+
+
+def wire_tap(member: SecureClient) -> List[SealedMessage]:
+    """Every sealed message that reaches ``member``'s Spread connection
+    from now on, in arrival order: an ``on_event`` tap below the flush
+    layer, where an attacker sniffing the wire sees the traffic."""
+    sniffed: List[SealedMessage] = []
+
+    def tap(event) -> None:
+        inner = getattr(getattr(event, "payload", None), "payload", None)
+        if isinstance(inner, SealedMessage):
+            sniffed.append(inner)
+
+    member.flush.client.on_event(tap)
+    return sniffed
 
 
 @pytest.fixture

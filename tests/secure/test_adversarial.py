@@ -19,7 +19,7 @@ from repro.secure.dataprotect import DataProtector, SealedMessage
 from repro.secure.events import SecureDataEvent
 from repro.types import ServiceType
 
-from tests.secure.conftest import SecureHarness
+from tests.secure.conftest import SecureHarness, wire_tap
 
 
 def build_pair(h, module="cliques"):
@@ -58,16 +58,10 @@ def test_forged_sealed_message_is_dropped():
 def test_replayed_sealed_message_from_old_epoch_dropped():
     h = SecureHarness()
     a, b = build_pair(h)
+    sniffed = wire_tap(b)  # the attacker sniffs b's connection
     a.send("g", b"first epoch secret")
     h.run_until(lambda: b"first epoch secret" in h.payloads_of("b"))
-    # Capture the sealed message off b's raw queue (the attacker sniffs).
-    captured = None
-    for event in b.flush.client.queue:
-        payload = getattr(event, "payload", None)
-        inner = getattr(payload, "payload", None)
-        if isinstance(inner, SealedMessage):
-            captured = inner
-    assert captured is not None
+    captured = sniffed[-1]
     # Re-key (third member joins), then replay the old ciphertext.
     c = h.member("c", "d2")
     c.join("g")
@@ -171,16 +165,11 @@ def test_leaver_transcript_cannot_decrypt_future_traffic():
     leaver_keys = c.sessions["g"]._session_keys  # what c walks away with
     c.leave("g")
     h.wait_view(["a", "b"])
+    sniffed = wire_tap(b)
     a.send("g", b"post-leave plan")
     h.run_until(lambda: b"post-leave plan" in h.payloads_of("b"))
     # Grab the new ciphertext and try the leaver's old protector on it.
-    captured = None
-    for event in b.flush.client.queue:
-        payload = getattr(event, "payload", None)
-        inner = getattr(payload, "payload", None)
-        if isinstance(inner, SealedMessage):
-            captured = inner
-    assert captured is not None
+    captured = sniffed[-1]
     old_protector = DataProtector(leaver_keys, captured.epoch_label)
     from repro.errors import ReproError
 
@@ -191,17 +180,13 @@ def test_leaver_transcript_cannot_decrypt_future_traffic():
 def test_tampered_ciphertext_rejected_and_group_survives():
     h = SecureHarness()
     a, b = build_pair(h)
+    sniffed = wire_tap(b)
     a.send("g", b"original")
     h.run_until(
         lambda: b"original" in h.payloads_of("b")
         and b"original" in h.payloads_of("a")
     )
-    captured = None
-    for event in b.flush.client.queue:
-        payload = getattr(event, "payload", None)
-        inner = getattr(payload, "payload", None)
-        if isinstance(inner, SealedMessage):
-            captured = inner
+    captured = sniffed[-1]
     tampered = SealedMessage(
         group=captured.group,
         epoch_label=captured.epoch_label,

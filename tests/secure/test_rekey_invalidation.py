@@ -3,8 +3,9 @@
 The cipher-schedule cache makes steady-state sealing cheap; the safety
 obligation it creates is that a rekey (view change) evicts the retired
 epoch's schedule, so the shared cache never keeps serving key material
-the group has abandoned.  ``SecureSession._begin_attempt`` calls
-``DataProtector.invalidate`` for exactly this.
+the group has abandoned.  ``SecureGroupSession._begin_attempt`` calls
+``DataProtector.invalidate`` for exactly this, and a member that leaves
+retires its key the same way.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from repro.crypto.blowfish import Blowfish
 from repro.crypto.cipher_cache import default_cache
 from repro.crypto.kdf import derive_keys
 from repro.secure.dataprotect import DataProtector
+from repro.spread.events import SelfLeaveEvent
 
 
 def test_view_change_evicts_old_epoch_schedule(harness):
@@ -33,6 +35,20 @@ def test_view_change_evicts_old_epoch_schedule(harness):
     assert key_ab.encryption_key in default_cache()
     # ... and the retired epoch's schedule is gone from the cache.
     assert key_a.encryption_key not in default_cache()
+
+
+def test_leaving_evicts_the_abandoned_key_schedule(harness):
+    a = harness.member("a", "d0")
+    a.join("g")
+    harness.wait_view(["a"])
+    session = a.sessions["g"]
+    key = session._session_keys.encryption_key
+    assert key in default_cache()
+
+    a.leave("g")
+    harness.run_until(lambda: any(isinstance(e, SelfLeaveEvent) for e in a.queue))
+    assert session.key_fingerprint is None
+    assert key not in default_cache()
 
 
 def test_steady_state_traffic_derives_no_schedules(harness):

@@ -3,15 +3,23 @@ protection, membership changes, all three modules."""
 
 import pytest
 
-from repro.errors import ControllerError, NoGroupKeyError
+from repro.errors import (
+    ConnectionClosedError,
+    ControllerError,
+    NoGroupKeyError,
+    SendBlockedError,
+)
+from repro.secure.cascade import RestartRequest
 from repro.secure.events import (
     KeyOperation,
     RekeyStartedEvent,
     SecureDataEvent,
     SecureMembershipEvent,
 )
+from repro.spread.events import DataEvent
+from repro.types import GroupId, ServiceType
 
-from tests.secure.conftest import SecureHarness
+from tests.secure.conftest import SecureHarness, hand_up, wire_tap
 
 
 MODULES = ["cliques", "ckd", "tgdh"]
@@ -94,14 +102,14 @@ def test_ciphertext_on_wire_differs_from_plaintext():
     h.wait_view(["a"])
     b.join("g")
     h.wait_view(["a", "b"])
+    sniffed = wire_tap(b)
     a.send("g", b"supersecret-payload")
-    # Inspect raw queued flush-layer traffic at the daemon level: the
-    # plaintext must never appear in any wire message payload.
+    # Inspect the traffic reaching b's Spread connection: the plaintext
+    # must never appear in any sealed message on the wire.
     h.run_until(lambda: b"supersecret-payload" in h.payloads_of("b"))
-    for event in h.members["b"].flush.client.queue:
-        raw = getattr(getattr(event, "payload", None), "ciphertext", None)
-        if raw is not None:
-            assert b"supersecret-payload" not in raw
+    assert sniffed
+    for sealed in sniffed:
+        assert b"supersecret-payload" not in sealed.ciphertext
 
 
 def test_send_before_key_raises():
@@ -307,3 +315,48 @@ def test_different_groups_different_modules():
         lambda: b"via cliques" in h.payloads_of("b", "g1")
         and b"via ckd" in h.payloads_of("b", "g2")
     )
+
+
+@pytest.mark.parametrize(
+    "error", [SendBlockedError, ConnectionClosedError], ids=["blocked", "closed"]
+)
+def test_blocked_flush_drops_control_messages_gracefully(monkeypatch, error):
+    """A restart round while the next view flushes (or the connection is
+    down) is dropped by the client, and the session still moves on."""
+    h = SecureHarness()
+    a = h.member("a", "d0")
+    a.join("g")
+    h.wait_view(["a"])
+    session = a.sessions["g"]
+
+    def refuse(*args, **kwargs):
+        raise error("refused")
+
+    monkeypatch.setattr(a.flush, "multicast", refuse)
+    restart = RestartRequest(session.view_key, 0)
+    hand_up(a, DataEvent(GroupId("g"), a.pid, ServiceType.AGREED, restart, 0))
+    assert session.attempt == 1
+
+
+def test_a_stacked_client_queues_each_event_once():
+    """Only the top of the stack queues: the flush layer and the Spread
+    connection under a SecureClient hand their events up instead of
+    keeping a copy, while their ``on_event`` taps still see them."""
+    h = SecureHarness()
+    a = h.member("a", "d0")
+    b = h.member("b", "d1")
+    a.join("g")
+    h.wait_view(["a"])
+    b.join("g")
+    h.wait_view(["a", "b"])
+    flush_tap = []
+    b.flush.on_event(flush_tap.append)
+    sniffed = wire_tap(b)
+    payloads = [b"m%d" % i for i in range(20)]
+    for payload in payloads:
+        a.send("g", payload)
+    h.run_until(lambda: h.payloads_of("b")[-20:] == payloads)
+    for member in (a, b):
+        assert not member.flush.queue and not member.flush.client.queue
+    assert len(sniffed) == 20
+    assert [e.payload for e in flush_tap if isinstance(e, DataEvent)] == sniffed

@@ -12,8 +12,9 @@ an asyncio loop):
 * one bad message in a run is rejected alone, with its usual reason;
 * a rekey that retires the key drains the run under the old key.
 
-Each case feeds a member's session events back to back from the test,
-between two loop turns, exactly as one socket read does.
+Each case hands a member's secure client events back to back from the
+test, between two loop turns, exactly as the flush layer does for one
+socket read; the client performs what the session returns.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from repro.transport.client import TcpSpreadClient
 from repro.transport.host import DaemonHost, loopback_available, wait_for_condition
 from repro.types import GroupId, MembershipCause, ServiceType
 
-from tests.secure.conftest import SecureHarness
+from tests.secure.conftest import SecureHarness, hand_up
 from tests.transport.conftest import loopback_config
 
 
@@ -157,19 +158,18 @@ def test_other_events_drain_the_run_first(side, monkeypatch):
     session = b.sessions["g"]
     flush_oks = []
     monkeypatch.setattr(
-        session.flush, "flush_ok", lambda group: flush_oks.append(data_payloads(b))
+        b.flush, "flush_ok", lambda group: flush_oks.append(data_payloads(b))
     )
     transitional = MembershipEvent(
         GroupId("g"), session.view.view_id, session.view.members,
         MembershipCause.TRANSITIONAL,
     )
     before = len(b.queue)
-    session.handle_event(sealed_from(a, b"one"))
-    session.handle_event(sealed_from(a, b"two"))
-    session.handle_event(transitional)
-    session.handle_event(sealed_from(a, b"three"))
-    session.handle_event(FlushRequestEvent(GroupId("g")))
-    session.handle_event(sealed_from(a, b"four"))
+    hand_up(
+        b, sealed_from(a, b"one"), sealed_from(a, b"two"), transitional,
+        sealed_from(a, b"three"), FlushRequestEvent(GroupId("g")),
+        sealed_from(a, b"four"),
+    )
     # Everything up to the flush request is out; "four" waits for the
     # end of the turn.
     assert flush_oks == [[b"one", b"two", b"three"]]
@@ -195,11 +195,10 @@ def test_a_bad_message_is_rejected_alone(side):
     )
     rejected = session.rejected_messages
     side.tracer.clear()
-    for event in (
-        sealed_from(a, b"n1"), forged, sealed_from(a, b"n2"), stale,
+    hand_up(
+        b, sealed_from(a, b"n1"), forged, sealed_from(a, b"n2"), stale,
         sealed_from(a, b"n3"),
-    ):
-        session.handle_event(event)
+    )
     side.turn()
     assert data_payloads(b)[-3:] == [b"n1", b"n2", b"n3"]
     assert session.rejected_messages == rejected + 2
@@ -222,8 +221,7 @@ def test_a_rekey_drains_the_run_under_the_old_key(side):
     controller, other = (a, b) if a.sessions["g"].module.is_controller else (b, a)
     session = controller.sessions["g"]
     rejected = session.rejected_messages
-    session.handle_event(sealed_from(other, b"r1"))
-    session.handle_event(sealed_from(other, b"r2"))
+    hand_up(controller, sealed_from(other, b"r1"), sealed_from(other, b"r2"))
     controller.refresh("g")  # retires the key in the same turn
     side.turn()
     assert data_payloads(controller)[-2:] == [b"r1", b"r2"]

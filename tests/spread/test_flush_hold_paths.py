@@ -21,14 +21,14 @@ from repro.types import (
 
 
 class StubClient:
-    """Captures sends; events are injected via the registered callback."""
+    """Captures sends; events are injected via the stacked layer's intake."""
 
     def __init__(self, me="#me#d0"):
         self.pid = ProcessId.parse(me)
         self.sent = []
         self._callbacks = []
 
-    def on_event(self, callback):
+    def stack(self, callback):
         self._callbacks.append(callback)
 
     def inject(self, event):

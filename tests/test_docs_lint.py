@@ -1,13 +1,20 @@
-"""Lint: the commands the documentation gives can be run.
+"""Lint: the commands and names the documentation gives exist.
 
 Every ``python -m repro.…`` in the README, ``docs/``, ``examples/`` and
 the library's docstrings must name a module that exists and has a
 ``__main__`` entry, so a deleted CLI cannot live on in a recipe.
+
+Every backticked ``repro.…`` name in the README, ``docs/`` and
+``examples/`` must import as a module or resolve as an attribute of
+one (a trailing ``*`` matches any attribute with that prefix), so a
+deleted module or class cannot live on in a doc.  EXPERIMENTS.md is
+out of scope: its history names retired CLIs on purpose.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import importlib.util
 import re
 from pathlib import Path
@@ -16,15 +23,21 @@ REPO = Path(__file__).resolve().parents[1]
 SRC_ROOT = REPO / "src"
 
 COMMAND = re.compile(r"python3?\s+-m\s+(repro(?:\.\w+)+)")
+SPAN = re.compile(r"`+([^`]+)`+")
+NAME = re.compile(r"\brepro(?:\.\w+)+\*?")
 
 
-def _documented_texts():
+def _doc_files():
     yield REPO / "README.md", (REPO / "README.md").read_text(encoding="utf-8")
     for path in sorted((REPO / "docs").glob("*.md")):
         yield path, path.read_text(encoding="utf-8")
     for path in sorted((REPO / "examples").iterdir()):
         if path.is_file():
             yield path, path.read_text(encoding="utf-8")
+
+
+def _documented_texts():
+    yield from _doc_files()
     for path in sorted((SRC_ROOT / "repro").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
@@ -67,3 +80,43 @@ def test_every_documented_python_m_target_has_a_main_entry():
         if not _has_main_entry(module)
     }
     assert not missing, f"documented commands that cannot run: {missing}"
+
+
+def _resolves(name: str) -> bool:
+    """``name`` imports as a module or is an attribute (chain) of one; a
+    trailing ``*`` asks for any attribute with that prefix."""
+    parts = name.rstrip("*").split(".")
+    for split in range(len(parts), 0, -1):
+        module = ".".join(parts[:split])
+        try:
+            found = importlib.util.find_spec(module) is not None
+        except ModuleNotFoundError:
+            found = False
+        if found:
+            break
+    else:
+        return False
+    owner = importlib.import_module(module)
+    rest = parts[split:]
+    if name.endswith("*"):
+        if not rest:
+            return True
+        *rest, prefix = rest
+    for attribute in rest:
+        if not hasattr(owner, attribute):
+            return False
+        owner = getattr(owner, attribute)
+    return not name.endswith("*") or any(a.startswith(prefix) for a in dir(owner))
+
+
+def test_every_backticked_repro_name_resolves():
+    named = {}
+    for path, text in _doc_files():
+        for span in SPAN.findall(text):
+            for name in NAME.findall(span):
+                named.setdefault(name, set()).add(path.relative_to(REPO).as_posix())
+    assert "repro.secure.SecureClient" in named, sorted(named)
+    missing = {
+        name: sorted(where) for name, where in named.items() if not _resolves(name)
+    }
+    assert not missing, f"documented names that do not exist: {missing}"

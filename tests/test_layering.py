@@ -30,7 +30,8 @@ core: the core never imports them, the simulator path never loads them
 three-call hook, and only the transport codec turns objects into bytes.
 The secure session keeps no identity material and no extension entry
 point, and nothing outside ``repro.secure`` reads a session's private
-state.
+state.  The session does no I/O: ``SecureClient`` performs the effects
+it returns, and the extensions reach the flush layer through the client.
 
 Behaviour has no environment switches: the one ``REPRO_*`` variable is
 the deployment key file, read by the transport's auth module.
@@ -262,7 +263,6 @@ def test_the_event_queue_is_defined_once():
 
 def test_no_one_sided_client_seam():
     for module, name in (
-        ("repro.transport.base", "DaemonEndpoint"),
         ("repro.spread.client", "SimDaemonEndpoint"),
         ("repro.transport.client", "SpreadListener"),
     ):
@@ -410,7 +410,79 @@ def test_nothing_outside_the_secure_package_reads_a_sessions_private_state():
     ]
     assert not offenders, (
         "read the session's public state (has_key, view_key, attempt,"
-        " key_fingerprint, flush, ...) instead:\n" + "\n".join(offenders)
+        " key_fingerprint, ...) instead:\n" + "\n".join(offenders)
+    )
+
+
+SESSION = SRC_ROOT / "repro" / "secure" / "session.py"
+
+
+def _class_named(tree: ast.AST, name: str) -> ast.ClassDef:
+    return next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == name
+    )
+
+
+def test_the_session_does_no_io():
+    """Events in, effects out: the session holds no flush layer, clock or
+    delivery callback, and the one driver that performs its effects is
+    ``SecureClient`` — one timer call and one send-error catch."""
+    from repro.secure.session import SecureGroupSession
+
+    tree = ast.parse(SESSION.read_text(encoding="utf-8"))
+    session = _class_named(tree, "SecureGroupSession")
+    io = {"flush", "kernel", "_emit", "call_later"} & {
+        node.attr for node in ast.walk(session) if isinstance(node, ast.Attribute)
+    }
+    assert not io, io
+    for name in ("flush", "kernel", "_emit"):
+        assert not hasattr(SecureGroupSession, name), name
+    parameters = inspect.signature(SecureGroupSession.__init__).parameters
+    assert not {"flush", "emit"} & set(parameters), parameters
+
+    timer_calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "call_later"
+    ]
+    catches = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler)
+        and node.type is not None
+        and any(
+            isinstance(leaf, ast.Name) and leaf.id == "SendBlockedError"
+            for leaf in ast.walk(node.type)
+        )
+    ]
+    assert len(timer_calls) == 1 and len(catches) == 1, (timer_calls, catches)
+    driver = _class_named(tree, "SecureClient")
+    assert all(
+        any(node is inner for inner in ast.walk(driver))
+        for node in timer_calls + catches
+    )
+
+
+def _reads_session_flush(node: ast.AST) -> bool:
+    """``session.flush``, ``self._session.flush`` or ``….sessions[…].flush``."""
+    if not (isinstance(node, ast.Attribute) and node.attr == "flush"):
+        return False
+    owner = node.value
+    if isinstance(owner, ast.Subscript):
+        owner = owner.value
+        return isinstance(owner, ast.Attribute) and owner.attr == "sessions"
+    name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", "")
+    return name in ("session", "_session")
+
+
+def test_the_extensions_reach_the_flush_layer_through_the_client():
+    offenders = [
+        f"{path.relative_to(REPO)}:{node.lineno}"
+        for path in sorted(EXT.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _reads_session_flush(node)
+    ]
+    assert not offenders, (
+        "a session has no flush layer; use client.flush:\n" + "\n".join(offenders)
     )
 
 
