@@ -6,10 +6,13 @@ can never validate outside the exact secure view it was sent in.
 Encrypt-then-MAC; constant-time verification.
 
 Data-plane fast path: the protector resolves its keyed cipher **once**
-per session-key epoch through the shared cipher-schedule cache, so
-steady-state traffic pays zero key-schedule derivations.  When a rekey
-retires the epoch, :meth:`DataProtector.invalidate` evicts the schedule
-from the cache so a stale epoch's schedule is never served again.
+per session-key epoch through the shared cipher-schedule cache, at its
+first seal or unseal, so steady-state traffic pays zero key-schedule
+derivations and an epoch that carries no data pays none at all.  When a
+rekey retires the epoch, :meth:`DataProtector.invalidate` evicts the
+schedule from the cache so a stale epoch's schedule is never served
+again; a protector retired before its first use never puts its key into
+the cache.
 
 :meth:`DataProtector.unseal` takes a run of messages (the session
 collects what reached it in one loop turn): every epoch and tag is
@@ -22,8 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Optional, Sequence
 
+from repro.crypto.blowfish import Blowfish
 from repro.crypto.cipher_cache import invalidate_key
 from repro.crypto.hmac_mac import HmacKey
 from repro.crypto.kdf import SessionKeys
@@ -65,7 +69,7 @@ class DataProtector:
     Blowfish-CBC); integrity is always encrypt-then-HMAC on top.
     """
 
-    __slots__ = ("keys", "epoch_label", "suite", "_cipher", "_mac")
+    __slots__ = ("keys", "epoch_label", "suite", "_cipher", "_retired", "_mac")
 
     def __init__(
         self, keys: SessionKeys, epoch_label: str, cipher: str = "blowfish-cbc"
@@ -73,21 +77,32 @@ class DataProtector:
         self.keys = keys
         self.epoch_label = epoch_label
         self.suite = get_cipher_suite(cipher)
-        # One schedule per epoch: resolved through the shared cache so
-        # every protector of this epoch (and every message it seals)
-        # shares a single key expansion.
-        self._cipher = self.suite.keyed(keys.encryption_key)
-        # Likewise one HMAC key preparation (inner/outer midstates)
-        # per epoch instead of per message.
+        # One schedule per epoch, expanded at the first seal or unseal
+        # (:meth:`_keyed`): a rekey that is superseded before any data
+        # flows pays no key expansion.
+        self._cipher: Optional[Blowfish] = None
+        self._retired = False
+        # One HMAC key preparation (inner/outer midstates) per epoch
+        # instead of per message.
         self._mac = HmacKey(keys.mac_key)
+
+    def _keyed(self) -> Blowfish:
+        """Expand the epoch's cipher key: through the shared cache, so
+        every protector of this epoch shares a single expansion, unless
+        the epoch is already retired."""
+        key = self.keys.encryption_key
+        self._cipher = Blowfish(key) if self._retired else self.suite.keyed(key)
+        return self._cipher
 
     def invalidate(self) -> None:
         """Retire this epoch's cached cipher schedule (called on rekey).
 
         Safe to call more than once; the protector itself keeps working
-        for in-flight traffic (it holds its own reference), but the
-        shared cache stops serving the stale epoch's schedule.
+        for in-flight traffic (it holds its own schedule, or expands a
+        private one), but the shared cache stops serving the stale
+        epoch's schedule.
         """
+        self._retired = True
         invalidate_key(self.keys.encryption_key)
 
     def seal(
@@ -98,7 +113,8 @@ class DataProtector:
         random_source: RandomSource,
     ) -> SealedMessage:
         """Encrypt and authenticate one application payload."""
-        ciphertext = self.suite.encrypt_with(self._cipher, plaintext, random_source)
+        cipher = self._cipher or self._keyed()
+        ciphertext = self.suite.encrypt_with(cipher, plaintext, random_source)
         header = seal_header(group, self.epoch_label, sender)
         tag = self._mac.digest(header + ciphertext)
         return SealedMessage(
@@ -126,7 +142,7 @@ class DataProtector:
         epoch_label = self.epoch_label
         header = seal_header(group, epoch_label, sender)
         encrypt = self.suite.encrypt_with
-        cipher = self._cipher
+        cipher = self._cipher or self._keyed()
         digest = self._mac.digest
         sealed: List[SealedMessage] = []
         append = sealed.append
@@ -173,7 +189,8 @@ class DataProtector:
                     f"MAC verification failed for message from {message.sender}"
                 )
         return self.suite.decrypt_with(
-            self._cipher, [message.ciphertext for message in messages]
+            self._cipher or self._keyed(),
+            [message.ciphertext for message in messages],
         )
 
     #: The benchmark tracer's entry-point table (``benchmarks/e2e/

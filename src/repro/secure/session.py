@@ -122,6 +122,9 @@ class SecureGroupSession:
 
         self.state = STATE_IDLE
         self.view: Optional[MembershipEvent] = None
+        # The view's member names, built once per view: every key
+        # confirmation checks against them.
+        self._member_names: frozenset = frozenset()
         self.attempt = 0
         self.operation = KeyOperation.NONE
         self._confirms: Dict[str, str] = {}  # sender -> fingerprint
@@ -166,9 +169,7 @@ class SecureGroupSession:
         return self._session_keys.fingerprint()
 
     def members(self) -> List[str]:
-        if self.view is None:
-            return []
-        return sorted(str(m) for m in self.view.members)
+        return sorted(self._member_names)
 
     # -- application data ---------------------------------------------------------
 
@@ -296,12 +297,11 @@ class SecureGroupSession:
     def _on_view(self, event: MembershipEvent) -> None:
         had_state = self.module.ready or self.state == STATE_AGREEING
         previous_complete = self.module.ready
-        previous_members = (
-            frozenset(str(m) for m in self.view.members)
-            if self.view is not None
-            else frozenset()
-        )
+        previous_members = self._member_names
         self.view = event
+        self._member_names = members_now = frozenset(
+            str(m) for m in event.members
+        )
         self.operation = classify_event(event)
         self._begin_attempt(0, self.operation)
         if self._tracer.enabled:
@@ -313,14 +313,13 @@ class SecureGroupSession:
                 group=self.group,
                 view=str(event.view_id),
                 operation=self.operation.value,
-                members=sorted(str(m) for m in event.members),
+                members=sorted(members_now),
             )
         self._effects.append(
             RekeyStartedEvent(group=event.group, operation=self.operation)
         )
 
         view_change = self._view_change(previous_members)
-        members_now = {str(m) for m in event.members}
         explained = (
             previous_members - {str(m) for m in event.left}
         ) | {str(m) for m in event.joined}
@@ -378,7 +377,7 @@ class SecureGroupSession:
         event = self.view
         return ViewChange(
             group=self.group,
-            members=tuple(sorted(str(m) for m in event.members)),
+            members=tuple(sorted(self._member_names)),
             joined=frozenset(str(m) for m in event.joined),
             left=frozenset(str(m) for m in event.left),
             me=self.me,
@@ -586,7 +585,7 @@ class SecureGroupSession:
     def _maybe_complete(self) -> None:
         if self.state != STATE_AGREEING or self._session_keys is None:
             return
-        needed = {str(m) for m in self.view.members}
+        needed = self._member_names
         if not needed.issubset(self._confirms.keys()):
             return
         mine = self._session_keys.fingerprint()

@@ -165,7 +165,6 @@ class SpreadDaemon(SimProcess):
             broadcast_all=self._broadcast_everyone,
             make_sync=self._make_sync,
             commit=self._commit_install,
-            now=lambda: self.kernel.now,
             schedule=self._engine_schedule,
             alive_set=self._alive_set,
             trace=self.kernel.tracer.record,

@@ -30,7 +30,7 @@ fresh flush request and the protocol restarts for the newer view.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, FrozenSet, List, Optional, Set
 
 from repro.errors import FlushError, SendBlockedError
 from repro.spread.client import EventQueue, SpreadClient
@@ -76,6 +76,9 @@ class _GroupFlushState:
         self.group = group
         self.current_view: Optional[MembershipEvent] = None
         self.pending_view: Optional[MembershipEvent] = None
+        # The pending view's member names, built once per view: every
+        # marker checks against them.
+        self.pending_names: FrozenSet[str] = frozenset()
         self.flush_oked = False
         self.markers: Set[str] = set()  # pids that acked the pending view
         self.early_markers: Dict[GroupViewId, Set[str]] = {}
@@ -205,10 +208,11 @@ class FlushClient(EventQueue):
             # Delivered for a group we never joined through this layer.
             self._emit(event)
             return
-        me = str(self.pid)
-        if me not in {str(m) for m in event.members}:
+        names = frozenset(str(m) for m in event.members)
+        if str(self.pid) not in names:
             return  # defensive: not our view
         state.pending_view = event
+        state.pending_names = names
         state.flush_oked = False
         state.markers = state.early_markers.pop(event.view_id, set())
         self._emit(FlushRequestEvent(group=event.group))
@@ -270,8 +274,7 @@ class FlushClient(EventQueue):
         pending = state.pending_view
         if pending is None:
             return
-        needed = {str(m) for m in pending.members}
-        if not needed.issubset(state.markers):
+        if not state.pending_names.issubset(state.markers):
             return
         state.current_view = pending
         state.pending_view = None

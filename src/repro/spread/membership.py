@@ -10,9 +10,10 @@ coordinator-based protocol that is robust in an asynchronous network:
    round.  Daemons repeatedly announce the set of daemons they currently
    hear; announcements merge knowledge (and pull everyone to the highest
    round number).
-2. **PROPOSE** — after the alive set is stable for ``gather_timeout``,
-   the smallest-named alive daemon acts as coordinator and proposes the
-   view.
+2. **PROPOSE** — one ``gather_timeout`` after the round's participant
+   set (daemons announced this round, reachable, plus itself) last
+   changed, the smallest-named participant acts as coordinator and
+   proposes the view.
 3. **SYNC** — every proposed member replies with its *cut*: undelivered
    old-view messages, delivery horizons and its group table.
 4. **INSTALL** — the coordinator unions the cuts per old view and
@@ -89,7 +90,6 @@ class MembershipEngine:
         broadcast_all: Callable[[object], None],
         make_sync: Callable[[int, ViewId], SyncInfo],
         commit: Callable[[Install], None],
-        now: Callable[[], float],
         schedule: Callable[[float, Callable[[], None]], None],
         alive_set: Callable[[], Set[str]],
         trace: Callable[..., None],
@@ -100,7 +100,6 @@ class MembershipEngine:
         self._broadcast_all = broadcast_all
         self._make_sync = make_sync
         self._commit = commit
-        self._now = now
         self._schedule = schedule
         self._alive_set = alive_set
         self._trace = trace
@@ -110,8 +109,7 @@ class MembershipEngine:
         self.completed_round = 0
         self.incarnation = 0
         self._announced: Dict[str, GatherAnnounce] = {}
-        self._alive_stable_since = 0.0
-        self._last_alive: Set[str] = set()
+        self._gather_snapshot: Set[str] = set()
         self._proposal: Optional[Propose] = None
         self._cuts: Dict[str, SyncInfo] = {}
         self._proposal_counter = 0
@@ -133,11 +131,9 @@ class MembershipEngine:
         self._announced = {}
         self._proposal = None
         self._cuts = {}
-        self._last_alive = set()
-        self._alive_stable_since = self._now()
         self._trace("memb.gather", me=self.me, round=self.round_id, reason=reason)
         self._announce()
-        self._arm_deadline(self.config.gather_timeout)
+        self._arm_gather()
 
     def _announce(self) -> None:
         announce = GatherAnnounce(
@@ -149,6 +145,23 @@ class MembershipEngine:
         )
         self._announced[self.me] = announce
         self._broadcast_all(announce)
+
+    def _participants(self) -> Set[str]:
+        """Daemons announced this round that are reachable, plus me."""
+        reachable = self._alive_set() | {self.me}
+        participants = {
+            name
+            for name, announce in self._announced.items()
+            if announce.round_id == self.round_id and name in reachable
+        }
+        participants.add(self.me)
+        return participants
+
+    def _arm_gather(self) -> None:
+        """Snapshot the participants and give them ``gather_timeout`` to
+        change; the deadline proposes if they did not."""
+        self._gather_snapshot = self._participants()
+        self._arm_deadline(self.config.gather_timeout)
 
     def _arm_deadline(self, delay: float) -> None:
         self._deadline_token += 1
@@ -183,22 +196,14 @@ class MembershipEngine:
         if previous is None or previous.alive != announce.alive:
             # Knowledge changed: re-announce so everyone converges, and
             # restart the stability clock.
-            self._alive_stable_since = self._now()
             self._announce()
-            self._arm_deadline(self.config.gather_timeout)
+            self._arm_gather()
 
     def _gather_deadline(self) -> None:
-        reachable = self._alive_set() | {self.me}
-        participants = {
-            name
-            for name, announce in self._announced.items()
-            if announce.round_id == self.round_id and name in reachable
-        }
-        participants.add(self.me)
-        if participants != self._last_alive:
-            self._last_alive = set(participants)
+        participants = self._participants()
+        if participants != self._gather_snapshot:
             self._announce()
-            self._arm_deadline(self.config.gather_timeout)
+            self._arm_gather()
             return
         coordinator = min(participants)
         if coordinator != self.me:

@@ -13,6 +13,7 @@ from collections import deque
 import pytest
 
 from repro.cliques.directory import KeyDirectory
+from repro.crypto.blowfish import Blowfish
 from repro.crypto.cipher_cache import default_cache
 from repro.crypto.dh import DHKeyPair, DHParams
 from repro.crypto.random_source import DeterministicSource
@@ -342,11 +343,21 @@ def test_send_blocked_while_agreeing():
 
 def test_self_leave_retires_the_key():
     session = confirmed_singleton()
+    session.seal(b"before leaving")
     key = session._session_keys.encryption_key
     assert key in default_cache()
     leave = SelfLeaveEvent(GroupId("g"))
     assert session.handle_event(leave) == [leave]
     assert session.state == STATE_IDLE and session.key_fingerprint is None
+    assert key not in default_cache()
+
+
+def test_a_key_nobody_used_is_never_expanded():
+    before = Blowfish.constructions
+    session = confirmed_singleton()
+    key = session._session_keys.encryption_key
+    assert session.handle_event(SelfLeaveEvent(GroupId("g")))
+    assert Blowfish.constructions == before
     assert key not in default_cache()
 
 

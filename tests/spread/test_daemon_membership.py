@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.spread.messages import GatherAnnounce
+
 from tests.spread.conftest import Cluster
 
 
@@ -139,3 +141,49 @@ def test_recovered_daemon_has_fresh_incarnation():
     cluster.daemons["d1"].recover()
     assert cluster.daemons["d1"].incarnation == 1
     cluster.settle()
+
+
+def _knowledge_changes(cluster):
+    """Record the send time of every gather announcement that tells its
+    receivers something new: a daemon's first announcement in a round,
+    or one whose alive set differs from its previous one.  A repeat of
+    the same knowledge (the re-announce at a gather deadline) is not a
+    change."""
+    changes = []
+    last = {}
+    send = cluster.network.send
+
+    def watching_send(source, destination, payload, size=None):
+        if isinstance(payload, GatherAnnounce):
+            key = (payload.sender, payload.round_id)
+            if last.get(key) != payload.alive:
+                last[key] = payload.alive
+                changes.append(cluster.kernel.now)
+        send(source, destination, payload, size)
+
+    cluster.network.send = watching_send
+    return changes
+
+
+@pytest.mark.parametrize("event", ["start", "heal"])
+def test_round_installs_one_gather_timeout_after_last_change(event):
+    """A gather round proposes once its participants have been stable
+    for one ``gather_timeout``: the install comes that long (plus link
+    and sync slack, well under a second deadline) after the last
+    knowledge change."""
+    cluster = Cluster(daemon_count=3)
+    if event == "heal":
+        cluster.network.partition([["d0", "d1"], ["d2"]])
+        cluster.settle_components(["d0", "d1"], ["d2"])
+    changes = _knowledge_changes(cluster)
+    installs_before = len(cluster.tracer.of_kind("daemon.install"))
+    if event == "heal":
+        cluster.network.heal()
+    cluster.settle()
+    installs = cluster.tracer.of_kind("daemon.install")[installs_before:]
+    assert {e["me"] for e in installs} == {"d0", "d1", "d2"}
+    assert len({e["view"] for e in installs}) == 1  # one round, no retry
+    gather = cluster.config.gather_timeout
+    slack = gather / 4
+    waited = max(e.t for e in installs) - changes[-1]
+    assert gather <= waited <= gather + slack

@@ -128,6 +128,7 @@ def test_multicast_reaches_all_members(cluster):
     cluster.run_until(lambda: members_of(b) == {"#a#d0", "#b#d1"})
     a.multicast(ServiceType.AGREED, "g", "hello")
     cluster.run_until(lambda: "hello" in data_payloads(b))
+    cluster.run_until(lambda: "hello" in data_payloads(a))
     assert "hello" in data_payloads(a)  # self delivery
 
 
@@ -218,6 +219,7 @@ def test_safe_delivery(cluster):
     cluster.run_until(lambda: members_of(b) == {"#a#d0", "#b#d1"})
     a.multicast(ServiceType.SAFE, "g", "stable")
     cluster.run_until(lambda: "stable" in data_payloads(b))
+    cluster.run_until(lambda: "stable" in data_payloads(a))
     assert "stable" in data_payloads(a)
 
 

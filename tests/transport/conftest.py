@@ -26,10 +26,11 @@ __all__ = ["loopback_config", "run", "start_host", "join_all"]
 def loopback_config(names=("d0", "d1", "d2"), gather_timeout=3.0, sync_timeout=6.0):
     """Real-time daemon timers sized for loopback test runs.
 
-    Several daemons settle into one view only after a gather round, so a
-    test that needs no slow membership can shorten ``gather_timeout`` /
-    ``sync_timeout``; ``fail_timeout`` stays, because the half-open and
-    reconnect tests time their outages against it.
+    Several daemons settle into one view one ``gather_timeout`` after
+    their gather round's participants last changed (about 3 s here), so
+    a test that needs no slow membership can shorten ``gather_timeout``
+    / ``sync_timeout``; ``fail_timeout`` stays, because the half-open
+    and reconnect tests time their outages against it.
     """
     return SpreadConfig(
         daemons=names,

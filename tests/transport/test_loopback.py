@@ -18,12 +18,13 @@ from repro.sim.rng import stable_seed
 from repro.spread.events import DataEvent
 from repro.spread.flush import FlushClient
 from repro.transport.client import TcpSpreadClient
-from repro.transport.host import wait_for_condition
+from repro.transport.host import DaemonHost, wait_for_condition
 from repro.types import ServiceType
 
-from tests.transport.conftest import join_all, run, start_host
+from tests.transport.conftest import join_all, loopback_config, run, start_host
 
-#: Three daemons settle in one gather round: keep it short.
+#: Three daemons settle one ``gather_timeout`` after their gather round
+#: starts: keep it short.
 QUICK_SETTLE = {"gather_timeout": 0.5, "sync_timeout": 2.0}
 
 
@@ -36,6 +37,25 @@ def test_a_hang_fails_instead_of_skipping():
 
     with pytest.raises(asyncio.TimeoutError):
         run(never_finishes(), timeout=0.05)
+
+
+def test_three_daemons_settle_in_one_gather_timeout():
+    """On real timers a gather round proposes one ``gather_timeout``
+    after its participants last changed, not two."""
+
+    async def main():
+        config = loopback_config()
+        host = DaemonHost(config, config.daemons)
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        await host.start()
+        try:
+            await host.settle()
+            assert loop.time() - started < 1.5 * config.gather_timeout
+        finally:
+            await host.stop()
+
+    run(main())
 
 
 def test_multicast_crosses_real_sockets():
