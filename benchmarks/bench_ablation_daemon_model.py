@@ -11,10 +11,8 @@ import pytest
 
 from repro.crypto.dh import DHParams
 from repro.ext.daemon_model import secure_all_daemons
-from repro.secure.events import SecureMembershipEvent
 from repro.bench.reporting import Table
 from repro.testbed import SecureTestbed
-from repro.spread.events import MembershipEvent
 from repro.types import ServiceType
 
 CHURN_ROUNDS = 6
@@ -45,42 +43,12 @@ def daemon_model_agreements() -> int:
     layers = secure_all_daemons(testbed.daemons, params=DHParams.tiny_test())
     testbed.run(1.0)
 
-    from repro.spread.client import SpreadClient
-    from repro.spread.flush import FlushClient
-
     clients = []
-
-    def plain_member(index):
-        raw = SpreadClient(
-            testbed.kernel, f"p{index}", testbed.daemons[testbed.placement(index)]
-        )
-        raw.connect()
-        fc = FlushClient(raw, auto_flush=True)
-        fc.join("g")
-        clients.append(fc)
-        return fc
-
-    def group_size_at_everyone(expected):
-        def check():
-            for fc in clients:
-                views = [
-                    e for e in fc.queue if isinstance(e, MembershipEvent)
-                ]
-                if not views or len(views[-1].members) != expected:
-                    return False
-            return True
-
-        return check
-
-    plain_member(0)
-    plain_member(1)
-    testbed.run_until(group_size_at_everyone(2), timeout=60)
+    testbed.plain_join(clients, "p0", "p1")
     for round_index in range(CHURN_ROUNDS):
-        fc = plain_member(2 + round_index)
-        testbed.run_until(group_size_at_everyone(3), timeout=60)
-        fc.leave("g")
-        clients.remove(fc)
-        testbed.run_until(group_size_at_everyone(2), timeout=60)
+        testbed.plain_join(clients, f"p{2 + round_index}")
+        clients.pop().leave("g")
+        testbed.wait_plain_view(clients)
     return sum(layer.keys_established for layer in layers.values())
 
 

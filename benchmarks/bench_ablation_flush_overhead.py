@@ -15,68 +15,19 @@ import pytest
 
 from repro.bench.reporting import Table
 from repro.testbed import SecureTestbed
-from repro.spread.client import SpreadClient
-from repro.spread.events import MembershipEvent
-from repro.spread.flush import FlushClient
 
 SIZES = [2, 4, 8, 12]
 
 
-def vs_join_latency(size: int) -> float:
-    """Time for the flush layer to deliver the view when member #size
-    joins a group of size-1."""
-    testbed = SecureTestbed(seed=9)
+def last_join(size: int, flush: bool, seed: int = 9):
+    """(virtual seconds, datagrams) until every member sees the view
+    when member #size joins a group of size-1: through the flush layer
+    (VS), or at the raw EVS layer, with no flush round."""
+    testbed = SecureTestbed(seed=seed)
     clients = []
     for index in range(size):
-        raw = SpreadClient(
-            testbed.kernel, f"c{index}", testbed.daemons[testbed.placement(index)]
-        )
-        raw.connect()
-        fc = FlushClient(raw, auto_flush=True)
-        clients.append(fc)
-        start = testbed.kernel.now
-        fc.join("g")
-
-        def delivered():
-            for client in clients:
-                views = [
-                    e for e in client.queue if isinstance(e, MembershipEvent)
-                ]
-                if not views or len(views[-1].members) != len(clients):
-                    return False
-            return True
-
-        testbed.run_until(delivered, timeout=60)
-        latency = testbed.kernel.now - start
-    return latency
-
-
-def evs_join_latency(size: int) -> float:
-    """Time for the raw (EVS) layer to deliver the membership event when
-    member #size joins — no flush round."""
-    testbed = SecureTestbed(seed=9)
-    clients = []
-    for index in range(size):
-        raw = SpreadClient(
-            testbed.kernel, f"c{index}", testbed.daemons[testbed.placement(index)]
-        )
-        raw.connect()
-        clients.append(raw)
-        start = testbed.kernel.now
-        raw.join("g")
-
-        def delivered():
-            for client in clients:
-                views = [
-                    e for e in client.queue if isinstance(e, MembershipEvent)
-                ]
-                if not views or len(views[-1].members) != len(clients):
-                    return False
-            return True
-
-        testbed.run_until(delivered, timeout=60)
-        latency = testbed.kernel.now - start
-    return latency
+        cost = testbed.plain_join(clients, f"c{index}", flush=flush)
+    return cost
 
 
 def test_flush_vs_evs_join_latency(benchmark):
@@ -85,51 +36,21 @@ def test_flush_vs_evs_join_latency(benchmark):
         ["n", "EVS only", "Flush (VS)", "VS overhead"],
     )
     for n in SIZES:
-        evs = evs_join_latency(n)
-        vs = vs_join_latency(n)
+        evs, __ = last_join(n, flush=False)
+        vs, __ = last_join(n, flush=True)
         table.add(n, evs, vs, vs - evs)
         # VS costs a flush round on top of EVS, so it is never cheaper.
         assert vs >= evs * 0.99
     table.show()
 
-    benchmark.pedantic(lambda: vs_join_latency(6), rounds=2, iterations=1)
+    benchmark.pedantic(lambda: last_join(6, True), rounds=2, iterations=1)
 
 
 def test_flush_message_overhead(benchmark):
     """Wire datagram count for a view change: the flush round adds one
     acknowledgement multicast per member."""
-
-    def datagrams_for_join(use_flush: bool) -> int:
-        testbed = SecureTestbed(seed=13)
-        clients = []
-        for index in range(4):
-            raw = SpreadClient(
-                testbed.kernel,
-                f"c{index}",
-                testbed.daemons[testbed.placement(index)],
-            )
-            raw.connect()
-            client = FlushClient(raw, auto_flush=True) if use_flush else raw
-            clients.append(client)
-            queue_owner = client if use_flush else raw
-            before = testbed.network.datagrams_sent
-            client.join("g")
-
-            def delivered():
-                for c in clients:
-                    queue = c.queue
-                    views = [
-                        e for e in queue if isinstance(e, MembershipEvent)
-                    ]
-                    if not views or len(views[-1].members) != len(clients):
-                        return False
-                return True
-
-            testbed.run_until(delivered, timeout=60)
-        return testbed.network.datagrams_sent - before
-
-    with_flush = datagrams_for_join(True)
-    without = datagrams_for_join(False)
+    __, with_flush = last_join(4, True, seed=13)
+    __, without = last_join(4, False, seed=13)
     table = Table(
         "Ablation — datagrams for the final join (4th member)",
         ["layer", "datagrams"],
@@ -139,4 +60,6 @@ def test_flush_message_overhead(benchmark):
     table.show()
     assert with_flush > without  # flush markers cost real messages
 
-    benchmark.pedantic(lambda: datagrams_for_join(True), rounds=2, iterations=1)
+    benchmark.pedantic(
+        lambda: last_join(4, True, seed=13), rounds=2, iterations=1
+    )

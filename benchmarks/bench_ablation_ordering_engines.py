@@ -17,7 +17,6 @@ import pytest
 
 from repro.bench.reporting import Table
 from repro.testbed import SecureTestbed
-from repro.spread.client import SpreadClient
 from repro.spread.events import DataEvent
 from repro.types import ServiceType
 
@@ -25,21 +24,7 @@ from repro.types import ServiceType
 def build(ordering: str):
     testbed = SecureTestbed(seed=91, config_overrides={"ordering": ordering})
     clients = []
-    for index, daemon in enumerate(["d0", "d1", "d2"]):
-        client = SpreadClient(testbed.kernel, f"c{index}", testbed.daemons[daemon])
-        client.connect()
-        client.join("g")
-        clients.append(client)
-    def joined():
-        for c in clients:
-            from repro.spread.events import MembershipEvent
-
-            views = [e for e in c.queue if isinstance(e, MembershipEvent)]
-            if not views or len(views[-1].members) != 3:
-                return False
-        return True
-
-    testbed.run_until(joined, timeout=60)
+    testbed.plain_join(clients, "c0", "c1", "c2", flush=False)
     return testbed, clients
 
 

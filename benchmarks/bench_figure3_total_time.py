@@ -17,34 +17,9 @@ both but superlinear.
 import pytest
 
 from repro.bench.platform_model import PENTIUM_II_450
+from repro.bench.report import FIGURE3_SIZES as SIZES, figure3_series
 from repro.bench.reporting import Table
 from repro.testbed import SecureTestbed
-from repro.secure.session import CryptoCostModel
-from repro.spread.client import SpreadClient
-from repro.spread.events import MembershipEvent
-from repro.spread.flush import FlushClient
-
-SIZES = [2, 4, 6, 8, 10, 12, 14]
-
-
-def secure_join_leave_times(module: str, platform=PENTIUM_II_450, link=None):
-    """Grow a secure group, timing the join that reaches each size and
-    the leave back down from it."""
-    testbed = SecureTestbed(
-        cost_model=CryptoCostModel(platform.exp_cost), link=link
-    )
-    names = []
-    join_times = {}
-    for size in range(1, max(SIZES) + 1):
-        duration = testbed.timed_join(names, module=module)
-        if size in SIZES:
-            join_times[size] = duration
-    leave_times = {}
-    for size in range(max(SIZES), 1, -1):
-        duration = testbed.timed_leave(names)
-        if size in SIZES:
-            leave_times[size] = duration
-    return join_times, leave_times
 
 
 def flush_only_join_times():
@@ -52,39 +27,16 @@ def flush_only_join_times():
     testbed = SecureTestbed()
     clients = []
     times = {}
-
-    def current_views_ok(expected_count):
-        def check():
-            for fc in clients:
-                views = [
-                    e for e in fc.queue
-                    if isinstance(e, MembershipEvent) and str(e.group) == "f"
-                ]
-                if not views or len(views[-1].members) != expected_count:
-                    return False
-            return True
-
-        return check
-
-    for index in range(max(SIZES)):
-        raw = SpreadClient(
-            testbed.kernel, f"f{index}", testbed.daemons[testbed.placement(index)]
-        )
-        raw.connect()
-        fc = FlushClient(raw, auto_flush=True)
-        clients.append(fc)
-        start = testbed.kernel.now
-        fc.join("f")
-        testbed.run_until(current_views_ok(index + 1), timeout=60)
-        size = index + 1
+    for size in range(1, max(SIZES) + 1):
+        duration, __ = testbed.plain_join(clients, f"f{size - 1}", group="f")
         if size in SIZES:
-            times[size] = testbed.kernel.now - start
+            times[size] = duration
     return times
 
 
 def test_figure3_total_time(benchmark):
-    cliques_join, cliques_leave = secure_join_leave_times("cliques")
-    ckd_join, ckd_leave = secure_join_leave_times("ckd")
+    cliques_join, cliques_leave = figure3_series("cliques")
+    ckd_join, ckd_leave = figure3_series("ckd")
     flush_only = flush_only_join_times()
 
     table = Table(
@@ -131,7 +83,7 @@ def test_figure3_total_time(benchmark):
     from repro.bench.platform_model import SUN_ULTRA2
     from repro.net.link import LinkModel
 
-    sun_join, sun_leave = secure_join_leave_times(
+    sun_join, sun_leave = figure3_series(
         "cliques", platform=SUN_ULTRA2, link=LinkModel.ethernet_10base_t()
     )
     sun_table = Table(
@@ -145,12 +97,7 @@ def test_figure3_total_time(benchmark):
         assert sun_leave[n] < sun_join[n] or n == SIZES[0]
     sun_table.show()
 
-    def one_secure_join():
-        testbed = SecureTestbed(
-            cost_model=CryptoCostModel(PENTIUM_II_450.exp_cost)
-        )
-        names = []
-        for __ in range(5):
-            testbed.timed_join(names)
-
-    benchmark.pedantic(one_secure_join, rounds=2, iterations=1)
+    # Five joins and one leave on the Pentium model.
+    benchmark.pedantic(
+        lambda: figure3_series(sizes=(5,)), rounds=2, iterations=1
+    )

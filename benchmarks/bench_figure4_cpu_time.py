@@ -24,21 +24,20 @@ from repro.bench.platform_model import (
     SUN_ULTRA2,
     calibrate_local_machine,
 )
+from repro.bench.report import serial_total
 from repro.bench.reporting import Table
 from repro.testbed import ProtocolGroup
 from repro.crypto.dh import DHParams
-
-from benchmarks.conftest import join_counts, leave_counts
 
 SIZES = [2, 5, 10, 15, 20, 25, 30]
 
 
 def serial_counts(protocol: str, n: int):
-    controller, joiner = join_counts(protocol, n)
-    join_total = controller.total + joiner.total
-    takeover = leave_counts(protocol, n, controller_leaves=True)
-    leave_total = takeover.total - takeover.get("controller_hello")
-    return join_total, leave_total
+    """(join, controller-leave) serial exponentiations at size ``n``."""
+    return tuple(
+        serial_total(protocol, operation, n)
+        for operation in ("join", "controller_leave")
+    )
 
 
 def test_figure4_modeled_cpu_time(benchmark):

@@ -13,11 +13,11 @@ from repro.bench.expcount import (
     table2_cliques_controller,
     table2_cliques_new_member,
 )
-from repro.bench.reporting import Table
-from repro.testbed import ProtocolGroup
+from repro.bench.report import join_roles
+from repro.testbed import measure
 from repro.crypto.dh import DHParams
 
-from benchmarks.conftest import join_counts
+from benchmarks.conftest import row_table
 
 SIZES = [3, 5, 10, 15, 30]
 
@@ -46,65 +46,43 @@ CKD_JOINER_ROWS = [
 ]
 
 
-def _report_role(title, rows, expected_fn, measured_counter, n):
-    expected = dict(expected_fn(n))
-    table = Table(
-        f"Table 2 ({title}, n={n})", ["row", "paper", "measured", "match"]
-    )
-    total = 0
-    for label, row_name in rows:
-        measured = measured_counter.get(label)
-        total += measured
-        table.add(row_name, expected[row_name], measured,
-                  "OK" if measured == expected[row_name] else "MISMATCH")
-        assert measured == expected[row_name], (title, row_name, n)
-    table.add("Total", expected["Total"], total,
-              "OK" if total == expected["Total"] else "MISMATCH")
-    assert total == expected["Total"]
-    return table
-
-
 def test_table2_cliques(benchmark):
     tables = []
     for n in SIZES:
-        controller, joiner = join_counts("cliques", n)
+        controller, joiner = join_roles("cliques", n)
         tables.append(
-            _report_role("Cliques / controller", CLIQUES_CONTROLLER_ROWS,
-                         table2_cliques_controller, controller, n)
+            row_table(2, "Cliques / controller", CLIQUES_CONTROLLER_ROWS,
+                      table2_cliques_controller, controller, n)
         )
         tables.append(
-            _report_role("Cliques / new member", CLIQUES_JOINER_ROWS,
-                         table2_cliques_new_member, joiner, n)
+            row_table(2, "Cliques / new member", CLIQUES_JOINER_ROWS,
+                      table2_cliques_new_member, joiner, n)
         )
     for table in tables:
         table.show()
 
-    def join_512():
-        group = ProtocolGroup("cliques", params=DHParams.paper_512())
-        group.grow_to(9)
-        group.join()
-
-    benchmark.pedantic(join_512, rounds=3, iterations=1)
+    benchmark.pedantic(
+        lambda: measure("cliques", "join", 10, params=DHParams.paper_512()),
+        rounds=3, iterations=1,
+    )
 
 
 def test_table2_ckd(benchmark):
     tables = []
     for n in SIZES:
-        controller, joiner = join_counts("ckd", n)
+        controller, joiner = join_roles("ckd", n)
         tables.append(
-            _report_role("CKD / controller", CKD_CONTROLLER_ROWS,
-                         table2_ckd_controller, controller, n)
+            row_table(2, "CKD / controller", CKD_CONTROLLER_ROWS,
+                      table2_ckd_controller, controller, n)
         )
         tables.append(
-            _report_role("CKD / new member", CKD_JOINER_ROWS,
-                         table2_ckd_new_member, joiner, n)
+            row_table(2, "CKD / new member", CKD_JOINER_ROWS,
+                      table2_ckd_new_member, joiner, n)
         )
     for table in tables:
         table.show()
 
-    def join_512():
-        group = ProtocolGroup("ckd", params=DHParams.paper_512())
-        group.grow_to(9)
-        group.join()
-
-    benchmark.pedantic(join_512, rounds=3, iterations=1)
+    benchmark.pedantic(
+        lambda: measure("ckd", "join", 10, params=DHParams.paper_512()),
+        rounds=3, iterations=1,
+    )

@@ -12,11 +12,12 @@ from repro.bench.expcount import (
     table3_ckd_controller_leaves,
     table3_cliques,
 )
+from repro.bench.report import leave_window
 from repro.bench.reporting import Table
-from repro.testbed import ProtocolGroup
+from repro.testbed import measure
 from repro.crypto.dh import DHParams
 
-from benchmarks.conftest import leave_counts
+from benchmarks.conftest import row_table
 
 SIZES = [3, 5, 10, 15, 30]
 
@@ -37,44 +38,24 @@ CKD_TAKEOVER_ROWS = [
 ]
 
 
-def _check(title, rows, expected_fn, counter, n, exclude=()):
-    expected = dict(expected_fn(n))
-    table = Table(f"Table 3 ({title}, n={n})",
-                  ["row", "paper", "measured", "match"])
-    total = 0
-    for label, row_name in rows:
-        measured = counter.get(label)
-        total += measured
-        ok = measured == expected[row_name]
-        table.add(row_name, expected[row_name], measured,
-                  "OK" if ok else "MISMATCH")
-        assert ok, (title, row_name, n)
-    table.add("Total", expected["Total"], total,
-              "OK" if total == expected["Total"] else "MISMATCH")
-    assert total == expected["Total"]
-    for label in exclude:
-        if counter.get(label):
-            table.add(f"[{label}] (tenure setup, uncounted in paper)",
-                      "-", counter.get(label), "noted")
-    return table
+def leave_512(protocol: str, operation: str):
+    """A real 512-bit leave from a group of ten."""
+    return lambda: measure(protocol, operation, 10, params=DHParams.paper_512())
 
 
 def test_table3_cliques_controller_leave(benchmark):
     """Cliques leave of the controller: 1 + 1 + (n-2) = n (exact)."""
     tables = [
-        _check("Cliques", CLIQUES_ROWS, table3_cliques,
-               leave_counts("cliques", n, controller_leaves=True), n)
+        row_table(3, "Cliques", CLIQUES_ROWS, table3_cliques,
+                  leave_window("cliques", "controller_leave", n), n)
         for n in SIZES
     ]
     for table in tables:
         table.show()
 
-    def leave_512():
-        group = ProtocolGroup("cliques", params=DHParams.paper_512())
-        group.grow_to(10)
-        group.leave()
-
-    benchmark.pedantic(leave_512, rounds=3, iterations=1)
+    benchmark.pedantic(
+        leave_512("cliques", "controller_leave"), rounds=3, iterations=1
+    )
 
 
 def test_table3_cliques_member_leave_optimized(benchmark):
@@ -84,50 +65,39 @@ def test_table3_cliques_member_leave_optimized(benchmark):
     table = Table("Table 3 (Cliques, regular member leaves — optimized)",
                   ["n", "paper", "measured"])
     for n in SIZES:
-        window = leave_counts("cliques", n, controller_leaves=False)
+        window = leave_window("cliques", "leave", n)
         assert window.total == n - 1
         table.add(n, n, window.total)
     table.show()
 
-    def member_leave():
-        group = ProtocolGroup("cliques")
-        group.grow_to(10)
-        group.leave(group.members[0])
-
-    benchmark.pedantic(member_leave, rounds=3, iterations=1)
+    benchmark.pedantic(
+        lambda: measure("cliques", "leave", 10), rounds=3, iterations=1
+    )
 
 
 def test_table3_ckd_member_leave(benchmark):
     tables = [
-        _check("CKD", CKD_ROWS, table3_ckd,
-               leave_counts("ckd", n, controller_leaves=False), n)
+        row_table(3, "CKD", CKD_ROWS, table3_ckd,
+                  leave_window("ckd", "leave", n), n)
         for n in SIZES
     ]
     for table in tables:
         table.show()
 
-    def leave_512():
-        group = ProtocolGroup("ckd", params=DHParams.paper_512())
-        group.grow_to(10)
-        group.leave(group.members[-1])
-
-    benchmark.pedantic(leave_512, rounds=3, iterations=1)
+    benchmark.pedantic(leave_512("ckd", "leave"), rounds=3, iterations=1)
 
 
 def test_table3_ckd_controller_leave(benchmark):
     tables = [
-        _check("CKD, when controller leaves", CKD_TAKEOVER_ROWS,
-               table3_ckd_controller_leaves,
-               leave_counts("ckd", n, controller_leaves=True), n,
-               exclude=("controller_hello",))
+        row_table(3, "CKD, when controller leaves", CKD_TAKEOVER_ROWS,
+                  table3_ckd_controller_leaves,
+                  leave_window("ckd", "controller_leave", n), n,
+                  exclude=("controller_hello",))
         for n in SIZES
     ]
     for table in tables:
         table.show()
 
-    def takeover_512():
-        group = ProtocolGroup("ckd", params=DHParams.paper_512())
-        group.grow_to(10)
-        group.leave(group.members[0])
-
-    benchmark.pedantic(takeover_512, rounds=3, iterations=1)
+    benchmark.pedantic(
+        leave_512("ckd", "controller_leave"), rounds=3, iterations=1
+    )

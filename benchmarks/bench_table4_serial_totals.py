@@ -15,25 +15,12 @@ CKD         n+6     n-1      3n-5
 import pytest
 
 from repro.bench.expcount import table4
+from repro.bench.report import PAPER_MODULES, TABLE4_OPERATIONS, serial_total
 from repro.bench.reporting import Table
-from repro.testbed import ProtocolGroup
+from repro.testbed import measure
 from repro.crypto.dh import DHParams
 
-from benchmarks.conftest import join_counts, leave_counts
-
 SIZES = [3, 5, 10, 15, 30]
-
-
-def measured_serial(protocol: str, n: int):
-    controller, joiner = join_counts(protocol, n)
-    join_total = controller.total + joiner.total
-    leave_window = leave_counts(protocol, n, controller_leaves=False)
-    leave_total = leave_window.total
-    takeover_window = leave_counts(protocol, n, controller_leaves=True)
-    takeover_total = takeover_window.total - takeover_window.get(
-        "controller_hello"
-    )
-    return join_total, leave_total, takeover_total
 
 
 def test_table4_totals(benchmark):
@@ -44,31 +31,23 @@ def test_table4_totals(benchmark):
     )
     for n in SIZES:
         expected = table4(n)
-        for protocol, key in (("cliques", "Cliques"), ("ckd", "CKD")):
-            join_m, leave_m, takeover_m = measured_serial(protocol, n)
-            exp = expected[key]
-            table.add(
-                n,
-                key,
-                f"{exp['Join']}/{join_m}",
-                f"{exp['Leave']}/{leave_m}",
-                f"{exp['Controller leaves']}/{takeover_m}",
-            )
-            assert join_m == exp["Join"], (protocol, n, "join")
+        for protocol, key in PAPER_MODULES:
+            paper = expected[key]
+            measured = {
+                column: serial_total(protocol, operation, n)
+                for column, operation in TABLE4_OPERATIONS.items()
+            }
+            table.add(n, key, *(
+                f"{paper[column]}/{count}" for column, count in measured.items()
+            ))
             # Cliques regular-member leave: our implementation performs
             # n-1 (the strip is unnecessary for a sitting controller);
-            # the paper's n is met exactly for the controller-leave case.
-            if protocol == "cliques":
-                assert leave_m == exp["Leave"] - 1
-                assert takeover_m == exp["Controller leaves"]
-            else:
-                assert leave_m == exp["Leave"]
-                assert takeover_m == exp["Controller leaves"]
+            # the paper's n is met exactly everywhere else.
+            pinned = {**paper, "Leave": n - 1} if protocol == "cliques" else paper
+            assert measured == pinned, (protocol, n)
     table.show()
 
-    def serial_join_at_15():
-        group = ProtocolGroup("cliques", params=DHParams.paper_512())
-        group.grow_to(14)
-        group.join()
-
-    benchmark.pedantic(serial_join_at_15, rounds=3, iterations=1)
+    benchmark.pedantic(
+        lambda: measure("cliques", "join", 15, params=DHParams.paper_512()),
+        rounds=3, iterations=1,
+    )

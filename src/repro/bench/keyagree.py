@@ -6,7 +6,7 @@ the fixed-base/multi-exponentiation backend enabled against the bare
 ``pow`` reference backend, **interleaved in the same timing window**
 (iterations alternate backends), so the recorded speedups survive host
 CPU drift.  Results land in ``BENCH_keyagree.json`` at the repository
-root — usually via :mod:`repro.bench.sweep`, which adds the figure sweep.
+root, together with the parallel figure sweep (:mod:`repro.bench.sweep`).
 
 What is timed and counted is the paper's *serial* path, by the one rule
 of :class:`repro.testbed.Operation`: the handler calls of the members
@@ -27,10 +27,12 @@ medians in ``BENCH_tgdh.json``.
 
 Run it::
 
-    python -m repro.bench.keyagree             # A/B harness only
-    python -m repro.bench.keyagree --compare   # + three-way comparison
-    python -m repro.bench.keyagree --modules tgdh   # subset of protocols
-    benchmarks/run_keyagree.sh                 # harness + figure sweep
+    python -m repro.bench.keyagree                # A/B harness + figure sweep
+    python -m repro.bench.keyagree --quick        # smoke-sized
+    python -m repro.bench.keyagree --skip-sweep   # A/B harness only
+    python -m repro.bench.keyagree --compare      # + three-way comparison
+    python -m repro.bench.keyagree --modules tgdh # subset of protocols
+    benchmarks/run_keyagree.sh                    # the same command
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from pathlib import Path
 from statistics import median
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.bench import sweep
 from repro.crypto import fixed_base
 from repro.crypto.dh import DHParams
 from repro.sim.rng import stable_seed
@@ -55,7 +58,7 @@ COMPARISON_SCHEMA = "keyagree-comparison/1"
 #: The default run list; any registered module name is accepted.
 MODULES = ("cliques", "ckd", "tgdh")
 
-#: Full-run group sizes: the ISSUE's "large groups" regime, past the
+#: Full-run group sizes: the "large groups" regime, past the
 #: paper's measured range, where the control plane dominates hardest.
 FULL_SIZES = (32, 64)
 QUICK_SIZES = (8,)
@@ -319,23 +322,6 @@ def write_report(
     return path
 
 
-def print_harness(document: Dict[str, object], path: Path) -> None:
-    """The A/B document's one-screen summary (shared with the sweep CLI)."""
-    print(f"wrote {path}")
-    for cell in document["cells"]:
-        print(
-            f"  {cell['protocol']:8s} {cell['operation']:6s} n={cell['size']:<4d}"
-            f" fast {cell['fast_median_s'] * 1e3:8.2f} ms"
-            f"  ref {cell['ref_median_s'] * 1e3:8.2f} ms"
-            f"  x{cell['speedup']:.2f}"
-            f"  counts_identical={cell['counts_identical']}"
-        )
-    print(
-        f"  median speedup {document['median_speedup_joinleave']:.2f}x,"
-        f" counts identical: {document['all_counts_identical']}"
-    )
-
-
 def _parse_modules(raw: Optional[str]) -> Optional[List[str]]:
     if raw is None:
         return None
@@ -347,20 +333,21 @@ def main(argv=None) -> int:
         prog="python -m repro.bench.keyagree",
         description=(
             "Control-plane key-agreement benchmarks: fast-path A/B"
-            " harness and the three-way protocol comparison"
+            " harness, parallel figure sweep and the three-way protocol"
+            " comparison"
         ),
     )
     parser.add_argument(
         "--quick", "--smoke", action="store_true",
-        help="smoke-sized run (< 5 s; --smoke is the CI entry point)",
+        help="smoke-sized run (< 10 s; --smoke is the CI entry point)",
     )
     parser.add_argument(
         "--modules",
         type=str,
         default=None,
         help=(
-            "comma-separated protocol subset"
-            f" (default: {','.join(MODULES)})"
+            "comma-separated protocol subset for the A/B harness and the"
+            f" comparison (default: {','.join(MODULES)})"
         ),
     )
     parser.add_argument(
@@ -369,10 +356,26 @@ def main(argv=None) -> int:
         help="also run the three-way comparison (writes BENCH_tgdh.json)",
     )
     parser.add_argument(
-        "--sizes", type=int, nargs="+", default=None, help="group sizes"
+        "--sizes", type=int, nargs="+", default=None, help="A/B group sizes"
     )
     parser.add_argument(
         "--iterations", type=int, default=None, help="A/B rounds per cell"
+    )
+    parser.add_argument(
+        "--skip-sweep", action="store_true", help="leave the figure sweep out"
+    )
+    parser.add_argument(
+        "--jobs", type=int, default=None,
+        help="sweep worker processes (default: cores)",
+    )
+    parser.add_argument(
+        "--trials", type=int, default=None, help="trials per sweep cell"
+    )
+    parser.add_argument("--figure3-sizes", type=int, nargs="+", default=None)
+    parser.add_argument("--figure4-sizes", type=int, nargs="+", default=None)
+    parser.add_argument(
+        "--seed", type=int, default=sweep.DEFAULT_BASE_SEED,
+        help="sweep base seed",
     )
     parser.add_argument(
         "--output",
@@ -395,14 +398,45 @@ def main(argv=None) -> int:
     quick = args.quick
     modules = _parse_modules(args.modules)
     started = time.perf_counter()
+    # The A/B harness times interleaved operations: it must own the CPU,
+    # so it runs serially, before any sweep worker process exists.
     document = run_harness(
         quick=quick,
         sizes=args.sizes,
         iterations=args.iterations,
         modules=modules,
     )
+    if not args.skip_sweep:
+        document["sweep"] = sweep.run_sweep(
+            figure3_sizes=args.figure3_sizes
+            or (sweep.QUICK_FIGURE3_SIZES if quick else sweep.FIGURE3_SIZES),
+            figure4_sizes=args.figure4_sizes
+            or (sweep.QUICK_FIGURE4_SIZES if quick else sweep.FIGURE4_SIZES),
+            trials=args.trials or (1 if quick else sweep.DEFAULT_TRIALS),
+            jobs=args.jobs,
+            base_seed=args.seed,
+        )
     document["harness_elapsed_s"] = time.perf_counter() - started
-    print_harness(document, write_report(document, args.output))
+    print(f"wrote {write_report(document, args.output)}")
+    for cell in document["cells"]:
+        print(
+            f"  {cell['protocol']:8s} {cell['operation']:6s} n={cell['size']:<4d}"
+            f" fast {cell['fast_median_s'] * 1e3:8.2f} ms"
+            f"  ref {cell['ref_median_s'] * 1e3:8.2f} ms"
+            f"  x{cell['speedup']:.2f}"
+            f"  counts_identical={cell['counts_identical']}"
+        )
+    print(
+        f"  median speedup {document['median_speedup_joinleave']:.2f}x,"
+        f" counts identical: {document['all_counts_identical']}"
+    )
+    if "sweep" in document:
+        swept = document["sweep"]
+        print(
+            f"  sweep: {len(swept['cells'])} cells on {swept['jobs']} workers"
+            f" in {swept['elapsed_s']:.1f}s,"
+            f" figure4 trials consistent: {swept['figure4_trials_consistent']}"
+        )
     if args.dump_dir:
         print(f"wrote obs dump {dump_metrics(args.dump_dir, document)}")
     if args.compare:

@@ -16,15 +16,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.expcount import table2, table4
 from repro.bench.platform_model import (
     PENTIUM_II_450,
     SUN_ULTRA2,
+    PlatformModel,
     calibrate_local_machine,
 )
 from repro.bench.reporting import Table
+from repro.net.link import LinkModel
 from repro.secure.session import CryptoCostModel
 from repro.testbed import SecureTestbed, measure
 
@@ -41,6 +43,14 @@ TABLE4_OPERATIONS = {
 }
 
 
+def leave_window(protocol: str, operation: str, n: int, **group_args):
+    """The counter window Table 3 itemises: that of the member that ran
+    a leave ("leave" or "controller_leave") at size ``n`` — the first to
+    emit, which started the protocol run."""
+    record = measure(protocol, operation, n, **group_args)
+    return record.windows[record.serial[0]]
+
+
 def serial_total(protocol: str, operation: str, n: int, **group_args) -> int:
     """Serial exponentiations of one operation, as Tables 2-4 count them.
 
@@ -49,10 +59,9 @@ def serial_total(protocol: str, operation: str, n: int, **group_args) -> int:
     replies to a takeover run in parallel and the paper leaves them
     out — less the once-per-tenure ``controller_hello`` (Table 5).
     """
-    record = measure(protocol, operation, n, **group_args)
-    if record.joined:
-        return record.total
-    window = record.windows[record.serial[0]]
+    if operation == "join":
+        return measure(protocol, operation, n, **group_args).total
+    window = leave_window(protocol, operation, n, **group_args)
     return window.total - window.get("controller_hello")
 
 
@@ -64,18 +73,36 @@ def join_roles(protocol: str, n: int, **group_args):
     return record.windows[controller], record.windows[joiner]
 
 
-def report_figure3() -> None:
-    testbed = SecureTestbed(cost_model=CryptoCostModel(PENTIUM_II_450.exp_cost))
-    names = []
-    join_times, leave_times = {}, {}
-    for size in range(1, max(FIGURE3_SIZES) + 1):
-        duration = testbed.timed_join(names)
-        if size in FIGURE3_SIZES:
-            join_times[size] = duration
-    for size in range(max(FIGURE3_SIZES), 1, -1):
+def figure3_series(
+    module: str = "cliques",
+    platform: PlatformModel = PENTIUM_II_450,
+    link: Optional[LinkModel] = None,
+    seed: int = 42,
+    sizes: Sequence[int] = FIGURE3_SIZES,
+) -> Tuple[Dict[int, float], Dict[int, float]]:
+    """Figure 3 on the simulated deployment: the virtual seconds of the
+    join that reaches each of ``sizes`` while the group grows to
+    ``max(sizes)``, and of the leave from each on the way back down to
+    ``min(sizes)`` (the newest member leaves: Cliques' controller)."""
+    testbed = SecureTestbed(
+        cost_model=CryptoCostModel(platform.exp_cost), link=link, seed=seed
+    )
+    names: List[str] = []
+    joins = {}
+    for size in range(1, max(sizes) + 1):
+        duration = testbed.timed_join(names, module=module)
+        if size in sizes:
+            joins[size] = duration
+    leaves = {}
+    for size in range(max(sizes), min(sizes) - 1, -1):
         duration = testbed.timed_leave(names)
-        if size in FIGURE3_SIZES:
-            leave_times[size] = duration
+        if size in sizes:
+            leaves[size] = duration
+    return joins, leaves
+
+
+def report_figure3() -> None:
+    join_times, leave_times = figure3_series()
     table = Table(
         "Figure 3 — total time (s), Cliques, Pentium model, simulated LAN",
         ["n", "join", "leave", "3n*exp reference"],

@@ -1,4 +1,4 @@
-"""Parallel experiment-sweep runner: ``python -m repro.bench.sweep``.
+"""Parallel experiment-sweep runner.
 
 Every (figure, protocol, group size, trial) is an independent cell with
 its own deterministic seed, fanned across a
@@ -6,8 +6,9 @@ its own deterministic seed, fanned across a
 
 Cell kinds:
 
-* ``figure3`` — the full-stack :class:`~repro.testbed.SecureTestbed`
-  (3 simulated machines, the paper's placement, the Pentium cost model):
+* ``figure3`` — :func:`repro.bench.report.figure3_series` at the one
+  size ``n`` (the full-stack :class:`~repro.testbed.SecureTestbed`:
+  3 simulated machines, the paper's placement, the Pentium cost model):
   virtual seconds for a join and a leave at group size ``n``.
 * ``figure4`` — pure-protocol exponentiation counts
   (:class:`~repro.testbed.ProtocolGroup`) converted to modeled CPU
@@ -21,38 +22,28 @@ salted and would silently break cross-process reproducibility).  A cell
 therefore produces the same result serial or parallel, on any worker,
 in any order — asserted by ``tests/bench/test_keyagree_harness.py``.
 
-The CLI combines the parallel sweep with the interleaved A/B
-key-agreement harness (:mod:`repro.bench.keyagree`) — the A/B part runs
-*serially* (timing cells must not compete for cores) — and writes the
-combined ``BENCH_keyagree.json`` at the repository root::
-
-    python -m repro.bench.sweep             # full run
-    python -m repro.bench.sweep --quick     # smoke-sized
-    benchmarks/run_keyagree.sh              # same as the full run
+``python -m repro.bench.keyagree`` runs the sweep after the interleaved
+A/B key-agreement harness (the A/B part first and serially: timing
+cells must not compete for cores) and records both in
+``BENCH_keyagree.json``; ``--skip-sweep`` leaves it out.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.bench import keyagree
 from repro.bench.platform_model import PENTIUM_II_450, SUN_ULTRA2
-from repro.bench.report import serial_total
-from repro.secure.session import CryptoCostModel
+from repro.bench.report import figure3_series, serial_total
 from repro.sim.rng import stable_seed
-from repro.testbed import SecureTestbed
 
 #: Figure 4 is counts-based: extending past the paper's n=30 to 128 is
 #: cheap and shows the asymptotic gap between the protocols.
 FIGURE4_SIZES = (8, 16, 32, 64, 128)
 #: Figure 3 runs the whole simulated deployment per join; cost grows
-#: superlinearly with n, so the default stops at 64 (the ISSUE target).
+#: superlinearly with n, so the default stops at 64.
 FIGURE3_SIZES = (8, 16, 32, 64)
 QUICK_FIGURE4_SIZES = (8,)
 QUICK_FIGURE3_SIZES = (4,)
@@ -98,17 +89,9 @@ def run_cell(cell: Dict[str, object]) -> Dict[str, object]:
 def _run_figure3_cell(cell: Dict[str, object]) -> Dict[str, object]:
     """Virtual join/leave latency at size n on the simulated deployment."""
     size = int(cell["size"])
-    testbed = SecureTestbed(
-        cost_model=CryptoCostModel(PENTIUM_II_450.exp_cost),
-        seed=int(cell["seed"]),
-    )
-    names = testbed.grow_group(size - 1)
-    join_s = testbed.timed_join(names)
-    leave_s = testbed.timed_leave(names)
+    joins, leaves = figure3_series(sizes=(size,), seed=int(cell["seed"]))
     return {
-        **cell,
-        "join_virtual_s": join_s,
-        "leave_virtual_s": leave_s,
+        **cell, "join_virtual_s": joins[size], "leave_virtual_s": leaves[size]
     }
 
 
@@ -184,80 +167,3 @@ def run_sweep(
         "figure4_trials_consistent": consistency,
         "elapsed_s": elapsed,
     }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.sweep",
-        description=(
-            "Parallel figure sweep + interleaved key-agreement A/B harness"
-        ),
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="smoke-sized run (< 10 s)"
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=None, help="worker processes (default: cores)"
-    )
-    parser.add_argument(
-        "--trials", type=int, default=None, help="trials per sweep cell"
-    )
-    parser.add_argument(
-        "--figure3-sizes", type=int, nargs="+", default=None
-    )
-    parser.add_argument(
-        "--figure4-sizes", type=int, nargs="+", default=None
-    )
-    parser.add_argument(
-        "--seed", type=int, default=DEFAULT_BASE_SEED, help="sweep base seed"
-    )
-    parser.add_argument(
-        "--skip-sweep", action="store_true", help="A/B harness only"
-    )
-    parser.add_argument(
-        "--modules",
-        type=str,
-        default=None,
-        help=(
-            "comma-separated protocol subset for the A/B harness"
-            f" (default: {','.join(keyagree.MODULES)})"
-        ),
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help=f"output JSON path (default: {keyagree._DEFAULT_OUTPUT})",
-    )
-    args = parser.parse_args(argv)
-
-    started = time.perf_counter()
-    # The A/B harness times interleaved operations: it must own the CPU,
-    # so it runs serially, before any worker processes exist.
-    document = keyagree.run_harness(
-        quick=args.quick, modules=keyagree._parse_modules(args.modules)
-    )
-    if not args.skip_sweep:
-        document["sweep"] = run_sweep(
-            figure3_sizes=args.figure3_sizes
-            or (QUICK_FIGURE3_SIZES if args.quick else FIGURE3_SIZES),
-            figure4_sizes=args.figure4_sizes
-            or (QUICK_FIGURE4_SIZES if args.quick else FIGURE4_SIZES),
-            trials=args.trials or (1 if args.quick else DEFAULT_TRIALS),
-            jobs=args.jobs,
-            base_seed=args.seed,
-        )
-    document["harness_elapsed_s"] = time.perf_counter() - started
-    keyagree.print_harness(document, keyagree.write_report(document, args.output))
-    if "sweep" in document:
-        sweep = document["sweep"]
-        print(
-            f"  sweep: {len(sweep['cells'])} cells on {sweep['jobs']} workers"
-            f" in {sweep['elapsed_s']:.1f}s,"
-            f" figure4 trials consistent: {sweep['figure4_trials_consistent']}"
-        )
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    sys.exit(main())

@@ -444,7 +444,13 @@ class SecureGroupSession:
         self._maybe_complete()
 
     def _on_sealed(self, group: GroupId, sender: str, sealed: SealedMessage) -> None:
-        """Add a sealed message to the run; the first schedules its drain."""
+        """Add a sealed message to the run; the first schedules its drain.
+
+        The tag binds ``sealed.sender`` to the epoch key, so a message
+        that arrives from any other Spread sender is a replay."""
+        if sealed.sender != sender:
+            self._reject(group, sender, sealed, "sender_mismatch")
+            return
         self._run.append((group, sender, sealed))
         if not self._drain_scheduled:
             self._drain_scheduled = True

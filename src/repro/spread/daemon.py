@@ -836,7 +836,7 @@ class SpreadDaemon(SimProcess):
         #    every daemon travelling with us (EVS).
         complement = install.complements.get(self.view, ())
         synced = install.synced.get(self.view, (self.name,))
-        self.pipeline.flush_with(complement, synced)
+        unsequenced = self.pipeline.flush_with(complement, synced)
         # 2. Compute group deltas between the pre-install table and the
         #    merged table (after pruning departed daemons).
         before = self.groups.snapshot()
@@ -894,8 +894,12 @@ class SpreadDaemon(SimProcess):
         # 3. Tell the extension hook (the daemon model re-keys here).
         if self.security is not None:
             self.security.on_install(self.view, self.view_members)
-        # 4. Replay client operations queued during the transition.
+        # 4. Re-submit the sends the old view never sequenced (a ring
+        #    whose token had not reached them), then replay the client
+        #    operations queued during the transition.
         pending, self._pending_ops = self._pending_ops, []
+        for send in unsequenced:
+            self._submit(*send)
         for operation in pending:
             operation()
         self._send_hello()

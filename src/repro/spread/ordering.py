@@ -569,7 +569,7 @@ class ViewPipeline:
         self,
         union_messages: Iterable[DataMessage],
         synced_members: Optional[Iterable[str]] = None,
-    ) -> None:
+    ) -> List[Tuple]:
         """Ingest the coordinator's union, then force-deliver the rest.
 
         All daemons that shared this view and move together receive the
@@ -628,3 +628,4 @@ class ViewPipeline:
             self.delivered_ts = max(self.delivered_ts, ts)
             self._deliver(message)
         self.closed = True
+        return []  # every submit was stamped and sent at once

@@ -344,11 +344,15 @@ class RingPipeline:
         self,
         union_messages: Iterable[DataMessage],
         synced_members: Optional[Iterable[str]] = None,
-    ) -> None:
+    ) -> List[Tuple]:
         """Ingest the union and force-deliver in global order.  Gaps that
         survive the union were assigned to messages nobody in this
         component holds; they are skipped (their sender travelled to
-        another component or died)."""
+        another component or died).
+
+        Returns the sends the token never reached, as ``submit``
+        arguments: nobody else holds them, so the daemon submits them
+        again in the next view."""
         for message in union_messages:
             if message.view_id == self.view_id:
                 seq = message.lamport
@@ -360,3 +364,5 @@ class RingPipeline:
             self.delivered_upto = seq
             self._deliver(self.received[seq])
         self.closed = True
+        unsequenced, self._pending = self._pending, []
+        return unsequenced

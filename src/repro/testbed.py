@@ -36,6 +36,7 @@ from repro.sim.trace import Tracer
 from repro.spread.client import SpreadClient
 from repro.spread.config import SpreadConfig
 from repro.spread.daemon import SpreadDaemon
+from repro.spread.events import MembershipEvent
 from repro.spread.flush import FlushClient
 from repro.spread.membership import STATE_OP
 
@@ -376,16 +377,52 @@ class SecureTestbed:
             timeout=timeout,
         )
 
+    def plain_join(
+        self, clients: list, *names: str, group: str = "g", flush: bool = True
+    ) -> Tuple[float, int]:
+        """Members with no security join ``group``: each of ``names``
+        connects at the paper's placement (the next index of
+        ``clients``), as an auto-flushing :class:`FlushClient` or, with
+        ``flush=False``, a raw (EVS) :class:`SpreadClient`, and joins;
+        then run until every client in ``clients`` (the new ones
+        appended) sees a view of ``len(clients)`` members.  Returns the
+        virtual seconds and datagrams from the first join request."""
+        start, sent = self.kernel.now, self.network.datagrams_sent
+        for name in names:
+            raw = SpreadClient(
+                self.kernel, name, self.daemons[self.placement(len(clients))]
+            )
+            raw.connect()
+            client = FlushClient(raw, auto_flush=True) if flush else raw
+            clients.append(client)
+            client.join(group)
+        self.wait_plain_view(clients, group)
+        return self.kernel.now - start, self.network.datagrams_sent - sent
+
+    def wait_plain_view(
+        self, clients: list, group: str = "g", timeout: float = 60.0
+    ) -> None:
+        """Run until every client's last view of ``group`` has
+        ``len(clients)`` members."""
+
+        def size(client) -> int:
+            views = [
+                e for e in client.queue
+                if isinstance(e, MembershipEvent) and str(e.group) == group
+            ]
+            return len(views[-1].members) if views else 0
+
+        self.run_until(
+            lambda: all(size(c) == len(clients) for c in clients), timeout=timeout
+        )
+
     # -- experiment primitives -------------------------------------------------------
 
     def grow_group(self, size: int, group: str = "g", module: str = "cliques") -> List[str]:
         """Build an n-member secure group with the paper's placement."""
-        names = []
-        for index in range(size):
-            name = f"m{index}"
-            self.add_member(name, self.placement(index), group, module)
-            names.append(name)
-            self.wait_secure_view(names, group)
+        names: List[str] = []
+        for __ in range(size):
+            self.timed_join(names, group, module)
         return names
 
     def timed_join(self, names: List[str], group: str = "g",

@@ -1,6 +1,7 @@
 """Tier-1 smoke tests for the key-agreement A/B harness and the
-parallel sweep runner: one quick harness run plus one cell of each
-sweep kind, so a broken bench fails in the ordinary test run."""
+parallel sweep runner: one quick harness run, one cell of each sweep
+kind and one run of the CLI that records both, so a broken bench fails
+in the ordinary test run."""
 
 from __future__ import annotations
 
@@ -155,3 +156,18 @@ def test_make_cells_seeds_are_stable_and_distinct():
     assert cells == again  # stable across calls (and across processes)
     seeds = [c["seed"] for c in cells]
     assert len(set(seeds)) == len(seeds)
+
+
+def test_cli_records_the_harness_with_the_sweep(tmp_path, capsys):
+    output = tmp_path / "BENCH_keyagree.json"
+    argv = ["--quick", "--modules", "tgdh", "--jobs", "1", "--output", str(output)]
+    assert keyagree.main(argv) == 0
+    document = json.loads(output.read_text())
+    assert {c["protocol"] for c in document["cells"]} == {"tgdh"}
+    assert {(c["kind"], c["size"]) for c in document["sweep"]["cells"]} == {
+        ("figure3", 4), ("figure4", 8)
+    }
+    assert document["sweep"]["figure4_trials_consistent"] is True
+    assert keyagree.main(argv + ["--skip-sweep"]) == 0
+    assert "sweep" not in json.loads(output.read_text())
+    assert f"wrote {output}" in capsys.readouterr().out

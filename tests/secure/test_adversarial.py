@@ -72,6 +72,23 @@ def test_replayed_sealed_message_from_old_epoch_dropped():
     assert h.payloads_of("a").count(b"first epoch secret") == count_before
 
 
+def test_replayed_sealed_message_same_epoch_dropped():
+    """A sniffed message re-multicast in its own epoch carries a valid
+    tag; the sender it names (bound by the MAC) is not the Spread sender
+    it arrives from, so it is rejected before it is unsealed."""
+    h = SecureHarness()
+    a, b = build_pair(h)
+    sniffed = wire_tap(b)
+    a.send("g", b"same epoch secret")
+    h.run_until(lambda: b"same epoch secret" in h.payloads_of("b"))
+    rejected = b.sessions["g"].rejected_messages
+    inject(h, "mallory", "d2", "g", sniffed[-1])
+    h.run(2.0)
+    assert h.payloads_of("b").count(b"same epoch secret") == 1
+    assert h.payloads_of("a").count(b"same epoch secret") == 1
+    assert b.sessions["g"].rejected_messages == rejected + 1
+
+
 def test_forged_key_confirm_cannot_complete_view():
     """An attacker spamming KeyConfirms with a fake fingerprint must not
     trick members into a bad view; mismatches force a restart and the

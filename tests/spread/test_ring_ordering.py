@@ -273,3 +273,24 @@ def test_secure_group_over_ring():
     h.wait_view(["a", "b"], timeout=60)
     a.send("g", b"sealed over the ring")
     h.run_until(lambda: b"sealed over the ring" in h.payloads_of("b"), timeout=60)
+
+
+def test_ring_keeps_unsequenced_sends_across_a_view_change():
+    """Sends the token never reached before a view change are carried
+    into the new view's ring, not dropped: with d2 stalled the token
+    stops, the daemons re-form without it and again with it, and every
+    one of a's multicasts still comes back to it exactly once."""
+    cluster = ring_cluster()
+    a = cluster.client("a", "d0")
+    b = cluster.client("b", "d1")
+    a.join("g")
+    b.join("g")
+    cluster.run_until(lambda: members_of(a) == {"#a#d0", "#b#d1"}, timeout=60)
+    cluster.daemons["d2"].stall()
+    for i in range(300):
+        a.multicast(ServiceType.AGREED, "g", i)
+    cluster.run(3.0)
+    cluster.daemons["d2"].resume()
+    cluster.run(3.0)
+    assert payloads(a) == list(range(300))
+    assert payloads(b) == list(range(300))

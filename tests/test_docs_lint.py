@@ -9,6 +9,12 @@ Every backticked ``repro.…`` name in the README, ``docs/`` and
 one (a trailing ``*`` matches any attribute with that prefix), so a
 deleted module or class cannot live on in a doc.  EXPERIMENTS.md is
 out of scope: its history names retired CLIs on purpose.
+
+Every backticked path under ``src/``, ``tests/``, ``benchmarks/``,
+``docs/`` or ``examples/`` in the same files, outside fenced recipes,
+must exist (a ``*`` or a ``{a,b}`` must match something), and every
+``FILE.py::name`` must name a function or class defined in that file,
+so a renamed file or test cannot live on in a doc either.
 """
 
 from __future__ import annotations
@@ -25,6 +31,10 @@ SRC_ROOT = REPO / "src"
 COMMAND = re.compile(r"python3?\s+-m\s+(repro(?:\.\w+)+)")
 SPAN = re.compile(r"`+([^`]+)`+")
 NAME = re.compile(r"\brepro(?:\.\w+)+\*?")
+PATH_ROOTS = ("src/", "tests/", "benchmarks/", "docs/", "examples/")
+BRACES = re.compile(r"\{([^{}]*)\}")
+#: A fenced block is a recipe: its paths may be files the recipe makes.
+FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
 
 
 def _doc_files():
@@ -120,3 +130,63 @@ def test_every_backticked_repro_name_resolves():
         name: sorted(where) for name, where in named.items() if not _resolves(name)
     }
     assert not missing, f"documented names that do not exist: {missing}"
+
+
+def _expand(pattern: str):
+    """Shell brace expansion: ``a/{b,c}.py`` -> ``a/b.py``, ``a/c.py``."""
+    match = BRACES.search(pattern)
+    if match is None:
+        return [pattern]
+    head, tail = pattern[: match.start()], pattern[match.end():]
+    return [
+        path
+        for choice in match.group(1).split(",")
+        for path in _expand(head + choice + tail)
+    ]
+
+
+def _defined_names(path: Path) -> set:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        )
+    }
+
+
+def _path_problem(token: str):
+    """Why a documented path token is wrong, or None if it holds."""
+    path, *names = token.split("::")
+    matches = []
+    for pattern in _expand(path):
+        found = sorted(REPO.glob(pattern)) if "*" in pattern else [REPO / pattern]
+        if not any(candidate.exists() for candidate in found):
+            return f"no such file: {pattern}"
+        matches += found
+    for name in names:
+        name = name.split("[")[0]  # a parametrised id: test_x[sim]
+        for found in matches:
+            if name not in _defined_names(found):
+                return f"{name} is not defined in {found.relative_to(REPO)}"
+    return None
+
+
+def test_every_backticked_path_exists():
+    documented = {}
+    for path, text in _doc_files():
+        for span in SPAN.findall(FENCE.sub("", text)):
+            for token in span.split():
+                token = token.rstrip(".,:;)")
+                if token.startswith(PATH_ROOTS):
+                    documented.setdefault(token, set()).add(
+                        path.relative_to(REPO).as_posix()
+                    )
+    assert "tests/test_layering.py" in documented, sorted(documented)
+    broken = {
+        token: (problem, sorted(where))
+        for token, where in documented.items()
+        if (problem := _path_problem(token)) is not None
+    }
+    assert not broken, f"documented paths that do not exist: {broken}"
