@@ -15,9 +15,10 @@ promises to keep under arbitrary asynchrony and failures:
   same ``(group, view, attempt)`` epoch confirms the *same* key
   fingerprint over the *same* member set.
 * **Secrecy boundaries** (§5): every plaintext the application layer
-  received was (a) unsealed under exactly the epoch it was sealed in
-  and (b) byte-identical to something a member actually sent in that
-  epoch.  A corrupted or replayed ciphertext must die at the MAC with a
+  received was (a) unsealed under exactly the epoch it was sealed in,
+  (b) byte-identical to something its named sender actually sent in
+  that epoch, and (c) from a member of the receiver's secure view for
+  the epoch.  A corrupted or replayed ciphertext must die at the MAC with a
   ``secure.reject`` trace, never surface as application data.
 * **Post-quiescence convergence**: once all faults are repaired and the
   network quiesces, live daemons share one view, every member holds a
@@ -276,30 +277,54 @@ class InvariantChecker:
     # -- secrecy ---------------------------------------------------------------
 
     def check_secrecy(self) -> List[InvariantViolation]:
-        sent: Dict[str, Set[str]] = {}
+        sent: Dict[str, Set[Tuple[str, str]]] = {}
+        views: Dict[Tuple[str, str], FrozenSet[str]] = {}
         for event in self.events:
             if event.kind == "secure.send":
-                sent.setdefault(event["epoch"], set()).add(event["digest"])
+                sent.setdefault(event["epoch"], set()).add(
+                    (event["me"], event["digest"])
+                )
+            elif event.kind == "secure.confirmed":
+                epoch = f"{event['group']}|{event['view']}|{event['attempt']}"
+                views[(event["me"], epoch)] = frozenset(event["members"])
         violations: List[InvariantViolation] = []
         for event in self.events:
             if event.kind != "secure.data":
                 continue
-            epoch = event["epoch"]
-            digest = event["digest"]
-            if digest not in sent.get(epoch, set()):
-                where = [e for e, digests in sent.items() if digest in digests]
+            me, sender = event["me"], event["sender"]
+            epoch, digest = event["epoch"], event["digest"]
+            if (sender, digest) in sent.get(epoch, ()):
+                # A member whose confirmation fell out of a capped trace
+                # is not judged on it.
+                members = views.get((me, epoch))
+                if members is None or sender in members:
+                    continue
+                detail = (
+                    f"{me} delivered data from {sender} in epoch {epoch},"
+                    f" outside its secure view {sorted(members)}"
+                )
+            elif any(d == digest for _, d in sent.get(epoch, ())):
+                detail = (
+                    f"{me} delivered plaintext {digest} in epoch {epoch}"
+                    f" as {sender}'s, who never sent it there"
+                )
+            else:
+                where = [
+                    e for e, pairs in sent.items()
+                    if any(d == digest for _, d in pairs)
+                ]
                 if where:
                     detail = (
-                        f"{event['me']} opened epoch-{where[0]} data under"
+                        f"{me} opened epoch-{where[0]} data under"
                         f" epoch {epoch}: cross-epoch secrecy breach"
                     )
                 else:
                     detail = (
-                        f"{event['me']} delivered plaintext {digest} in"
+                        f"{me} delivered plaintext {digest} in"
                         f" epoch {epoch} that no member ever sent"
                         " (corruption reached the application)"
                     )
-                violations.append(InvariantViolation("secrecy", detail))
+            violations.append(InvariantViolation("secrecy", detail))
         return violations
 
     # -- convergence -----------------------------------------------------------

@@ -28,6 +28,7 @@ Run it with ``python -m repro.chaos.crucible --backend tcp``.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.chaos.harness import GROUP, Crucible
@@ -47,6 +48,7 @@ from repro.spread.daemon import SpreadDaemon
 from repro.spread.flush import FlushClient
 from repro.spread.membership import STATE_OP
 from repro.testbed import SecureTestbed
+from repro.transport.auth import FrameAuth
 from repro.transport.client import TcpSpreadClient
 from repro.transport.deploy import realtime_config
 from repro.transport.host import DaemonHost, wait_for_condition
@@ -112,6 +114,11 @@ class TransportCrucible(Crucible):
         self.config = realtime_config(
             self.DAEMONS, HELLO_INTERVAL, FAIL_TIMEOUT
         )
+        # Keyed, as the benchmark is: netem's corrupt faults hit tagged
+        # frames, whose tag is their only integrity check.
+        self.auth = FrameAuth(
+            hashlib.sha256(f"tcrucible-auth/{seed}/{module}".encode()).digest()
+        )
         self.hosts: Dict[str, DaemonHost] = {}
         self.daemons: Dict[str, SpreadDaemon] = {}
         self.members: Dict[str, SecureClient] = {}
@@ -165,6 +172,7 @@ class TransportCrucible(Crucible):
                 hosted=(name,),
                 tracer=self.tracer,
                 seed=stable_seed("tcrucible-host", self.seed, name),
+                auth=self.auth,
             )
             await host.start()
             self.hosts[name] = host
@@ -201,22 +209,14 @@ class TransportCrucible(Crucible):
         self, name: str, daemon: str, group: str = GROUP, module: str = "cliques"
     ) -> SecureClient:
         """One SecureClient over a TcpSpreadClient, dialing the daemon
-        through a dedicated netem link, heartbeat liveness armed."""
+        through a dedicated netem link."""
         address = self.loop.run_until_complete(
             self.netem.open_link(
                 client_link_name(name), self._target(daemon, "client")
             )
         )
         client = TcpSpreadClient(
-            address,
-            name,
-            clock=self.kernel,
-            backoff_base=0.05,
-            backoff_cap=1.0,
-            connect_timeout=1.0,
-            heartbeat_group=f"hb-{name}",
-            heartbeat_interval=HELLO_INTERVAL,
-            liveness_timeout=FAIL_TIMEOUT * 2,
+            address, name, clock=self.kernel, auth=self.auth
         )
         self.loop.run_until_complete(client.connect())
         source = DeterministicSource(stable_seed("tcrucible-key", self.seed, name))

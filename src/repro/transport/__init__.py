@@ -20,13 +20,16 @@ run over real sockets:
   (``python -m repro.transport.daemon CONFIG [--machine NAME]``).
 * :mod:`repro.transport.client` — ``TcpSpreadClient``: the shared
   Spread client core (:mod:`repro.spread.client`) over a socket, with
-  auto-reconnect and heartbeat liveness.
+  auto-reconnect and a liveness ping, both timed by the daemon's own
+  timers.
 * :mod:`repro.transport.netem` — WAN-shaped fault injection: a seeded
   shaping TCP proxy (``NetemLink``/``NetemWorld``) plus declarative
   ``NetemSchedule`` fault scripts.
 * :mod:`repro.transport.auth` — frame authentication: HMAC-SHA256 tags
   under a pre-shared deployment key (``FrameAuth``, key-file CLI) plus
-  the restricted unpickler wire bodies decode through.
+  the restricted unpickler wire bodies decode through.  Every ``auth=``
+  argument is a ``FrameAuth`` or ``None`` (keyless); a deployment's key
+  comes from its file.
 * :mod:`repro.transport.deploy` — deployment config files (TOML/JSON:
   daemon names, hosts, ports, key file) parsed to a ``Deployment``;
   the one description of a real deployment.
@@ -39,7 +42,7 @@ re-exported lazily so importing :mod:`repro.transport` from low-level
 code can never create an import cycle with :mod:`repro.spread`.
 """
 
-from repro.transport.auth import AUTH_DISABLED, FrameAuth, restricted_loads
+from repro.transport.auth import FrameAuth, restricted_loads
 from repro.transport.rtclock import RealtimeClock
 from repro.transport.tcp import TcpTransport, TransportMap
 from repro.transport.wire import FrameDecoder, decode_frame, encode_frame
@@ -51,7 +54,6 @@ __all__ = [
     "FrameDecoder",
     "decode_frame",
     "encode_frame",
-    "AUTH_DISABLED",
     "FrameAuth",
     "restricted_loads",
     "Deployment",

@@ -12,9 +12,8 @@ halves of the fix:
   envelope (with the buffer lengths before it) and the digest of each
   out-of-band buffer (a fragment chunk, see :mod:`repro.transport.wire`).
   Verification is constant-time.  Every process in a deployment shares
-  one key (a deployment file's ``keyfile`` / the
-  ``REPRO_TRANSPORT_KEYFILE`` environment variable); a frame whose tag
-  does not verify is rejected before its body is ever unpickled.  The
+  one key (the deployment file's ``keyfile``); a frame whose tag does
+  not verify is rejected before its body is ever unpickled.  The
   tag is a tagged frame's only integrity check: the CRC-32 is computed
   on untagged frames alone.
 
@@ -51,7 +50,6 @@ import argparse
 import hmac
 import importlib
 import io
-import os
 import pickle
 import secrets
 import sys
@@ -76,11 +74,6 @@ from repro.crypto.hmac_mac import (
 )
 from repro.errors import FrameAuthError, RestrictedUnpickleError
 
-#: Environment knob: deployment-wide default key file.  When set, every
-#: transport, host, and client constructed without an explicit ``auth``
-#: argument enables frame authentication under this key.
-KEYFILE_ENV = "REPRO_TRANSPORT_KEYFILE"
-
 #: Size of the per-frame HMAC-SHA256 tag on the wire.
 TAG_SIZE = SHA256_DIGEST_SIZE
 
@@ -89,23 +82,6 @@ MIN_KEY_BYTES = 16
 
 #: Bytes of fresh entropy in a generated key file.
 GENERATED_KEY_BYTES = 32
-
-
-class _AuthDisabled:
-    """Sentinel: explicitly disable frame auth, overriding the env key."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "AUTH_DISABLED"
-
-
-#: Pass as ``auth=`` to force authentication *off* even when
-#: ``REPRO_TRANSPORT_KEYFILE`` is set (keyless deployments and probes).
-AUTH_DISABLED = _AuthDisabled()
-
-#: What callers may pass wherever an ``auth`` argument is accepted.
-AuthSpec = Union[None, "_AuthDisabled", "FrameAuth", str, Path]
 
 
 class VerifiedBuffer(bytes):
@@ -216,28 +192,6 @@ def generate_keyfile(path: Union[str, Path], force: bool = False) -> bytes:
     except OSError:  # pragma: no cover - exotic filesystems
         pass
     return key
-
-
-def resolve_auth(auth: AuthSpec = None) -> Optional[FrameAuth]:
-    """Resolve an ``auth`` argument to a :class:`FrameAuth` or ``None``.
-
-    * ``None`` — deployment default: load ``REPRO_TRANSPORT_KEYFILE``
-      if set, otherwise run unauthenticated.
-    * :data:`AUTH_DISABLED` — force auth off, ignoring the environment.
-    * :class:`FrameAuth` — used as-is.
-    * ``str`` / ``Path`` — treated as a key file path.
-
-    Called once at transport/host/client construction so the hot path
-    never consults the environment per frame.
-    """
-    if auth is None:
-        path = os.environ.get(KEYFILE_ENV, "").strip()
-        return FrameAuth.from_keyfile(path) if path else None
-    if auth is AUTH_DISABLED:
-        return None
-    if isinstance(auth, FrameAuth):
-        return auth
-    return FrameAuth.from_keyfile(auth)
 
 
 # ---------------------------------------------------------------------------

@@ -10,27 +10,29 @@ stack run over it without a line changed.  What it adds is the IPC
 loop turn coalesced into one frame by a :class:`FrameBatch`) and two
 things a real network needs:
 
+* **Liveness**: once per the daemon's ``hello_interval`` the client
+  writes a ``ClientPing`` that the daemon's connection handler echoes
+  back.  If no echo arrives for twice the daemon's ``fail_timeout``,
+  the connection is declared dead and aborted, which funnels into the
+  reconnect path below.  This catches the half-open TCP case where the
+  socket looks writable but the daemon is gone.  The ping never leaves
+  the link: the daemon's protocol does not see it.  Both timers come in
+  the daemon's ``ClientWelcome``, so a client has none of its own.
+
 * **Auto-reconnect**: when the connection drops, the client backs off
-  with decorrelated jitter (uniform in ``[base, 3 × previous]``, capped
-  — so a crowd of clients dropped by one daemon restart does not storm
-  back in lockstep), re-connects under the same private name with a
-  per-attempt connect timeout (a blackholed or half-open listener
-  cannot wedge the retry loop), and re-joins every group it was in.
-  The application sees exactly one
+  as the daemons' peer channels do (``decorrelated_jitter`` between
+  ``BACKOFF_BASE`` and ``BACKOFF_CAP`` of :mod:`repro.transport.tcp`,
+  so a crowd of clients dropped by one daemon restart does not storm
+  back in lockstep), re-connects under the same private name with each
+  attempt bounded by the daemon's ``fail_timeout`` (a blackholed or
+  half-open listener cannot wedge the retry loop), and re-joins every
+  group it was in.  The application sees exactly one
   :class:`~repro.spread.events.ConnectionLostEvent` per outage, one
   :class:`~repro.spread.events.ConnectionRestoredEvent`, then the
   normal membership events as its re-joins install — a membership
   resync, not an event replay.  (A daemon that still holds the old
   connection refuses the duplicate name; that refusal is retried like
   any other failure until the daemon notices the broken old socket.)
-
-* **Heartbeat liveness**: optionally the client joins a heartbeat group
-  and multicasts UNRELIABLE beacons to itself on a timer.  The beacons
-  are consumed internally (never queued to the application); if echoes
-  stop for ``liveness_timeout`` seconds, the connection is declared
-  dead and aborted, which funnels into the same reconnect path.  This
-  catches the half-open TCP case where the socket looks writable but
-  the daemon is gone.
 """
 
 from __future__ import annotations
@@ -40,11 +42,7 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import ConnectionClosedError, FrameError, TransportError
 from repro.spread.client import ClientCore
-from repro.spread.events import (
-    ConnectionLostEvent,
-    ConnectionRestoredEvent,
-    DataEvent,
-)
+from repro.spread.events import ConnectionLostEvent, ConnectionRestoredEvent
 from repro.spread.messages import PACK_MAX_BYTES, PACK_MAX_MESSAGES, payload_size
 from repro.transport.protocol import (
     ClientBye,
@@ -55,12 +53,13 @@ from repro.transport.protocol import (
     ClientLeave,
     ClientMulticast,
     ClientMulticastBatch,
+    ClientPing,
     ClientRefused,
     ClientWelcome,
 )
-from repro.transport.auth import AuthSpec, resolve_auth
+from repro.transport.auth import FrameAuth
 from repro.transport.rtclock import RealtimeClock
-from repro.transport.tcp import READ_CHUNK, decorrelated_jitter
+from repro.transport.tcp import BACKOFF_BASE, READ_CHUNK, decorrelated_jitter
 from repro.transport.wire import REJECT_COUNTERS, FrameDecoder, encode_frame
 from repro.types import ProcessId, ServiceType
 
@@ -142,29 +141,20 @@ class TcpSpreadClient(ClientCore):
         private_name: str,
         clock: Optional[RealtimeClock] = None,
         reconnect: bool = True,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
-        heartbeat_group: Optional[str] = None,
-        heartbeat_interval: float = 0.25,
-        liveness_timeout: float = 2.0,
-        connect_timeout: float = 5.0,
-        auth: AuthSpec = None,
+        auth: Optional[FrameAuth] = None,
     ) -> None:
         super().__init__(private_name)
         self.address = address
         self.kernel = clock  # created at connect() when not supplied
         self.auto_reconnect = reconnect
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.connect_timeout = connect_timeout
-        self.heartbeat_group = heartbeat_group
-        self.heartbeat_interval = heartbeat_interval
-        self.liveness_timeout = liveness_timeout
-        self.auth = resolve_auth(auth)
+        self.auth = auth
 
         self.name = f"#{private_name}#?"
         self.daemon_name: Optional[str] = None
         self.max_message_size = 65536
+        #: The daemon's timers, from its welcome (None until connected).
+        self.hello_interval: Optional[float] = None
+        self.fail_timeout: Optional[float] = None
         self.counters = {
             "bytes_sent": 0,
             "bytes_recv": 0,
@@ -173,8 +163,8 @@ class TcpSpreadClient(ClientCore):
             "drops": 0,
             "reconnects": 0,
             "reconnect_attempts": 0,
-            "heartbeats_sent": 0,
-            "heartbeats_echoed": 0,
+            "pings_sent": 0,
+            "pings_echoed": 0,
             "liveness_aborts": 0,
             "send_errors": 0,
         }
@@ -187,9 +177,9 @@ class TcpSpreadClient(ClientCore):
         self._lost_cause: Optional[BaseException] = None
         self._reader_task: Optional[asyncio.Task] = None
         self._closing = False
-        self._hb_timer = None
-        self._hb_seq = 0
-        self._hb_last_echo: Optional[float] = None
+        self._ping_timer = None
+        self._ping_seq = 0
+        self._last_echo = 0.0
 
     # -- connection lifecycle ----------------------------------------------
 
@@ -206,9 +196,7 @@ class TcpSpreadClient(ClientCore):
         self._reader_task = asyncio.get_running_loop().create_task(
             self._read_loop(), name=f"spread-client:{self.private_name}"
         )
-        if self.heartbeat_group is not None:
-            self.join(self.heartbeat_group)
-            self._arm_heartbeat()
+        self._start_ping()
         return self.pid
 
     async def _connect_once(self) -> None:
@@ -248,17 +236,16 @@ class TcpSpreadClient(ClientCore):
         self.daemon_name = str(welcome.pid.daemon)
         self.name = str(welcome.pid)
         self.max_message_size = welcome.max_message_size
+        self.hello_interval = welcome.hello_interval
+        self.fail_timeout = welcome.fail_timeout
         self._opened(welcome.pid)
-        self._hb_last_echo = None
 
     def disconnect(self) -> None:
         """Voluntarily close: announce, stop reconnecting, drop."""
         if self._closing:
             return
         self._closing = True
-        if self._hb_timer is not None:
-            self._hb_timer.cancel()
-            self._hb_timer = None
+        self._stop_ping()
         if self.connected:
             try:
                 self._raw_send(ClientDisconnect(self.private_name))
@@ -373,12 +360,10 @@ class TcpSpreadClient(ClientCore):
 
     def _handle(self, op: Any) -> None:
         if isinstance(op, ClientDeliver):
-            event = op.event
-            if isinstance(event, DataEvent) and self._is_heartbeat(event):
-                self.counters["heartbeats_echoed"] += 1
-                self._hb_last_echo = self.kernel.now
-                return
-            self._deliver(event)
+            self._deliver(op.event)
+        elif isinstance(op, ClientPing):
+            self.counters["pings_echoed"] += 1
+            self._last_echo = self.kernel.now
         elif isinstance(op, ClientBye):
             raise ConnectionClosedError(f"daemon said bye: {op.reason}")
         else:
@@ -391,6 +376,7 @@ class TcpSpreadClient(ClientCore):
         is re-established (groups re-joined), False when giving up."""
         self.connected = False
         self.counters["drops"] += 1
+        self._stop_ping()
         self._sends.discard()
         reason = f"{type(cause).__name__}: {cause}"
         if self._writer is not None:
@@ -403,21 +389,17 @@ class TcpSpreadClient(ClientCore):
             self._closed()
             return False
         rng = self.kernel.rng.child(f"client-backoff/{self.private_name}")
-        delay = self.backoff_base
+        delay = BACKOFF_BASE
         while not self._closing:
             await asyncio.sleep(delay)
-            delay = decorrelated_jitter(
-                rng, delay, self.backoff_base, self.backoff_cap
-            )
+            delay = decorrelated_jitter(rng, delay)
             self.counters["reconnect_attempts"] += 1
             try:
-                # The per-attempt timeout matters against a blackholed
-                # or half-open listener: the TCP connect (or handshake)
+                # The per-attempt bound matters against a blackholed or
+                # half-open listener: the TCP connect (or handshake)
                 # would otherwise hang forever and the loop would never
                 # retry once the partition heals.
-                await asyncio.wait_for(
-                    self._connect_once(), self.connect_timeout
-                )
+                await asyncio.wait_for(self._connect_once(), self.fail_timeout)
             except (
                 OSError,
                 TransportError,
@@ -430,6 +412,7 @@ class TcpSpreadClient(ClientCore):
             break
         if self._closing:
             return False
+        self._start_ping()
         self.counters["reconnects"] += 1
         tracer = self.kernel.tracer
         if tracer.enabled:
@@ -446,62 +429,44 @@ class TcpSpreadClient(ClientCore):
         self._emit(ConnectionRestoredEvent())
         return True
 
-    # -- heartbeat liveness ------------------------------------------------
+    # -- liveness --------------------------------------------------------
 
-    def _is_heartbeat(self, event: DataEvent) -> bool:
-        return (
-            self.heartbeat_group is not None
-            and event.group == self.heartbeat_group
-            and str(event.sender) == str(self.pid)
+    def _start_ping(self) -> None:
+        """Arm the ping on a fresh connection: its welcome counts as
+        the first echo."""
+        self._last_echo = self.kernel.now
+        self._arm_ping()
+
+    def _arm_ping(self) -> None:
+        self._ping_timer = self.kernel.call_later(
+            self.hello_interval, self._ping_tick, label=f"{self.name}.ping"
         )
 
-    def _arm_heartbeat(self) -> None:
-        self._hb_timer = self.kernel.call_later(
-            self.heartbeat_interval,
-            self._heartbeat_tick,
-            label=f"{self.name}.heartbeat",
-        )
+    def _stop_ping(self) -> None:
+        if self._ping_timer is not None:
+            self._ping_timer.cancel()
+            self._ping_timer = None
 
-    def _heartbeat_tick(self) -> None:
-        if self._closing:
+    def _ping_tick(self) -> None:
+        self._ping_timer = None
+        idle = self.kernel.now - self._last_echo
+        if idle <= 2 * self.fail_timeout:
+            self._ping_seq += 1
+            self._raw_send(ClientPing(self._ping_seq))
+            self.counters["pings_sent"] += 1
+            self._arm_ping()
             return
-        if self.connected:
-            self._hb_seq += 1
-            beacon = ClientMulticast(
-                self.pid,
-                ServiceType.UNRELIABLE,
-                self.heartbeat_group,
-                ("hb", self._hb_seq),
-                0,
+        # No echo: the connection is dead.  Abort the socket; the read
+        # loop's error path reconnects and re-arms the ping.
+        self.counters["liveness_aborts"] += 1
+        tracer = self.kernel.tracer
+        if tracer.enabled:
+            tracer.record(
+                "transport.client_liveness",
+                client=self.private_name,
+                idle=idle,
             )
-            try:
-                self._raw_send(ClientMulticastBatch((beacon,)))
-                self.counters["heartbeats_sent"] += 1
-            except Exception:
-                pass
-            last = self._hb_last_echo
-            if last is None:
-                # Seed liveness at the first beacon of a (re)connected
-                # session: a socket that is half-open from the very
-                # start never produces an echo to set this, and must
-                # still trip the timeout.
-                self._hb_last_echo = self.kernel.now
-            elif self.kernel.now - last > self.liveness_timeout:
-                # Echoes stopped: declare the connection dead.  Abort
-                # the socket; the read loop's error path reconnects.
-                self._hb_last_echo = None
-                self.counters["liveness_aborts"] += 1
-                tracer = self.kernel.tracer
-                if tracer.enabled:
-                    tracer.record(
-                        "transport.client_liveness",
-                        client=self.private_name,
-                        idle=self.kernel.now - last,
-                    )
-                writer = self._writer
-                if writer is not None:
-                    try:
-                        writer.transport.abort()
-                    except Exception:
-                        pass
-        self._arm_heartbeat()
+        self._lost_cause = ConnectionClosedError(
+            f"no ping echo for {idle:.2f}s"
+        )
+        self._writer.transport.abort()

@@ -10,9 +10,9 @@ loopback experiments::
     python -m repro.transport.daemon examples/deploy_loopback.toml --machine d0
 
 :mod:`repro.transport.launch` spawns exactly this command per machine.
-Frames are authenticated under the file's ``keyfile`` if it names one,
-otherwise under ``$REPRO_TRANSPORT_KEYFILE`` if that is set (a launched
-daemon never inherits it: the file alone decides).
+Frames are authenticated under the file's ``keyfile`` if it names one;
+a file without one runs keyless.  The file alone decides: nothing is
+read from the environment.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import sys
 from typing import Sequence
 
 from repro.errors import DeployError
+from repro.transport.auth import FrameAuth
 from repro.transport.deploy import Deployment, load_deployment
 from repro.transport.host import DaemonHost
 
@@ -52,7 +53,11 @@ async def run(deployment: Deployment, hosted: Sequence[str]) -> None:
         deployment.transport_map(),
         bind=deployment.bind,
         seed=deployment.seed,
-        auth=deployment.keyfile,
+        auth=(
+            FrameAuth.from_keyfile(deployment.keyfile)
+            if deployment.keyfile
+            else None
+        ),
     )
     await host.start()
     names = ", ".join(hosted)

@@ -16,9 +16,10 @@ plays the *client* role of the daemon's IPC surface: the daemon calls
 :class:`~repro.spread.client.SpreadClient`, and the channel turns each
 into a framed ``ClientDeliver`` / ``ClientBye``.  In the other direction
 it applies a ``ClientMulticastBatch`` only once every element has
-type-checked.  A socket that drops without a ``ClientDisconnect`` is
-reported as ``client_gone`` — the same "broken IPC channel" a crashed
-client produces in the sim.
+type-checked, and echoes a ``ClientPing`` back verbatim (the client's
+liveness check; the daemon itself never sees it).  A socket that drops
+without a ``ClientDisconnect`` is reported as ``client_gone`` — the
+same "broken IPC channel" a crashed client produces in the sim.
 
 The CLI lives in :mod:`repro.transport.daemon`
 (``python -m repro.transport.daemon``).
@@ -33,7 +34,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.errors import FrameError, SpreadError
 from repro.spread.config import SpreadConfig
 from repro.spread.daemon import SpreadDaemon
-from repro.transport.auth import AUTH_DISABLED, AuthSpec, resolve_auth
+from repro.transport.auth import FrameAuth
 from repro.transport.protocol import (
     ClientBye,
     ClientConnect,
@@ -43,6 +44,7 @@ from repro.transport.protocol import (
     ClientLeave,
     ClientMulticast,
     ClientMulticastBatch,
+    ClientPing,
     ClientRefused,
     ClientWelcome,
 )
@@ -189,11 +191,14 @@ class _ClientChannel:
                     daemon=daemon.name,
                     client=op.private_name,
                 )
+            config = daemon.config
             self._write(
                 ClientWelcome(
                     pid=pid,
-                    max_message_size=daemon.config.max_message_size,
-                    daemons=daemon.config.daemons,
+                    max_message_size=config.max_message_size,
+                    daemons=config.daemons,
+                    hello_interval=config.hello_interval,
+                    fail_timeout=config.fail_timeout,
                 )
             )
             return True
@@ -211,6 +216,8 @@ class _ClientChannel:
                 daemon.client_multicast(
                     m.pid, m.service, m.group, m.payload, m.origin_seq
                 )
+        elif isinstance(op, ClientPing):
+            self._write(op)
         elif isinstance(op, ClientJoin):
             daemon.client_join(op.pid, op.group)
         elif isinstance(op, ClientLeave):
@@ -258,7 +265,7 @@ class DaemonHost:
         bind: str = "127.0.0.1",
         tracer=None,
         seed: int = 0,
-        auth: AuthSpec = None,
+        auth: Optional[FrameAuth] = None,
     ) -> None:
         self.config = config
         self.hosted = tuple(hosted)
@@ -266,7 +273,7 @@ class DaemonHost:
         self.bind = bind
         self.tracer = tracer
         self.seed = seed
-        self.auth = resolve_auth(auth)
+        self.auth = auth
         self.clock: Optional[RealtimeClock] = None
         self.daemons: Dict[str, SpreadDaemon] = {}
         self.transports: Dict[str, TcpTransport] = {}
@@ -279,14 +286,8 @@ class DaemonHost:
         loop = asyncio.get_running_loop()
         self.clock = RealtimeClock(loop, tracer=self.tracer, seed=self.seed)
         for name in self.hosted:
-            # Already-resolved auth is handed down as-is; AUTH_DISABLED
-            # (not None) when off, so the transport does not re-consult
-            # the environment and override an explicit opt-out.
             transport = TcpTransport(
-                name,
-                self.clock,
-                self.addresses,
-                auth=self.auth if self.auth is not None else AUTH_DISABLED,
+                name, self.clock, self.addresses, auth=self.auth
             )
             peer_addr = self.addresses.peer(name)
             await transport.serve(self.bind, peer_addr[1] if peer_addr else 0)

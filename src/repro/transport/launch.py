@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.errors import DeployError
-from repro.transport.auth import KEYFILE_ENV
 from repro.transport.deploy import load_deployment
 
 #: How long ``stop`` lets SIGTERM work before SIGKILL.
@@ -50,10 +49,6 @@ def _child_env() -> Dict[str, str]:
     env["PYTHONPATH"] = (
         src if not existing else src + os.pathsep + existing
     )
-    # The deployment file is the single source of truth for frame auth:
-    # a config without a keyfile must launch daemons *without* auth even
-    # if the launching shell exports one.
-    env.pop(KEYFILE_ENV, None)
     return env
 
 

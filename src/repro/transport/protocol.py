@@ -46,11 +46,15 @@ class ClientConnect:
 @dataclass(frozen=True, slots=True)
 class ClientWelcome:
     """Accept a connect: the private group id plus the config the client
-    library needs locally (fragmentation threshold, deployment names)."""
+    library needs locally (fragmentation threshold, deployment names,
+    and the daemon's own ``hello_interval`` / ``fail_timeout``, which
+    time the client's pings and its reconnect attempts)."""
 
     pid: ProcessId
     max_message_size: int
     daemons: Tuple[str, ...]
+    hello_interval: float
+    fail_timeout: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,6 +98,15 @@ class ClientMulticastBatch:
     """The multicasts one client queued within one loop turn."""
 
     multicasts: Tuple[ClientMulticast, ...]
+
+
+@dataclass(frozen=True, slots=True)
+class ClientPing:
+    """Client → daemon → client: a liveness probe on the link.  The
+    daemon's connection handler writes it straight back; no daemon
+    state is touched."""
+
+    seq: int
 
 
 @dataclass(frozen=True, slots=True)

@@ -35,7 +35,7 @@ from typing import Any, Deque, Dict, Optional, Tuple
 from collections import deque
 
 from repro.errors import FrameError, TransportError
-from repro.transport.auth import AuthSpec, resolve_auth
+from repro.transport.auth import FrameAuth
 from repro.transport.protocol import PeerHello
 from repro.transport.wire import REJECT_COUNTERS, FrameDecoder, encode_frame
 
@@ -137,14 +137,12 @@ class TcpTransport:
         name: str,
         clock,
         addresses: TransportMap,
-        auth: AuthSpec = None,
+        auth: Optional[FrameAuth] = None,
     ) -> None:
         self.name = name
         self.clock = clock
         self.addresses = addresses
-        # Resolved once here (None consults REPRO_TRANSPORT_KEYFILE);
-        # the send/receive hot paths never touch the environment.
-        self.auth = resolve_auth(auth)
+        self.auth = auth
         self._node: Any = None
         self._channels: Dict[str, _PeerChannel] = {}
         self._server: Optional[asyncio.base_events.Server] = None

@@ -142,6 +142,7 @@ def _registry() -> Tuple[Dict[Type, int], Dict[int, Type]]:
         ClientJoin,
         ClientLeave,
         ClientMulticastBatch,
+        ClientPing,
         ClientRefused,
         ClientWelcome,
         PeerHello,
@@ -168,6 +169,7 @@ def _registry() -> Tuple[Dict[Type, int], Dict[int, Type]]:
         ClientDisconnect: 38,
         ClientDeliver: 39,
         ClientBye: 40,
+        ClientPing: 41,
     }
     # The encoder's pickler sends fragment chunks out of band.
     _Pickler.dispatch_table = {MessageFragment: _reduce_fragment}

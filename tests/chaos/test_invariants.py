@@ -155,6 +155,44 @@ def test_secrecy_flags_corruption_reaching_application():
     assert "corruption" in violations[0].detail
 
 
+def test_secrecy_flags_data_named_as_another_senders():
+    """``b`` delivers ``a``'s plaintext named as ``mallory``'s: the digest
+    was sent in the epoch, but not by the sender the record names."""
+    trace = [
+        confirm("a", "aaaa", members=("a", "b")),
+        confirm("b", "aaaa", members=("a", "b")),
+        ev("secure.send", me="a", group="g", epoch="g|v1|0", digest="d1"),
+        ev("secure.data", me="b", group="g", sender="mallory",
+           epoch="g|v1|0", digest="d1"),
+    ]
+    violations = InvariantChecker(trace).check_secrecy()
+    assert len(violations) == 1
+    assert "mallory" in violations[0].detail
+
+
+def test_secrecy_flags_a_sender_outside_the_secure_view():
+    trace = [
+        confirm("b", "aaaa", members=("a", "b")),
+        ev("secure.send", me="mallory", group="g", epoch="g|v1|0",
+           digest="d1"),
+        ev("secure.data", me="b", group="g", sender="mallory",
+           epoch="g|v1|0", digest="d1"),
+    ]
+    violations = InvariantChecker(trace).check_secrecy()
+    assert len(violations) == 1
+    assert "outside its secure view" in violations[0].detail
+
+
+def test_secrecy_ok_for_a_member_of_the_secure_view():
+    trace = [
+        confirm("b", "aaaa", members=("a", "b")),
+        ev("secure.send", me="a", group="g", epoch="g|v1|0", digest="d1"),
+        ev("secure.data", me="b", group="g", sender="a", epoch="g|v1|0",
+           digest="d1"),
+    ]
+    assert InvariantChecker(trace).check_secrecy() == []
+
+
 # -- convergence ------------------------------------------------------------------
 
 

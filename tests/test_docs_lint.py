@@ -15,6 +15,10 @@ Every backticked path under ``src/``, ``tests/``, ``benchmarks/``,
 must exist (a ``*`` or a ``{a,b}`` must match something), and every
 ``FILE.py::name`` must name a function or class defined in that file,
 so a renamed file or test cannot live on in a doc either.
+
+Every backticked ``REPRO_*`` variable in the README and ``docs/`` must
+be one that ``src`` reads, so a retired environment switch cannot live
+on as documentation.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ SPAN = re.compile(r"`+([^`]+)`+")
 NAME = re.compile(r"\brepro(?:\.\w+)+\*?")
 PATH_ROOTS = ("src/", "tests/", "benchmarks/", "docs/", "examples/")
 BRACES = re.compile(r"\{([^{}]*)\}")
+VARIABLE = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
 #: A fenced block is a recipe: its paths may be files the recipe makes.
 FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
 
@@ -190,3 +195,33 @@ def test_every_backticked_path_exists():
         if (problem := _path_problem(token)) is not None
     }
     assert not broken, f"documented paths that do not exist: {broken}"
+
+
+def _variables_src_reads() -> set:
+    return {
+        node.value
+        for path in sorted((SRC_ROOT / "repro").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and VARIABLE.fullmatch(node.value)
+    }
+
+
+def test_every_backticked_repro_variable_is_read_by_src():
+    documented = {}
+    for path, text in _doc_files():
+        if path.parent.name == "examples":
+            continue
+        for span in SPAN.findall(text):
+            for name in VARIABLE.findall(span):
+                documented.setdefault(name, set()).add(
+                    path.relative_to(REPO).as_posix()
+                )
+    read = _variables_src_reads()
+    stale = {
+        name: sorted(where)
+        for name, where in documented.items()
+        if name not in read
+    }
+    assert not stale, f"documented variables src does not read: {stale}"

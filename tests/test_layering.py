@@ -33,8 +33,8 @@ point, and nothing outside ``repro.secure`` reads a session's private
 state.  The session does no I/O: ``SecureClient`` performs the effects
 it returns, and the extensions reach the flush layer through the client.
 
-Behaviour has no environment switches: the one ``REPRO_*`` variable is
-the deployment key file, read by the transport's auth module.
+Behaviour has no environment switches: no library module reads a
+``REPRO_*`` variable (a deployment's key file is named in its file).
 
 The secure data path imports at module level: the session, the data
 protector and the flush layer run an ``import`` statement per event if
@@ -516,12 +516,14 @@ def _environment_reads(path: Path) -> list:
 
 
 def test_only_the_deployment_key_file_is_read_from_the_environment():
+    """No library module reads a ``REPRO_*`` variable: the deployment
+    file names its key file, and nothing else has a switch."""
     readers = {
         path.relative_to(SRC_ROOT / "repro").as_posix(): lines
         for path in _library()
         if (lines := _environment_reads(path))
     }
-    assert set(readers) <= {"transport/auth.py"}, readers
+    assert readers == {}, readers
 
 
 #: Modules on the per-event secure data path.

@@ -24,16 +24,13 @@ from repro.errors import (
     WireVersionError,
 )
 from repro.transport.auth import (
-    AUTH_DISABLED,
     GENERATED_KEY_BYTES,
-    KEYFILE_ENV,
     MIN_KEY_BYTES,
     TAG_SIZE,
     FrameAuth,
     generate_keyfile,
     load_keyfile,
     main as auth_main,
-    resolve_auth,
     restricted_loads,
 )
 from repro.transport.wire import (
@@ -211,23 +208,6 @@ def test_missing_keyfile_is_refused(tmp_path):
         load_keyfile(tmp_path / "nope.key")
 
 
-def test_resolve_auth(tmp_path, monkeypatch):
-    path = tmp_path / "deploy.key"
-    generate_keyfile(path)
-    monkeypatch.delenv(KEYFILE_ENV, raising=False)
-    assert resolve_auth(None) is None
-    assert resolve_auth(AUTH_DISABLED) is None
-    assert isinstance(resolve_auth(str(path)), FrameAuth)
-    assert isinstance(resolve_auth(path), FrameAuth)
-    monkeypatch.setenv(KEYFILE_ENV, str(path))
-    env_auth = resolve_auth(None)
-    assert isinstance(env_auth, FrameAuth)
-    # Explicit opt-out beats the environment.
-    assert resolve_auth(AUTH_DISABLED) is None
-    # Pass-through of an already-resolved FrameAuth.
-    assert resolve_auth(env_auth) is env_auth
-
-
 def test_key_ids_fingerprint_the_key(tmp_path):
     assert KEY_A.key_id != KEY_B.key_id
     assert FrameAuth(b"a" * 32).key_id == KEY_A.key_id
@@ -269,6 +249,7 @@ def _sample_wire_payloads():
         ClientLeave,
         ClientMulticast,
         ClientMulticastBatch,
+        ClientPing,
         ClientRefused,
         ClientWelcome,
         PeerHello,
@@ -319,7 +300,10 @@ def _sample_wire_payloads():
         MessageFragment(fragment_id=1, index=0, total=2, chunk=b"frag"),
         PeerHello(sender="d0"),
         ClientConnect(private_name="m0"),
-        ClientWelcome(pid=pid, max_message_size=1 << 20, daemons=("d0",)),
+        ClientWelcome(
+            pid=pid, max_message_size=1 << 20, daemons=("d0",),
+            hello_interval=0.25, fail_timeout=1.5,
+        ),
         ClientRefused(reason="dup"),
         ClientJoin(pid=pid, group="g"),
         ClientLeave(pid=pid, group="g"),
@@ -333,6 +317,7 @@ def _sample_wire_payloads():
                 payload=b"next", origin_seq=2,
             ),
         )),
+        ClientPing(seq=7),
         ClientDisconnect(private_name="m0"),
         ClientDeliver(event=data),
         ClientBye(),

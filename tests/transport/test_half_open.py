@@ -1,13 +1,18 @@
-"""Heartbeat liveness against a stalled-but-open socket.
+"""Client liveness: a ping on the client's own link.
 
 A half-open TCP connection — switch died, NAT entry expired, peer
-power-cycled — delivers no data and no error.  The client's self-echo
-heartbeat is the detector: when its own beacon stops coming back inside
-``liveness_timeout``, the client aborts the socket and runs the normal
-outage path.  Contract under test: per manufactured half-open outage the
-application observes exactly one ``ConnectionLostEvent`` and exactly one
+power-cycled — delivers no data and no error.  The client's ping is the
+detector: once per the daemon's ``hello_interval`` it writes a
+``ClientPing`` that the daemon's connection handler echoes, and when no
+echo comes back for twice the daemon's ``fail_timeout`` the client
+aborts the socket and runs the normal outage path.  The client takes no
+liveness arguments: both timers come in the daemon's welcome.
+
+Contract under test: per manufactured half-open outage the application
+observes exactly one ``ConnectionLostEvent`` and exactly one
 ``ConnectionRestoredEvent`` — no matter how many reconnect attempts
-failed against the still-stalled wire in between.
+failed against the still-stalled wire in between — and the ping never
+reaches the daemon's protocol.
 """
 
 import asyncio
@@ -17,7 +22,7 @@ from repro.transport.client import TcpSpreadClient
 from repro.transport.host import DaemonHost, wait_for_condition
 from repro.transport.netem import NetemWorld
 
-from tests.transport.conftest import loopback_config, run
+from tests.transport.conftest import loopback_config, run, start_host
 
 
 def test_stalled_socket_trips_liveness_and_reconnects_once():
@@ -30,17 +35,7 @@ def test_stalled_socket_trips_liveness_and_reconnects_once():
             proxy = await world.open_link(
                 "client:c0", lambda: host.addresses.client("d0")
             )
-            client = TcpSpreadClient(
-                proxy,
-                "c0",
-                clock=host.clock,
-                backoff_base=0.05,
-                backoff_cap=0.3,
-                connect_timeout=0.5,
-                heartbeat_group="hb-c0",
-                heartbeat_interval=0.1,
-                liveness_timeout=0.6,
-            )
+            client = TcpSpreadClient(proxy, "c0", clock=host.clock)
             await client.connect()
             client.join("g")
             await wait_for_condition(
@@ -61,7 +56,8 @@ def test_stalled_socket_trips_liveness_and_reconnects_once():
                 timeout=30.0,
             )
             # Reconnect attempts against the stalled wire must fail
-            # (connect_timeout) without fabricating more outage events.
+            # (each is bounded by the daemon's fail_timeout) without
+            # fabricating more outage events.
             await asyncio.sleep(1.0)
             assert not client.connected
 
@@ -82,6 +78,7 @@ def test_stalled_socket_trips_liveness_and_reconnects_once():
                 f"expected one restored event, got {restored}"
             )
             assert events.index(lost[0]) < events.index(restored[0])
+            assert "no ping echo" in lost[0].reason
             assert client.counters["liveness_aborts"] == 1
             assert client.counters["drops"] == 1
             assert client.counters["reconnects"] == 1
@@ -97,8 +94,7 @@ def test_stalled_socket_trips_liveness_and_reconnects_once():
 
 def test_half_open_from_connect_is_detected():
     """Liveness must trip even when the wire stalls before the first
-    beacon ever echoes (the `_hb_last_echo is None` seed-at-first-beacon
-    case)."""
+    ping ever echoes: the welcome counts as the first echo."""
 
     async def main():
         host = DaemonHost(loopback_config(("d0",)), ("d0",))
@@ -109,27 +105,53 @@ def test_half_open_from_connect_is_detected():
             proxy = await world.open_link(
                 "client:c1", lambda: host.addresses.client("d0")
             )
-            client = TcpSpreadClient(
-                proxy,
-                "c1",
-                clock=host.clock,
-                backoff_base=0.05,
-                backoff_cap=0.3,
-                connect_timeout=0.5,
-                heartbeat_group="hb-c1",
-                heartbeat_interval=0.1,
-                liveness_timeout=0.6,
-            )
+            client = TcpSpreadClient(proxy, "c1", clock=host.clock)
             await client.connect()
-            # Stall immediately: no beacon will ever come back.
+            # Stall immediately: no ping will ever come back.
             world.links["client:c1"].stall("both")
             await wait_for_condition(
                 lambda: client.counters["liveness_aborts"] >= 1,
                 timeout=30.0,
             )
+            assert client.counters["pings_echoed"] == 0
             await client.close()
         finally:
             await world.close()
+            await host.stop()
+
+    run(main())
+
+
+def test_liveness_stays_on_the_client_link():
+    """An idle client's pings cost the daemons nothing: no multicast is
+    submitted to any daemon and no group is joined for them."""
+
+    async def main():
+        host = await start_host(gather_timeout=0.5, sync_timeout=1.0)
+        submitted = []
+        for daemon in host.daemons.values():
+            original = daemon.client_multicast
+
+            def counting(*args, original=original):
+                submitted.append(args)
+                return original(*args)
+
+            daemon.client_multicast = counting
+        try:
+            client = TcpSpreadClient(
+                host.addresses.client("d1"), "idle", clock=host.clock
+            )
+            await client.connect()
+            await wait_for_condition(
+                lambda: client.counters["pings_echoed"] >= 4, timeout=30.0
+            )
+            assert client.counters["liveness_aborts"] == 0
+            assert submitted == []
+            for daemon in host.daemons.values():
+                groups = daemon.groups.groups()
+                assert not [g for g in groups if g.startswith("hb-")], groups
+            await client.close()
+        finally:
             await host.stop()
 
     run(main())

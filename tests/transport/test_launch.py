@@ -16,7 +16,7 @@ import sys
 import pytest
 
 from repro.errors import DeployError
-from repro.transport.auth import KEYFILE_ENV, generate_keyfile
+from repro.transport.auth import FrameAuth, generate_keyfile
 from repro.transport.launch import LaunchedDeployment, _child_env
 
 
@@ -111,16 +111,13 @@ def test_double_start_is_refused(tmp_path):
             launched.start()
 
 
-def test_child_env_prepends_src_and_drops_ambient_keyfile(monkeypatch):
-    monkeypatch.setenv(KEYFILE_ENV, "/some/ambient.key")
+def test_child_env_prepends_src(monkeypatch):
     monkeypatch.setenv("PYTHONPATH", "/existing")
     env = _child_env()
-    # Children import the same code we run, ambient auth never leaks:
-    # the deployment file alone decides whether daemons authenticate.
+    # Children import the same code we run.
     head, rest = env["PYTHONPATH"].split(os.pathsep, 1)
     assert os.path.isdir(os.path.join(head, "repro"))
     assert rest == "/existing"
-    assert KEYFILE_ENV not in env
 
 
 @pytest.mark.parametrize(
@@ -142,17 +139,16 @@ def test_authenticated_deployment_end_to_end(tmp_path, deployment_keyed, imposte
     from repro.transport.client import TcpSpreadClient
     from repro.transport.rtclock import RealtimeClock
     from repro.errors import ReproError
-    from repro.transport.auth import AUTH_DISABLED
 
     keyfile = tmp_path / "deploy.key"
     generate_keyfile(keyfile)
     wrong_key = tmp_path / "wrong.key"
     generate_keyfile(wrong_key)
-    honest_auth = str(keyfile) if deployment_keyed else AUTH_DISABLED
+    honest_auth = FrameAuth.from_keyfile(keyfile) if deployment_keyed else None
     imposter_auth = {
-        "wrong_key": str(wrong_key),
-        "keyless": AUTH_DISABLED,
-        "keyed": str(keyfile),
+        "wrong_key": FrameAuth.from_keyfile(wrong_key),
+        "keyless": None,
+        "keyed": FrameAuth.from_keyfile(keyfile),
     }[imposter]
     config = write_config(
         tmp_path, 1, keyfile=keyfile if deployment_keyed else None

@@ -2,7 +2,7 @@
 
 The contract (docs/TRANSPORT.md): per outage the application observes
 exactly one ``ConnectionLostEvent`` through ``on_event``, the client
-retries with exponential backoff, reconnects under the same private
+retries with the peer channels' jittered backoff, reconnects under the same private
 name, re-joins its groups, and the application then sees one
 ``ConnectionRestoredEvent`` and a normal membership resync — never an
 event replay.
@@ -18,6 +18,7 @@ from repro.spread.events import (
 )
 from repro.transport.client import TcpSpreadClient
 from repro.transport.host import DaemonHost, wait_for_condition
+from repro.transport.rtclock import RealtimeClock
 from repro.types import ServiceType
 
 from tests.transport.conftest import loopback_config
@@ -55,8 +56,6 @@ def test_kill_socket_backoff_reconnect_rejoin():
                 host.addresses.client("d0"),
                 "c0",
                 clock=host.clock,
-                backoff_base=0.02,
-                backoff_cap=0.2,
             )
             recorder = Recorder()
             client.on_event(recorder)
@@ -126,6 +125,41 @@ def test_voluntary_disconnect_does_not_reconnect():
             await asyncio.sleep(0.1)
             assert client.counters["reconnects"] == 0
             assert not client.connected
+        finally:
+            await host.stop()
+
+    run(main())
+
+
+def test_a_drop_without_reconnect_leaves_nothing_armed():
+    """A ``reconnect=False`` client stops its ping when the connection
+    drops: afterwards its clock holds no pending timer, however long
+    it waits, and it never dials again."""
+
+    async def main():
+        host = DaemonHost(loopback_config(("d0",)), ("d0",))
+        await host.start()
+        await host.settle()
+        try:
+            clock = RealtimeClock(asyncio.get_running_loop())
+            client = TcpSpreadClient(
+                host.addresses.client("d0"), "c2", clock=clock,
+                reconnect=False,
+            )
+            await client.connect()
+            await wait_for_condition(
+                lambda: client.counters["pings_echoed"] >= 1, timeout=10.0
+            )
+            assert clock.pending_events == 1  # the next ping
+            assert host.kick_clients("d0") == 1
+            await wait_for_condition(
+                lambda: client.counters["drops"] == 1, timeout=10.0
+            )
+            await asyncio.sleep(3 * client.hello_interval)
+            assert clock.pending_events == 0
+            assert client.counters["reconnect_attempts"] == 0
+            assert not client.connected
+            await client.close()
         finally:
             await host.stop()
 
