@@ -10,10 +10,15 @@ coordinator-based protocol that is robust in an asynchronous network:
    round.  Daemons repeatedly announce the set of daemons they currently
    hear; announcements merge knowledge (and pull everyone to the highest
    round number).
-2. **PROPOSE** — one ``gather_timeout`` after the round's participant
-   set (daemons announced this round, reachable, plus itself) last
-   changed, the smallest-named participant acts as coordinator and
-   proposes the view.
+2. **PROPOSE** — the smallest-named participant acts as coordinator and
+   proposes the view.  It does so at once when it holds an announcement
+   for the round from every configured daemon, each naming all of them
+   alive: nobody else can join such a round.  Any other participant set
+   (daemons announced this round, reachable, plus itself) is proposed
+   one ``gather_timeout`` after it last changed, since only a timeout
+   tells a slow daemon from a dead one.  A same-round announcement that
+   reaches a daemon already syncing a proposal, from a proposed member
+   and naming nobody outside it, is a late echo and is ignored.
 3. **SYNC** — every proposed member replies with its *cut*: undelivered
    old-view messages, delivery horizons and its group table.
 4. **INSTALL** — the coordinator unions the cuts per old view and
@@ -114,6 +119,7 @@ class MembershipEngine:
         self._cuts: Dict[str, SyncInfo] = {}
         self._proposal_counter = 0
         self._deadline_token = 0
+        self._everyone = frozenset(config.daemons)
 
     # ------------------------------------------------------------------
     # triggers
@@ -185,6 +191,8 @@ class MembershipEngine:
     def on_gather(self, announce: GatherAnnounce) -> None:
         if announce.round_id <= self.completed_round:
             return  # stale round
+        if self._is_late_echo(announce):
+            return
         if announce.round_id > self.round_id:
             self.round_id = announce.round_id
             self._enter_gather("pulled-to-higher-round")
@@ -194,10 +202,37 @@ class MembershipEngine:
         previous = self._announced.get(announce.sender)
         self._announced[announce.sender] = announce
         if previous is None or previous.alive != announce.alive:
-            # Knowledge changed: re-announce so everyone converges, and
-            # restart the stability clock.
+            # Knowledge changed: re-announce so everyone converges, then
+            # propose if no configured daemon is left to hear from, or
+            # else restart the stability clock.
             self._announce()
-            self._arm_gather()
+            if self._round_is_complete():
+                self._propose(self._everyone)
+            else:
+                self._arm_gather()
+
+    def _is_late_echo(self, announce: GatherAnnounce) -> bool:
+        """A same-round announcement from a member of the proposal being
+        synced that names nobody outside it: it tells nothing the
+        proposal did not already act on."""
+        proposal = self._proposal
+        return (
+            self.state in (STATE_COLLECT, STATE_SYNC_WAIT)
+            and proposal is not None
+            and announce.round_id == self.round_id
+            and announce.sender in proposal.members
+            and announce.alive <= set(proposal.members)
+        )
+
+    def _round_is_complete(self) -> bool:
+        """I coordinate, and every configured daemon announced this round
+        naming all of them alive: no daemon is left to wait for."""
+        everyone = self._everyone
+        return (
+            self.me == min(everyone)
+            and self._participants() == everyone
+            and all(everyone <= self._announced[name].alive for name in everyone)
+        )
 
     def _gather_deadline(self) -> None:
         participants = self._participants()
@@ -211,6 +246,9 @@ class MembershipEngine:
             self._arm_deadline(self.config.sync_timeout)
             self.state = STATE_GATHER  # remain until a propose arrives
             return
+        self._propose(participants)
+
+    def _propose(self, participants) -> None:
         self._proposal_counter += 1
         members = tuple(sorted(participants))
         new_view = ViewId(

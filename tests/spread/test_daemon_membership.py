@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.spread.messages import GatherAnnounce
+from repro.spread.config import SpreadConfig
+from repro.spread.membership import (
+    STATE_COLLECT,
+    STATE_GATHER,
+    STATE_SYNC_WAIT,
+    MembershipEngine,
+)
+from repro.spread.messages import GatherAnnounce, Propose, SyncInfo
+from repro.types import ViewId
 
 from tests.spread.conftest import Cluster
 
@@ -165,13 +173,12 @@ def _knowledge_changes(cluster):
     return changes
 
 
-@pytest.mark.parametrize("event", ["start", "heal"])
-def test_round_installs_one_gather_timeout_after_last_change(event):
-    """A gather round proposes once its participants have been stable
-    for one ``gather_timeout``: the install comes that long (plus link
-    and sync slack, well under a second deadline) after the last
-    knowledge change."""
-    cluster = Cluster(daemon_count=3)
+def _round_wait(cluster, event, down=()):
+    """Crash ``down``, optionally split off d2 and settle the rest, then
+    start (or heal) and settle: the install's delay after the last
+    knowledge change, checked to be one round with no retry."""
+    for name in down:
+        cluster.daemons[name].crash()
     if event == "heal":
         cluster.network.partition([["d0", "d1"], ["d2"]])
         cluster.settle_components(["d0", "d1"], ["d2"])
@@ -183,7 +190,155 @@ def test_round_installs_one_gather_timeout_after_last_change(event):
     installs = cluster.tracer.of_kind("daemon.install")[installs_before:]
     assert {e["me"] for e in installs} == {"d0", "d1", "d2"}
     assert len({e["view"] for e in installs}) == 1  # one round, no retry
+    return max(e.t for e in installs) - changes[-1]
+
+
+@pytest.mark.parametrize("event", ["start", "heal"])
+def test_complete_configuration_installs_without_a_gather_timeout(event):
+    """Once every configured daemon has announced the round naming all
+    of them, the coordinator proposes at once: the install follows the
+    last knowledge change by a few link latencies (announce, propose,
+    sync, install), not by a ``gather_timeout``."""
+    cluster = Cluster(daemon_count=3)
+    waited = _round_wait(cluster, event)
+    latency = cluster.network.default_link.base_latency
+    assert waited <= 10 * latency < cluster.config.gather_timeout / 4
+
+
+@pytest.mark.parametrize("event", ["start", "heal"])
+def test_round_installs_one_gather_timeout_after_last_change(event):
+    """A round that has not heard every configured daemon proposes once
+    its participants have been stable for one ``gather_timeout``: with
+    d3 configured but down, nobody can tell it from a slow daemon, so
+    the install comes that long (plus link and sync slack, well under a
+    second deadline) after the last knowledge change."""
+    cluster = Cluster(daemon_count=4)
+    waited = _round_wait(cluster, event, down=["d3"])
     gather = cluster.config.gather_timeout
-    slack = gather / 4
-    waited = max(e.t for e in installs) - changes[-1]
-    assert gather <= waited <= gather + slack
+    assert gather <= waited <= gather + gather / 4
+
+
+class _HandFed:
+    """A bare MembershipEngine: sends go nowhere, timers and the trace
+    are lists."""
+
+    def __init__(self, me, daemons=("d0", "d1", "d2", "d3"), alive=None):
+        self.timers = []
+        self.trace = []
+        self.alive = set(alive if alive is not None else daemons)
+        self.engine = MembershipEngine(
+            me=me,
+            config=SpreadConfig(daemons=tuple(daemons)),
+            send=lambda dest, msg: None,
+            broadcast_all=lambda msg: None,
+            make_sync=self._sync,
+            commit=lambda install: None,
+            schedule=lambda delay, fn: self.timers.append(fn),
+            alive_set=lambda: set(self.alive),
+            trace=lambda kind, **fields: self.trace.append((kind, fields)),
+        )
+
+    def _sync(self, round_id, new_view):
+        return SyncInfo(
+            sender=self.engine.me,
+            round_id=round_id,
+            new_view=new_view,
+            old_view=ViewId(0, 0, self.engine.me),
+            undelivered=(),
+            delivered_ts=0,
+            delivered_fifo={},
+            groups={},
+            lamport=0,
+        )
+
+    def announce(self, sender, round_id, *alive):
+        self.engine.on_gather(
+            GatherAnnounce(
+                sender=sender,
+                round_id=round_id,
+                alive=frozenset(alive),
+                view_id=ViewId(0, 0, sender),
+                incarnation=0,
+            )
+        )
+
+    def fire_timers(self):
+        timers, self.timers = self.timers, []
+        for fn in timers:
+            fn()
+
+    def kinds(self, kind):
+        return [fields for k, fields in self.trace if k == kind]
+
+
+def test_complete_round_proposes_on_the_last_announce():
+    fed = _HandFed("d0", daemons=("d0", "d1", "d2"))
+    fed.engine.trigger("test")
+    fed.announce("d1", 1, "d0", "d1", "d2")
+    assert fed.engine.state == STATE_GATHER
+    fed.announce("d2", 1, "d0", "d1", "d2")
+    assert fed.engine.state == STATE_COLLECT
+    assert [p["members"] for p in fed.kinds("memb.propose")] == [
+        ("d0", "d1", "d2")
+    ]
+
+
+def test_round_where_one_daemon_misses_another_waits_for_the_deadline():
+    """Every configured daemon announced, but d2 does not hear d1: the
+    round is not complete, so only the deadline proposes."""
+    fed = _HandFed("d0", daemons=("d0", "d1", "d2"))
+    fed.engine.trigger("test")
+    fed.announce("d1", 1, "d0", "d1", "d2")
+    fed.announce("d2", 1, "d0", "d2")
+    assert fed.engine.state == STATE_GATHER
+    assert not fed.kinds("memb.propose")
+
+
+def _proposed_without_d3():
+    """d0 coordinating a round of d0-d2 (d3 configured, never heard),
+    proposed by the gather deadline."""
+    fed = _HandFed("d0", alive={"d1", "d2"})
+    fed.engine.trigger("test")
+    fed.announce("d1", 1, "d0", "d1", "d2")
+    fed.announce("d2", 1, "d0", "d1", "d2")
+    assert fed.engine.state == STATE_GATHER
+    fed.fire_timers()
+    assert fed.engine.state == STATE_COLLECT
+    return fed
+
+
+def test_late_echo_does_not_restart_a_collecting_round():
+    fed = _proposed_without_d3()
+    fed.announce("d1", 1, "d0", "d1")  # stale knowledge, same round
+    fed.announce("d2", 1, "d0", "d1", "d2")
+    assert fed.engine.state == STATE_COLLECT
+    assert len(fed.kinds("memb.propose")) == 1
+    assert len(fed.kinds("memb.gather")) == 1
+
+
+def test_late_echo_does_not_restart_a_syncing_member():
+    fed = _HandFed("d1", alive={"d0", "d2"})
+    fed.engine.trigger("test")
+    fed.engine.on_propose(
+        Propose(
+            coordinator="d0",
+            round_id=1,
+            new_view=ViewId(1, 1, "d0"),
+            members=("d0", "d1", "d2"),
+        )
+    )
+    assert fed.engine.state == STATE_SYNC_WAIT
+    fed.announce("d2", 1, "d0", "d1", "d2")
+    assert fed.engine.state == STATE_SYNC_WAIT
+    assert len(fed.kinds("memb.gather")) == 1
+
+
+def test_announce_naming_an_outsider_restarts_the_gather():
+    fed = _proposed_without_d3()
+    fed.alive.add("d3")
+    fed.announce("d1", 1, "d0", "d1", "d2", "d3")
+    assert fed.engine.state == STATE_GATHER
+    assert [g["reason"] for g in fed.kinds("memb.gather")] == [
+        "test",
+        "peer-gather",
+    ]

@@ -191,8 +191,11 @@ def test_ring_safe_delivery():
     b.join("g")
     cluster.run_until(lambda: members_of(b) == {"#a#d0", "#b#d1"}, timeout=60)
     a.multicast(ServiceType.SAFE, "g", "stable")
+    # Each daemon learns that a message is stable only when the token
+    # next visits it, and an idle ring paces its hops, so SAFE delivery
+    # is not simultaneous: wait for both receivers.
     cluster.run_until(lambda: "stable" in payloads(b), timeout=60)
-    assert "stable" in payloads(a)
+    cluster.run_until(lambda: "stable" in payloads(a), timeout=60)
 
 
 def test_ring_survives_lossy_network():

@@ -23,21 +23,22 @@ from repro.transport.host import (
 __all__ = ["loopback_config", "run", "start_host", "join_all"]
 
 
-def loopback_config(names=("d0", "d1", "d2"), gather_timeout=3.0, sync_timeout=6.0):
+def loopback_config(names=("d0", "d1", "d2")):
     """Real-time daemon timers sized for loopback test runs.
 
-    Several daemons settle into one view one ``gather_timeout`` after
-    their gather round's participants last changed (about 3 s here), so
-    a test that needs no slow membership can shorten ``gather_timeout``
-    / ``sync_timeout``; ``fail_timeout`` stays, because the half-open
-    and reconnect tests time their outages against it.
+    Daemons that all start and hear each other settle into one view a
+    few round trips after their gather round starts: a round that has
+    heard every configured daemon proposes at once.  Only a round
+    missing one (crashed, partitioned) waits out ``gather_timeout``
+    (3 s here) after its participants last changed.  The half-open and
+    reconnect tests time their outages against ``fail_timeout``.
     """
     return SpreadConfig(
         daemons=names,
         hello_interval=0.25,
         fail_timeout=1.5,
-        gather_timeout=gather_timeout,
-        sync_timeout=sync_timeout,
+        gather_timeout=3.0,
+        sync_timeout=6.0,
     )
 
 
@@ -53,10 +54,9 @@ def run(coro, timeout=60.0):
     return asyncio.run(bounded())
 
 
-async def start_host(names=("d0", "d1", "d2"), **timeouts):
-    """One DaemonHost on ephemeral ports, settled into one view
-    (``timeouts`` go to :func:`loopback_config`)."""
-    host = DaemonHost(loopback_config(names, **timeouts), names)
+async def start_host(names=("d0", "d1", "d2")):
+    """One DaemonHost on ephemeral ports, settled into one view."""
+    host = DaemonHost(loopback_config(names), names)
     await host.start()
     await host.settle()
     return host

@@ -127,7 +127,7 @@ def test_liveness_stays_on_the_client_link():
     submitted to any daemon and no group is joined for them."""
 
     async def main():
-        host = await start_host(gather_timeout=0.5, sync_timeout=1.0)
+        host = await start_host()
         submitted = []
         for daemon in host.daemons.values():
             original = daemon.client_multicast
