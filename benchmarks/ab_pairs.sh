@@ -3,7 +3,11 @@
 # PAIRS alternating pairs (odd seeds run the parent first, even seeds the
 # change), one seed per pair.  Prints each run's contract line, writes
 # parent.json and change.json (run.py's --out format) and hands them to
-# `run.py --compare`, which owns every statistic.  The parent is
+# `run.py --compare`, which owns every verdict; then, per end-to-end
+# metric, the numbers a claimed gain is judged by: pairs the change won
+# (ties count for neither side), the median of the per-pair
+# change/parent ratios, and the parent's interquartile spread over its
+# median.  The parent is
 # unpacked with `git archive`: committed files only, as the PR driver
 # sees it, and nothing to prune from .git afterwards.  churn_sim is
 # seeded, so its exact counts (all but process.*) must match seed by
@@ -41,6 +45,34 @@ done
 echo "wrote $work/parent.json $work/change.json (A = $parent_ref, B = working tree)"
 status=0
 python3 "$repo_root/benchmarks/e2e/run.py" --compare "$work/parent.json" "$work/change.json" || status=$?
+python3 - "$work" "$pairs" "$repo_root/BENCHMARK.json" <<'EOF'
+import json, statistics, sys
+
+work, pairs, manifest = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+with open(manifest) as handle:
+    better = {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
+
+
+def end_to_end(side, seed):
+    with open(f"{work}/{side}.{seed}.doc") as doc:
+        return json.load(doc)["end_to_end"]
+
+
+runs = [(end_to_end("parent", s), end_to_end("change", s))
+        for s in range(1, pairs + 1)]
+print(f"{'metric':<14}{'change won':>12}{'median B/A':>12}{'A IQR/median':>14}")
+for metric, direction in better.items():
+    parent = [p[metric] for p, _ in runs]
+    won = sum((c[metric] < p[metric]) if direction == "lower"
+              else (c[metric] > p[metric]) for p, c in runs)
+    ratio = statistics.median(c[metric] / p[metric] for p, c in runs if p[metric])
+    if len(parent) > 1:
+        q1, _, q3 = statistics.quantiles(parent, n=4)
+        spread = f"{(q3 - q1) / abs(statistics.median(parent)):14.3f}"
+    else:
+        spread = f"{'-':>14}"
+    print(f"{metric:<14}{f'{won}/{pairs}':>12}{ratio:11.3f}x{spread}")
+EOF
 if [ "$workload" = churn_sim ]; then
     python3 - "$work" "$pairs" <<'EOF' || status=1
 import json, sys

@@ -85,7 +85,7 @@ def _warm_tables(group: ProtocolGroup) -> None:
     while the group grows)."""
     cache = fixed_base.default_cache()
     modulus = group.params.p
-    cache.lookup(group.params.g, modulus)  # registered: builds the radix table
+    cache.lookup(group.params.g, modulus)  # registered: builds its table
     for name in group.directory:
         cache.precompute(group.directory.lookup(name), modulus)
 

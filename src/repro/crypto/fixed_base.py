@@ -9,28 +9,20 @@ costs barely more than one of those internal steps, so *precomputation*
 exponentiation — wins exactly as it does for OpenSSL's fixed-base
 paths.
 
-Two table shapes, chosen by how long the base lives:
-
-* :class:`RadixTable` ("generator" profile) — the full radix-256 table:
-  ``base ** (d * 256**i)`` for every window ``i`` and digit ``d``.  An
-  exponentiation is ~63 modular multiplications and **zero squarings**
-  (~5x over ``pow`` at 512 bits).  Construction costs ~16k multiplies,
-  so it is reserved for bases that live as long as the process: the
-  group generator ``g`` of each :class:`~repro.crypto.dh.DHParams`.
-
-* :class:`CombTable` ("light" profile) — an h=8 Lim-Lee comb: one
-  shared squaring chain plus a 255-entry combination table.  An
-  exponentiation is ~64 squarings + ~64 multiplications (~3.5x over
-  ``pow``); construction is ~700 multiplies (≈ one ``pow``), cheap
-  enough to build for *dynamically discovered* hot bases: long-term
-  public keys looked up by every joiner, and the per-token shared bases
-  of CKD round 3 (see :mod:`repro.crypto.multiexp`).
+One table shape, :class:`CombTable` — an h=8 Lim-Lee comb: one shared
+squaring chain plus a 255-entry combination table.  An exponentiation
+is ~64 squarings + ~64 multiplications (~3.5x over ``pow``);
+construction is ~700 multiplies (≈ one ``pow``, ~0.5 ms and ~25 KB at
+512 bits), cheap enough for the group generator ``g`` of each
+:class:`~repro.crypto.dh.DHParams` and for *dynamically discovered* hot
+bases alike: long-term public keys looked up by every joiner, and the
+per-token shared bases of CKD round 3 (see :mod:`repro.crypto.multiexp`).
 
 Tables are held in :class:`FixedBaseCache`, an LRU keyed by
 ``(base, modulus)`` exactly like the data plane's
 :class:`~repro.crypto.cipher_cache.CipherCache`.  Generators are
 registered eagerly by ``DHParams`` and built on first use; any other
-base is *promoted* (a light table is built) once it has been seen
+base is *promoted* (a table is built) once it has been seen
 ``promote_after`` times, which catches long-lived directory keys
 without ever paying a table for a one-shot base.
 
@@ -48,23 +40,16 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 #: Below this modulus size a table cannot beat ``pow`` (the exponent is
 #: short and Python-level loop overhead dominates); the small and tiny
 #: test groups fall through to ``pow`` untouched.
 MIN_MODULUS_BITS = 256
 
-#: Full radix-256 tables are quadratic in the modulus size to build;
-#: past this many bits the generator profile drops to a comb table.
-RADIX_MAX_BITS = 768
-
-#: Build a light table for a non-registered base once it has been used
-#: this many times with the same modulus.
+#: Build a table for a non-registered base once it has been used this
+#: many times with the same modulus.
 PROMOTE_AFTER = 3
-
-GENERATOR_PROFILE = "generator"
-LIGHT_PROFILE = "light"
 
 # spread[b] places bit j of byte b at bit position 8*j: the byte-wise
 # bit transpose used to extract comb digits with O(bytes) big-int work
@@ -79,51 +64,6 @@ for _byte in range(256):
 del _byte, _x, _j
 
 
-class RadixTable:
-    """Full radix-256 fixed-base table: no squarings at evaluation.
-
-    ``windows[i][d] == base ** (d << (8 * i)) mod modulus``; an
-    exponentiation multiplies one entry per non-zero exponent byte.
-    """
-
-    __slots__ = ("modulus", "capacity_bits", "_windows", "uses")
-
-    profile = GENERATOR_PROFILE
-
-    def __init__(self, base: int, modulus: int, bits: Optional[int] = None) -> None:
-        bits = bits if bits is not None else modulus.bit_length()
-        window_count = -(-bits // 8)
-        self.modulus = modulus
-        self.capacity_bits = 8 * window_count
-        self.uses = 0
-        windows = []
-        b = base % modulus
-        for _ in range(window_count):
-            row = [1] * 256
-            x = 1
-            for digit in range(1, 256):
-                x = (x * b) % modulus
-                row[digit] = x
-            windows.append(row)
-            b = (x * b) % modulus  # base ** 256 for the next window
-        self._windows = windows
-
-    def pow(self, exponent: int) -> int:
-        """``base ** exponent mod modulus`` (exponent must fit)."""
-        self.uses += 1
-        modulus = self.modulus
-        windows = self._windows
-        acc = 1
-        index = 0
-        while exponent:
-            digit = exponent & 0xFF
-            if digit:
-                acc = (acc * windows[index][digit]) % modulus
-            exponent >>= 8
-            index += 1
-        return acc % modulus
-
-
 class CombTable:
     """Lim-Lee comb, h=8: one squaring chain shared by all exponents.
 
@@ -136,8 +76,6 @@ class CombTable:
     """
 
     __slots__ = ("modulus", "capacity_bits", "_columns", "_table", "uses")
-
-    profile = LIGHT_PROFILE
 
     def __init__(self, base: int, modulus: int, bits: Optional[int] = None) -> None:
         bits = bits if bits is not None else modulus.bit_length()
@@ -189,25 +127,15 @@ class CombTable:
         return acc % modulus
 
 
-Table = Union[RadixTable, CombTable]
-
-
-def build_table(base: int, modulus: int, profile: str = LIGHT_PROFILE) -> Table:
-    """Construct the right table shape for a base and profile."""
-    if profile == GENERATOR_PROFILE and modulus.bit_length() <= RADIX_MAX_BITS:
-        return RadixTable(base, modulus)
-    return CombTable(base, modulus)
-
-
 class FixedBaseCache:
     """LRU of fixed-base tables keyed by ``(base, modulus)``.
 
     Three ways a base gets a table:
 
     * :meth:`register` (``DHParams`` generators): remembered forever,
-      built lazily on first :meth:`lookup` with the generator profile;
+      built lazily on first :meth:`lookup`;
     * promotion: any base :meth:`lookup`-ed ``promote_after`` times gets
-      a light table (long-term public keys in a living group);
+      a table (long-term public keys in a living group);
     * :meth:`precompute`: explicit construction (deployment start-up,
       the perf harness's directory warm-up).
     """
@@ -231,8 +159,8 @@ class FixedBaseCache:
             raise ValueError("fixed-base cache needs room for at least one table")
         self.maxsize = maxsize
         self.promote_after = promote_after
-        self._tables: "OrderedDict[Tuple[int, int], Table]" = OrderedDict()
-        self._registered: Dict[Tuple[int, int], str] = {}
+        self._tables: "OrderedDict[Tuple[int, int], CombTable]" = OrderedDict()
+        self._registered: Set[Tuple[int, int]] = set()
         self._sightings: "OrderedDict[Tuple[int, int], int]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -241,23 +169,23 @@ class FixedBaseCache:
 
     # -- registration ------------------------------------------------------
 
-    def register(self, base: int, modulus: int, profile: str = GENERATOR_PROFILE) -> None:
+    def register(self, base: int, modulus: int) -> None:
         """Mark a long-lived base (a generator): table built on first use."""
-        self._registered[(base % modulus, modulus)] = profile
+        self._registered.add((base % modulus, modulus))
 
-    def precompute(self, base: int, modulus: int, profile: str = LIGHT_PROFILE) -> Table:
+    def precompute(self, base: int, modulus: int) -> CombTable:
         """Build (or fetch) a table right now — start-up precomputation."""
         key = (base % modulus, modulus)
         table = self._tables.get(key)
         if table is None:
-            table = self._build(key, profile)
+            table = self._build(key)
         else:
             self._tables.move_to_end(key)
         return table
 
     # -- the hot-path lookup -----------------------------------------------
 
-    def lookup(self, base: int, modulus: int) -> Optional[Table]:
+    def lookup(self, base: int, modulus: int) -> Optional[CombTable]:
         """The table for a base, building registered/hot ones on demand.
 
         Returns ``None`` (caller falls back to ``pow``) until the base
@@ -269,13 +197,12 @@ class FixedBaseCache:
             self.hits += 1
             self._tables.move_to_end(key)
             return table
-        profile = self._registered.get(key)
-        if profile is not None:
-            return self._build(key, profile)
+        if key in self._registered:
+            return self._build(key)
         sightings = self._sightings.get(key, 0) + 1
         if sightings >= self.promote_after:
             self._sightings.pop(key, None)
-            return self._build(key, LIGHT_PROFILE)
+            return self._build(key)
         self.misses += 1
         self._sightings[key] = sightings
         self._sightings.move_to_end(key)
@@ -283,9 +210,8 @@ class FixedBaseCache:
             self._sightings.popitem(last=False)
         return None
 
-    def _build(self, key: Tuple[int, int], profile: str) -> Table:
-        base, modulus = key
-        table = build_table(base, modulus, profile)
+    def _build(self, key: Tuple[int, int]) -> CombTable:
+        table = CombTable(*key)
         self.builds += 1
         self._tables[key] = table
         if len(self._tables) > self.maxsize:
@@ -350,7 +276,7 @@ def default_cache() -> FixedBaseCache:
 def register_generator(base: int, modulus: int) -> None:
     """Eagerly mark a group generator for fixed-base treatment."""
     if modulus.bit_length() >= MIN_MODULUS_BITS:
-        default_cache().register(base, modulus, GENERATOR_PROFILE)
+        default_cache().register(base, modulus)
 
 
 def fast_backend_enabled() -> bool:

@@ -22,7 +22,10 @@ sequence numbers, so all messages share one totally ordered sequence.
   heartbeat interval, so a quiet system is not saturated by token
   passes; traffic resumes full speed immediately (the holder flushes
   pending messages on token receipt, and a member with fresh messages
-  while idle simply waits at most one paced hop).
+  while idle simply waits at most one paced hop).  A holder paces only
+  when it already knew the ring stable before the token came, so the
+  round that makes a SAFE message stable runs at full speed and every
+  member delivers it within one round of the first.
 
 **Steady-state garbage collection.**  ``received[seq]`` is dropped once
 ``seq <= min(stable_upto, delivered_upto)``: delivered here and held by
@@ -260,6 +263,7 @@ class RingPipeline:
             self._send(None, message)
 
         # 3. Update stability and our aru.
+        knew_stable = self.stable_upto >= seq_counter
         aru = dict(token.aru)
         aru[self.me] = self.my_aru
         for member in self.members:
@@ -280,11 +284,9 @@ class RingPipeline:
             aru=aru,
             rtr=missing,
         )
-        idle = (
-            not missing
-            and not self._pending
-            and self.stable_upto >= seq_counter
-        )
+        # Pace only a round this daemon already knew stable: the round
+        # that brings the news runs at full speed to every member.
+        idle = not missing and not self._pending and knew_stable
         if idle:
             self._schedule(self.idle_delay, lambda: self._pass_token(next_token))
         else:

@@ -33,6 +33,9 @@ things a real network needs:
   resync, not an event replay.  (A daemon that still holds the old
   connection refuses the duplicate name; that refusal is retried like
   any other failure until the daemon notices the broken old socket.)
+  A daemon's own goodbye (``ClientBye``) names the outage verbatim —
+  ``ConnectionLostEvent("daemon_down")`` when the daemon crashes, as on
+  the simulator; any other loss names its exception.
 """
 
 from __future__ import annotations
@@ -62,6 +65,10 @@ from repro.transport.rtclock import RealtimeClock
 from repro.transport.tcp import BACKOFF_BASE, READ_CHUNK, decorrelated_jitter
 from repro.transport.wire import REJECT_COUNTERS, FrameDecoder, encode_frame
 from repro.types import ProcessId, ServiceType
+
+
+class _DaemonBye(ConnectionClosedError):
+    """The daemon closed the connection and said why (``ClientBye``)."""
 
 
 class FrameBatch:
@@ -365,7 +372,7 @@ class TcpSpreadClient(ClientCore):
             self.counters["pings_echoed"] += 1
             self._last_echo = self.kernel.now
         elif isinstance(op, ClientBye):
-            raise ConnectionClosedError(f"daemon said bye: {op.reason}")
+            raise _DaemonBye(op.reason)
         else:
             raise FrameError(f"unexpected frame {type(op).__name__}")
 
@@ -378,7 +385,10 @@ class TcpSpreadClient(ClientCore):
         self.counters["drops"] += 1
         self._stop_ping()
         self._sends.discard()
-        reason = f"{type(cause).__name__}: {cause}"
+        reason = (
+            str(cause) if isinstance(cause, _DaemonBye)
+            else f"{type(cause).__name__}: {cause}"
+        )
         if self._writer is not None:
             try:
                 self._writer.close()

@@ -3,7 +3,8 @@
 :mod:`repro.crypto.blowfish` and :mod:`repro.crypto.modes` are optimized
 (unrolled rounds, whole-buffer integer chaining).  This module preserves
 the straightforward textbook formulation that the optimized code
-replaced: a per-round-loop Blowfish and per-byte-XOR CBC/CTR.  The
+replaced: Machin's-formula pi digits, a per-round-loop Blowfish and
+per-byte-XOR CBC/CTR.  The
 equivalence tests pin every optimized output against this oracle (plus
 the published Eric Young vectors), so a fast-path bug cannot pass
 silently.
@@ -11,20 +12,52 @@ silently.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Tuple
 
 from repro.crypto.blowfish import (
     _MASK32,
     _P_SIZE,
+    _PI_WORDS,
     _ROUNDS,
     _SBOX_COUNT,
     _SBOX_SIZE,
     BLOCK_SIZE,
     MAX_KEY_BYTES,
     MIN_KEY_BYTES,
-    pi_fraction_words,
 )
 from repro.errors import CipherError, KeyError_
+
+
+def _arctan_recip(x: int, one: int) -> int:
+    """arctan(1/x) in fixed point: returns round(atan(1/x) * one)."""
+    power = one // x
+    total = power
+    x_squared = x * x
+    denominator = 1
+    sign = -1
+    while power > 0:
+        power //= x_squared
+        denominator += 2
+        total += sign * (power // denominator)
+        sign = -sign
+    return total
+
+
+@lru_cache(maxsize=None)
+def reference_pi_fraction_words(count: int = _PI_WORDS) -> Tuple[int, ...]:
+    """The first ``count`` 32-bit words of the fractional hex digits of pi,
+    by Machin's formula (16*atan(1/5) - 4*atan(1/239)) with guard digits:
+    a derivation independent of the library's Chudnovsky series."""
+    hex_digits = count * 8
+    guard = 12
+    one = 1 << (4 * (hex_digits + guard))
+    pi_scaled = 16 * _arctan_recip(5, one) - 4 * _arctan_recip(239, one)
+    fraction = pi_scaled - 3 * one
+    digits = format(fraction >> (4 * guard), "x").rjust(hex_digits, "0")
+    return tuple(
+        int(digits[i * 8 : (i + 1) * 8], 16) for i in range(count)
+    )
 
 
 class ReferenceBlowfish:
@@ -36,7 +69,7 @@ class ReferenceBlowfish:
                 f"Blowfish key must be {MIN_KEY_BYTES}..{MAX_KEY_BYTES} bytes,"
                 f" got {len(key)}"
             )
-        words = pi_fraction_words()
+        words = reference_pi_fraction_words()
         self._p: List[int] = list(words[:_P_SIZE])
         self._s: List[List[int]] = [
             list(words[_P_SIZE + box * _SBOX_SIZE : _P_SIZE + (box + 1) * _SBOX_SIZE])

@@ -15,6 +15,8 @@ from repro.crypto.blowfish import (
 )
 from repro.errors import CipherError, KeyError_
 
+from tests.crypto.reference import reference_pi_fraction_words
+
 
 def test_self_test_passes():
     self_test()
@@ -41,6 +43,13 @@ def test_pi_table_first_word_is_blowfish_p0():
 
 def test_pi_table_length():
     assert len(pi_fraction_words()) == 18 + 4 * 256
+
+
+@pytest.mark.parametrize("count", [1, 2, 18, 1042, 1500])
+def test_pi_words_match_machins_formula(count):
+    # Chudnovsky (library) against Machin (independent oracle), word for
+    # word, at the cipher's width and at widths around it.
+    assert pi_fraction_words(count) == reference_pi_fraction_words(count)
 
 
 def test_key_size_limits():

@@ -11,14 +11,7 @@ from repro.crypto import fixed_base
 from repro.crypto.bigint import mod_exp
 from repro.crypto.counters import ExpCounter
 from repro.crypto.dh import DHParams
-from repro.crypto.fixed_base import (
-    CombTable,
-    FixedBaseCache,
-    GENERATOR_PROFILE,
-    MIN_MODULUS_BITS,
-    RadixTable,
-    build_table,
-)
+from repro.crypto.fixed_base import CombTable, FixedBaseCache, MIN_MODULUS_BITS
 
 P512 = DHParams.paper_512()
 
@@ -37,7 +30,7 @@ def edge_exponents(params: DHParams):
     ]
 
 
-@pytest.mark.parametrize("table_cls", [CombTable, RadixTable])
+@pytest.mark.parametrize("table_cls", [CombTable])
 def test_tables_agree_with_pow_on_random_exponents(table_cls):
     rng = random.Random(0xF1CED)
     table = table_cls(P512.g, P512.p)
@@ -46,7 +39,7 @@ def test_tables_agree_with_pow_on_random_exponents(table_cls):
         assert table.pow(e) == pow(P512.g, e, P512.p)
 
 
-@pytest.mark.parametrize("table_cls", [CombTable, RadixTable])
+@pytest.mark.parametrize("table_cls", [CombTable])
 def test_tables_agree_with_pow_on_edge_exponents(table_cls):
     base = pow(P512.g, 0xBEEF, P512.p)
     table = table_cls(base, P512.p)
@@ -54,7 +47,7 @@ def test_tables_agree_with_pow_on_edge_exponents(table_cls):
         assert table.pow(e) == pow(base, e, P512.p), e
 
 
-@pytest.mark.parametrize("table_cls", [CombTable, RadixTable])
+@pytest.mark.parametrize("table_cls", [CombTable])
 def test_tables_handle_non_generator_bases(table_cls):
     rng = random.Random(7)
     for _ in range(3):
@@ -62,15 +55,6 @@ def test_tables_handle_non_generator_bases(table_cls):
         table = table_cls(base, P512.p)
         e = rng.randrange(0, P512.q)
         assert table.pow(e) == pow(base, e, P512.p)
-
-
-def test_build_table_profiles():
-    # Generators of moderate groups get the no-squaring radix table...
-    assert isinstance(build_table(P512.g, P512.p, GENERATOR_PROFILE), RadixTable)
-    # ...but past RADIX_MAX_BITS construction cost forces the comb shape.
-    big = DHParams.rfc3526_group14()
-    assert isinstance(build_table(big.g, big.p, GENERATOR_PROFILE), CombTable)
-    assert isinstance(build_table(P512.g, P512.p), CombTable)
 
 
 def test_capacity_matches_modulus_width():
@@ -88,7 +72,7 @@ def test_registered_generator_builds_on_first_lookup():
     cache.register(P512.g, P512.p)
     assert cache.stats()["size"] == 0
     table = cache.lookup(P512.g, P512.p)
-    assert isinstance(table, RadixTable)
+    assert isinstance(table, CombTable)
     assert cache.stats()["builds"] == 1
     assert cache.lookup(P512.g, P512.p) is table
     assert cache.stats()["hits"] == 1

@@ -192,10 +192,22 @@ def test_ring_safe_delivery():
     cluster.run_until(lambda: members_of(b) == {"#a#d0", "#b#d1"}, timeout=60)
     a.multicast(ServiceType.SAFE, "g", "stable")
     # Each daemon learns that a message is stable only when the token
-    # next visits it, and an idle ring paces its hops, so SAFE delivery
-    # is not simultaneous: wait for both receivers.
-    cluster.run_until(lambda: "stable" in payloads(b), timeout=60)
-    cluster.run_until(lambda: "stable" in payloads(a), timeout=60)
+    # next visits it, so SAFE delivery is not simultaneous.  But the
+    # round that first sees every aru at the top runs at full speed (an
+    # idle ring paces only once a holder already knew): every daemon
+    # delivers within one fast round, not one idle hop (hello_interval)
+    # after the daemon before it.
+    delivered_at = {}
+
+    def both_delivered():
+        for client in (a, b):
+            if client not in delivered_at and "stable" in payloads(client):
+                delivered_at[client] = cluster.kernel.now
+        return len(delivered_at) == 2
+
+    cluster.run_until(both_delivered, timeout=60)
+    spread = max(delivered_at.values()) - min(delivered_at.values())
+    assert spread < cluster.config.hello_interval / 2, spread
 
 
 def test_ring_survives_lossy_network():
