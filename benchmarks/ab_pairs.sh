@@ -11,7 +11,8 @@
 # unpacked with `git archive`: committed files only, as the PR driver
 # sees it, and nothing to prune from .git afterwards.  churn_sim is
 # seeded, so its exact counts (all but process.*) must match seed by
-# seed: the script diffs them and exits non-zero on any difference.
+# seed: the script diffs them, prints each distinct difference once with
+# the seeds it shows at, and exits non-zero on any difference.
 #   sh benchmarks/ab_pairs.sh HEAD~1 sealed_flood_tcp        # ~9 min
 set -eu
 [ $# -ge 2 ] || { echo "usage: $0 PARENT_REF WORKLOAD [PAIRS=10]" >&2; exit 2; }
@@ -86,13 +87,18 @@ def counts(side, seed):
                 if not key.startswith("process.")}
 
 
-differ = []
+differ = {}  # (key, parent value, change value) -> seeds it differs at
 for seed in range(1, pairs + 1):
     parent, change = counts("parent", seed), counts("change", seed)
-    differ += [f"seed {seed}: {key} {parent.get(key)} -> {change.get(key)}"
-               for key in sorted(parent.keys() | change.keys())
-               if parent.get(key) != change.get(key)]
-print("\n".join(differ) if differ else f"counts identical ({pairs} seeds)")
+    for key in sorted(parent.keys() | change.keys()):
+        if parent.get(key) != change.get(key):
+            differ.setdefault((key, parent.get(key), change.get(key)), []).append(seed)
+for (key, before, after), seeds in sorted(differ.items(), key=lambda d: d[0][0]):
+    where = (f"all {pairs} seeds" if len(seeds) == pairs
+             else "seeds " + ",".join(map(str, seeds)))
+    print(f"{key} {before} -> {after} ({where})")
+if not differ:
+    print(f"counts identical ({pairs} seeds)")
 sys.exit(1 if differ else 0)
 EOF
 fi

@@ -33,15 +33,23 @@ Costs per event, height ``h = O(log n)``:
 * JOIN, sponsor:    h+1 node_key + h+1 blind_key  (refresh + path)
 * JOIN, new member: h+1 node_key + 1 blind_key    (announce + path)
 * LEAVE, sponsor:   h   node_key + h   blind_key
-* LEAVE, others:    <= h node_key (cached path prefixes are reused)
+* JOIN or LEAVE, every other member: d+1 node_key, where ``d`` is the
+  depth of its lowest common ancestor with the sponsor's leaf
 
 against Cliques' / CKD's O(n) — the scalability gap the three-way
 bench (``BENCH_tgdh.json``) measures.
+
+A member keeps the secrets of its leaf-to-root path between events,
+keyed by the two inputs each was computed from (the sibling's blinded
+key and the child's secret).  Below that common ancestor neither input
+changed, so those levels are reused, not recomputed.  Keys are inputs,
+not node addresses, because a leave promotes a subtree and shifts the
+addresses inside it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.counters import ExpCounter
 from repro.crypto.dh import DHParams
@@ -82,11 +90,11 @@ class TGDHContext:
         self.epoch = 0
         self._my_secret: Optional[int] = None
         self._group_secret: Optional[int] = None
-        # Per-epoch cache of computed path-node secrets, keyed by node
-        # address: within one agreement blinded keys only ever *arrive*,
-        # so cached secrets stay valid and cascaded update rounds never
-        # recompute a level (keeps every member at O(log n) per event).
-        self._secret_cache: Dict[str, int] = {}
+        # Path secrets keyed by (sibling's blinded key, child's secret),
+        # the inputs they were computed from.  Kept across agreements
+        # and trimmed to the current leaf-to-root path whenever a climb
+        # reaches the root.
+        self._secret_cache: Dict[Tuple[int, int], int] = {}
 
     # ------------------------------------------------------------------
     # queries
@@ -138,7 +146,6 @@ class TGDHContext:
 
     def _begin_agreement(self) -> None:
         self._group_secret = None
-        self._secret_cache = {}
 
     def _climb(self, publish_all: bool = False) -> Dict[str, int]:
         """Compute as much of the leaf-to-root key path as the available
@@ -149,7 +156,9 @@ class TGDHContext:
         publishes — the rightmost leaf of its subtree — but the event
         sponsor passes ``publish_all`` so its broadcast tree carries every
         blinded key it can compute (the single-round TGDH join/leave).
-        Sets the group secret when the root is reached.
+        Sets the group secret when the root is reached.  A level whose
+        sibling blinded key and child secret are both unchanged reuses
+        its cached secret instead of exponentiating again.
         """
         if self._my_secret is None:
             raise TGDHError(f"{self.name}: no private leaf share")
@@ -159,29 +168,31 @@ class TGDHContext:
         if node.blinded is None:
             node.blinded = self._blind(secret)
             publish[self.tree.node_id(node)] = node.blinded
+        path: Dict[Tuple[int, int], int] = {}
         while node.parent is not None:
             parent = node.parent
-            address = self.tree.node_id(parent)
-            cached = self._secret_cache.get(address)
+            sibling = self.tree.sibling(node)
+            if sibling.blinded is None:
+                # Blocked: that subtree's own sponsor will publish.
+                return publish
+            inputs = (sibling.blinded, secret)
+            cached = self._secret_cache.get(inputs)
             if cached is None:
-                sibling = self.tree.sibling(node)
-                if sibling.blinded is None:
-                    # Blocked: that subtree's own sponsor will publish.
-                    return publish
                 cached = self.params.exp(
                     sibling.blinded,
                     secret % self.params.q,
                     self.counter,
                     "node_key",
                 )
-                self._secret_cache[address] = cached
-            secret = cached
+                self._secret_cache[inputs] = cached
+            path[inputs] = secret = cached
             if parent.blinded is None and parent.parent is not None:
                 # The root's blinded key is never needed by anyone.
                 if publish_all or self.tree.rightmost_leaf(parent) == self.name:
                     parent.blinded = self._blind(secret)
-                    publish[address] = parent.blinded
+                    publish[self.tree.node_id(parent)] = parent.blinded
             node = parent
+        self._secret_cache = path
         self._group_secret = secret
         return publish
 

@@ -5,8 +5,12 @@ group of size ``n`` the height is exactly ``h = ceil(log2 n)`` and the
 measured per-member serial costs pin to closed forms:
 
 * JOIN  — sponsor ``2h`` (h node keys + h blinded keys), joiner ``h+1``
-  (announce + climb), every other member ``<= h``;
-* LEAVE — sponsor ``2(h-1)``, every other member ``<= h``.
+  (announce + climb);
+* LEAVE — sponsor ``2(h-1)``;
+* either event, every other member — ``d+1`` node keys and nothing
+  else, where ``d`` is the depth of its lowest common ancestor with the
+  sponsor's leaf: the levels below that ancestor kept both their inputs
+  (sibling blinded key, child secret), so their secrets are reused.
 
 Contrast: a Cliques join costs the controller ``n+1`` and the joiner
 ``2n-1`` (Table 2); the crossover is already at n=8.  These tests are
@@ -14,6 +18,7 @@ the goldens behind ``BENCH_tgdh.json``.
 """
 
 import math
+import os
 
 import pytest
 
@@ -99,6 +104,48 @@ def test_leave_no_member_exceeds_2_log_n(n):
     close(managers)
     h = math.ceil(math.log2(n))
     assert max(w.total for w in wins.values()) <= 2 * h
+
+
+# -- every other member --------------------------------------------------------
+
+
+def lca_depth(tree, a: str, b: str) -> int:
+    """Depth of the lowest common ancestor of two leaves: node ids are
+    root-to-node bit paths, so it is their longest common prefix."""
+    return len(os.path.commonprefix(
+        [tree.node_id(tree.leaf(a)), tree.node_id(tree.leaf(b))]
+    ))
+
+
+def promoting_leaver(group: TGDHTestGroup) -> str:
+    """A member whose sibling is a subtree, so its leave promotes
+    several leaves and shifts their node addresses."""
+    tree = group.tree_of()
+    return next(
+        name for name in group.members
+        if not tree.sibling(tree.leaf(name)).is_leaf
+    )
+
+
+@pytest.mark.parametrize("event", ["join", "leave", "leave-promoting"])
+@pytest.mark.parametrize("n", SIZES)
+def test_other_members_pay_only_the_path_above_the_sponsor(n, event):
+    group = grown(n - 1 if event == "join" else n)
+    leaver = "m001"
+    if event == "leave-promoting":
+        group.leave(leaver)  # now some leaf's sibling is a subtree
+        leaver = promoting_leaver(group)
+    newcomer_or_leaver = "zzz" if event == "join" else leaver
+    managers, wins = windows(group, exclude=[newcomer_or_leaver])
+    sponsor = group.join("zzz") if event == "join" else group.leave(leaver)
+    close(managers)
+    tree = group.tree_of()
+    others = [name for name in wins if name != sponsor]
+    assert others
+    for name in others:
+        expected = lca_depth(tree, name, sponsor) + 1
+        assert wins[name].get("node_key") == expected, name
+        assert wins[name].total == expected, name
 
 
 # -- the scalability claim ----------------------------------------------------
