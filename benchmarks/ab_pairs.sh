@@ -7,7 +7,8 @@
 # metric, the numbers a claimed gain is judged by: pairs the change won
 # (ties count for neither side), the median of the per-pair
 # change/parent ratios, and the parent's interquartile spread over its
-# median.  The parent is
+# median; on a TCP workload also each side's median
+# transport.wire.frames_per_op.  The parent is
 # unpacked with `git archive`: committed files only, as the PR driver
 # sees it, and nothing to prune from .git afterwards.  churn_sim is
 # seeded, so its exact counts (all but process.*) must match seed by
@@ -54,13 +55,13 @@ with open(manifest) as handle:
     better = {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
 
 
-def end_to_end(side, seed):
+def load(side, seed):
     with open(f"{work}/{side}.{seed}.doc") as doc:
-        return json.load(doc)["end_to_end"]
+        return json.load(doc)
 
 
-runs = [(end_to_end("parent", s), end_to_end("change", s))
-        for s in range(1, pairs + 1)]
+docs = [(load("parent", s), load("change", s)) for s in range(1, pairs + 1)]
+runs = [(p["end_to_end"], c["end_to_end"]) for p, c in docs]
 print(f"{'metric':<14}{'change won':>12}{'median B/A':>12}{'A IQR/median':>14}")
 for metric, direction in better.items():
     parent = [p[metric] for p, _ in runs]
@@ -73,6 +74,11 @@ for metric, direction in better.items():
     else:
         spread = f"{'-':>14}"
     print(f"{metric:<14}{f'{won}/{pairs}':>12}{ratio:11.3f}x{spread}")
+frames = "transport.wire.frames_per_op"
+if all(frames in doc["counts"] for pair in docs for doc in pair):
+    parent, change = (statistics.median(pair[i]["counts"][frames] for pair in docs)
+                      for i in (0, 1))
+    print(f"{frames} median: parent {parent:.2f}, change {change:.2f}")
 EOF
 if [ "$workload" = churn_sim ]; then
     python3 - "$work" "$pairs" <<'EOF' || status=1

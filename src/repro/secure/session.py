@@ -326,9 +326,12 @@ class SecureGroupSession:
         # A cascaded membership can supersede an in-progress flush so
         # fast that this member never sees the intermediate view: the
         # new member set then cannot be derived from the one we hold.
+        # Likewise a member that returns from another component (it left
+        # and joined in one event) may never have held our last key.
         # Module state from the skipped era is unusable — restart.
         skipped_view = bool(previous_members) and explained != members_now
-        if had_state and (not previous_complete or skipped_view):
+        returned = view_change.joined & view_change.left
+        if had_state and (not previous_complete or skipped_view or returned):
             # Cascaded event: the previous agreement never finished here
             # (or a whole view was skipped).  Ask the whole view to
             # restart from scratch.

@@ -84,11 +84,11 @@ from repro.types import (
 
 UNRELIABLE_SEQ = 0  # sentinel: message bypasses the ordering pipeline
 
-# How long the first buffered message of an envelope may wait (the
-# count and byte budgets, PACK_MAX_*, live with ``Packed``).  A delay
-# of 0.0 coalesces within one virtual instant only — which keeps
-# per-daemon delivery order byte-identical to the unpacked path on
-# deterministic links (the packing A/B gate relies on it).
+# How long buffered messages and a prompt hello wait for the flush (the
+# count and byte budgets, PACK_MAX_*, live with ``Packed``).  0.0 means
+# one virtual instant (one loop turn on TCP): per-daemon delivery order
+# stays byte-identical to the unpacked path on deterministic links, and
+# an instant sends one prompt hello, after its data.
 PACK_DELAY = 0.0
 
 
@@ -296,9 +296,7 @@ class SpreadDaemon(SimProcess):
         if len(buffer) >= PACK_MAX_MESSAGES or total >= PACK_MAX_BYTES:
             self._flush_destination(destination)
             return
-        if not self._pack_flush_pending:
-            self._pack_flush_pending = True
-            self.after(PACK_DELAY, self._flush_packed, label=f"{self.name}.pack")
+        self._arm_flush()
 
     def _flush_destination(self, destination: str) -> None:
         messages = self._pack_buffers.pop(destination, None)
@@ -327,17 +325,21 @@ class SpreadDaemon(SimProcess):
             )
         self._transmit(destination, envelope)
 
+    def _arm_flush(self) -> None:
+        if not self._pack_flush_pending:
+            self._pack_flush_pending = True
+            self.after(PACK_DELAY, self._flush_packed, label=f"{self.name}.pack")
+
     def _flush_packed(self) -> None:
-        """Time-budget flush: drain every destination buffer, in the
-        deterministic order the destinations first buffered."""
+        """End-of-instant flush: drain every destination buffer, in the
+        order the destinations first buffered, then send at most one
+        prompt hello to the view, after the data it advertises."""
         self._pack_flush_pending = False
-        if not self._pack_buffers:
-            return
         for destination in list(self._pack_buffers):
             self._flush_destination(destination)
-        # Any prompt hello deferred while the data was coalescing goes
-        # out now, after the datagrams it advertises.
-        self._maybe_prompt_hello()
+        if self.pipeline.wants_prompt_hello:
+            self.pipeline.wants_prompt_hello = False
+            self._broadcast_view(self._hello())
 
     def _engine_schedule(self, delay: float, callback: Callable[[], None]) -> None:
         self.after(delay, callback, label=f"{self.name}.memb")
@@ -369,13 +371,8 @@ class SpreadDaemon(SimProcess):
     # timers
     # ------------------------------------------------------------------
 
-    def _send_hello(self) -> None:
-        # A hello advertises sent_seq, so the datagrams carrying those
-        # sequences go first (as in _maybe_prompt_hello); otherwise the
-        # receivers' ordered horizon waits for the next hello.
-        for destination in list(self._pack_buffers):
-            self._flush_destination(destination)
-        hello = Hello(
+    def _hello(self) -> Hello:
+        return Hello(
             sender=self.name,
             view_id=self.view,
             lamport=self.pipeline.lamport,
@@ -383,26 +380,17 @@ class SpreadDaemon(SimProcess):
             incarnation=self.incarnation,
             sent_seq=self.pipeline.send_seq,
         )
-        self._broadcast_everyone(hello)
+
+    def _send_hello(self) -> None:
+        # A hello advertises sent_seq, so the datagrams carrying those
+        # sequences go first, as in _flush_packed.
+        for destination in list(self._pack_buffers):
+            self._flush_destination(destination)
+        self._broadcast_everyone(self._hello())
 
     def _maybe_prompt_hello(self) -> None:
         if self.pipeline.wants_prompt_hello:
-            if self._pack_buffers:
-                # Coalescing in progress: a hello advertises sent_seq, so
-                # it must never overtake the datagrams carrying those
-                # sequences (the unpacked path always sends data first).
-                # The pack flush re-runs this once the buffers drain.
-                return
-            self.pipeline.wants_prompt_hello = False
-            hello = Hello(
-                sender=self.name,
-                view_id=self.view,
-                lamport=self.pipeline.lamport,
-                all_received=self.pipeline.my_all_received(),
-                incarnation=self.incarnation,
-                sent_seq=self.pipeline.send_seq,
-            )
-            self._broadcast_view(hello)
+            self._arm_flush()
 
     def _check_failures(self) -> None:
         if self.engine.state != STATE_OP:
@@ -494,7 +482,8 @@ class SpreadDaemon(SimProcess):
         if hello.view_id == self.view:
             self._view_mismatch_since.pop(hello.sender, None)
             self.pipeline.note_hello(
-                hello.sender, hello.lamport, hello.all_received, hello.sent_seq
+                hello.sender, hello.lamport, hello.all_received, hello.sent_seq,
+                now=self.kernel.now,
             )
         else:
             # A view member speaking a different view: transient during
@@ -870,12 +859,16 @@ class SpreadDaemon(SimProcess):
         # ``install.synced`` is identical on every receiving daemon, so
         # all of them agree); otherwise the purely local delta decides,
         # which is safe because single-origin hosting daemons share the
-        # same group history.
+        # same group history.  A member we still list whose daemon comes
+        # from another prior view went through views we never saw (we
+        # were stalled or cut off), so it has left and joined, as we
+        # have on its side.
         origin_of = {
             daemon: old_view
             for old_view, daemons in install.synced.items()
             for daemon in daemons
         }
+        mine = origin_of.get(self.name)
         for group in sorted(after):
             counter = self.groups.bump_change(group)
             old_members = set(before.get(group, ()))
@@ -884,11 +877,13 @@ class SpreadDaemon(SimProcess):
             origins = {origin_of[d] for d in hosting if d in origin_of}
             if old_members == new_members and len(origins) <= 1:
                 continue
+            returned = {m for m in old_members & new_members
+                        if origin_of.get(daemon_of(m), mine) != mine}
             self._group_event(
                 group,
                 MembershipCause.NETWORK,
-                joined=new_members - old_members,
-                left=old_members - new_members,
+                joined=(new_members - old_members) | returned,
+                left=(old_members - new_members) | returned,
                 counter=counter,
             )
         # 3. Tell the extension hook (the daemon model re-keys here).

@@ -315,7 +315,8 @@ class ViewPipeline:
             self._release()
 
     def note_hello(
-        self, sender: str, lamport: int, all_received: int, sent_seq: int
+        self, sender: str, lamport: int, all_received: int, sent_seq: int,
+        now: float,
     ) -> None:
         """Heartbeat progress: may release held totally-ordered messages."""
         peer = self.peers.get(sender)
@@ -324,11 +325,11 @@ class ViewPipeline:
         self.lamport = max(self.lamport, lamport)
         peer.all_received = max(peer.all_received, all_received)
         if sent_seq > peer.max_seen:
-            # The peer sent messages we never saw (lost tail): mark the
-            # gap so the NACK timer requests retransmission.
+            # The peer sent messages we never saw (a lost tail, or data
+            # the hello overtook): the NACK timer asks once the gap ages.
             peer.max_seen = sent_seq
             if peer.gap_since is None:
-                peer.gap_since = 0.0
+                peer.gap_since = now
         # The heartbeat's clock extends the ordered horizon only when no
         # sent message is still missing (otherwise an in-flight message
         # could carry a smaller timestamp).

@@ -314,7 +314,7 @@ class RingPipeline:
     # ------------------------------------------------------------------
 
     def note_hello(self, sender: str, lamport: int, all_received: int,
-                   sent_seq: int) -> None:
+                   sent_seq: int, now: float) -> None:
         """Heartbeats do not drive the ring's order; liveness is the
         daemon's concern."""
 

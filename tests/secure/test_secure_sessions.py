@@ -16,6 +16,7 @@ from repro.secure.events import (
     SecureDataEvent,
     SecureMembershipEvent,
 )
+from repro.secure.session import AGREEMENT_WATCHDOG
 from repro.spread.events import DataEvent
 from repro.types import GroupId, ServiceType
 
@@ -236,6 +237,32 @@ def test_merge_after_heal_rekeys_together(module):
     assert h.same_key(["a", "b"])
     final = [e for e in a.queue if isinstance(e, SecureMembershipEvent)][-1]
     assert final.operation in (KeyOperation.MERGE, KeyOperation.LEAVE_THEN_MERGE)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_member_of_a_stalled_daemon_merges_back_without_the_watchdog(module):
+    """a's daemon stalls through the view where b rekeys alone, so a
+    still holds the old two-member key when all merge.  a must not take
+    the merge for a refresh (b takes it for a merge, and the two would
+    wait out the agreement watchdog): b returned from another component,
+    so a restarts the agreement and both key at once."""
+    h = SecureHarness()
+    a = h.member("a", "d0")
+    b = h.member("b", "d1")
+    a.join("g", module=module)
+    h.wait_view(["a"])
+    b.join("g", module=module)
+    h.wait_view(["a", "b"])
+    h.cluster.daemons["d0"].stall()
+    h.run_until(lambda: h.secure_members_of("b") == {str(b.pid)})
+    h.cluster.daemons["d0"].resume()
+    h.wait_view(["a", "b"], timeout=AGREEMENT_WATCHDOG / 5)
+    started = {
+        e["me"]: e["operation"]
+        for e in h.cluster.tracer.of_kind("secure.rekey_started")
+    }
+    assert started == {"#a#d0": "leave_then_merge", "#b#d1": "merge"}
+    assert not h.cluster.tracer.of_kind("secure.watchdog")
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -310,6 +310,33 @@ def test_merge_rejoins_group_views(cluster):
     assert {str(p) for p in last.joined} == {"#b#d1"}
 
 
+def test_member_returning_from_a_view_we_missed_left_and_joined(cluster):
+    """d0 stalls through the view where d1 and d2 drop it, so its group
+    table still lists b when all three merge: to a, b has left and joined
+    (as a has joined on b's side), not stayed."""
+    a = cluster.client("a", "d0")
+    b = cluster.client("b", "d1")
+    a.join("g")
+    b.join("g")
+    cluster.run_until(lambda: members_of(a) == {"#a#d0", "#b#d1"})
+    cluster.daemons["d0"].stall()
+    cluster.run_until(lambda: members_of(b) == {"#b#d1"})
+    seen = len(a.membership_events())
+    cluster.daemons["d0"].resume()
+    cluster.run_until(
+        lambda: members_of(b) == {"#a#d0", "#b#d1"}
+        and len(a.membership_events()) > seen
+    )
+    (merged,) = a.membership_events()[seen:]
+    assert merged.cause == MembershipCause.NETWORK
+    assert {str(p) for p in merged.members} == {"#a#d0", "#b#d1"}
+    assert {str(p) for p in merged.joined} == {"#b#d1"}
+    assert {str(p) for p in merged.left} == {"#b#d1"}
+    theirs = b.membership_events()[-1]
+    assert {str(p) for p in theirs.joined} == {"#a#d0"}
+    assert not theirs.left
+
+
 def test_messages_do_not_cross_partition(cluster):
     a = cluster.client("a", "d0")
     b = cluster.client("b", "d1")

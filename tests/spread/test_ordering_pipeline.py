@@ -115,7 +115,7 @@ def test_agreed_held_until_all_horizons_pass():
     pipeline, delivered = make_pipeline()
     pipeline.ingest(msg("b", 1, 5, ServiceType.AGREED), now=0.0)
     assert delivered == []  # c's horizon unknown
-    pipeline.note_hello("c", lamport=6, all_received=0, sent_seq=0)
+    pipeline.note_hello("c", lamport=6, all_received=0, sent_seq=0, now=0.0)
     assert [m.payload for m in delivered] == ["b1"]
 
 
@@ -123,8 +123,8 @@ def test_agreed_order_by_timestamp_across_senders():
     pipeline, delivered = make_pipeline()
     pipeline.ingest(msg("c", 1, 7, ServiceType.AGREED), now=0.0)
     pipeline.ingest(msg("b", 1, 3, ServiceType.AGREED), now=0.0)
-    pipeline.note_hello("b", lamport=10, all_received=0, sent_seq=1)
-    pipeline.note_hello("c", lamport=10, all_received=0, sent_seq=1)
+    pipeline.note_hello("b", lamport=10, all_received=0, sent_seq=1, now=0.0)
+    pipeline.note_hello("c", lamport=10, all_received=0, sent_seq=1, now=0.0)
     assert [m.payload for m in delivered] == ["b1", "c1"]
 
 
@@ -132,8 +132,8 @@ def test_agreed_ties_broken_by_sender_name():
     pipeline, delivered = make_pipeline()
     pipeline.ingest(msg("c", 1, 5, ServiceType.AGREED), now=0.0)
     pipeline.ingest(msg("b", 1, 5, ServiceType.AGREED), now=0.0)
-    pipeline.note_hello("b", lamport=9, all_received=0, sent_seq=1)
-    pipeline.note_hello("c", lamport=9, all_received=0, sent_seq=1)
+    pipeline.note_hello("b", lamport=9, all_received=0, sent_seq=1, now=0.0)
+    pipeline.note_hello("c", lamport=9, all_received=0, sent_seq=1, now=0.0)
     assert [m.payload for m in delivered] == ["b1", "c1"]
 
 
@@ -143,18 +143,18 @@ def test_hello_with_unseen_sent_seq_does_not_advance_horizon():
     pipeline, delivered = make_pipeline()
     pipeline.ingest(msg("b", 1, 5, ServiceType.AGREED), now=0.0)
     # c says it sent seq 1 (which we don't have) with clock 9.
-    pipeline.note_hello("c", lamport=9, all_received=0, sent_seq=1)
+    pipeline.note_hello("c", lamport=9, all_received=0, sent_seq=1, now=0.0)
     assert delivered == []
     # The missing message arrives with an earlier timestamp: order holds.
     pipeline.ingest(msg("c", 1, 4, ServiceType.AGREED), now=0.0)
-    pipeline.note_hello("b", lamport=9, all_received=0, sent_seq=1)
-    pipeline.note_hello("c", lamport=9, all_received=0, sent_seq=1)
+    pipeline.note_hello("b", lamport=9, all_received=0, sent_seq=1, now=0.0)
+    pipeline.note_hello("c", lamport=9, all_received=0, sent_seq=1, now=0.0)
     assert [m.payload for m in delivered] == ["c1", "b1"]
 
 
 def test_hello_tail_gap_detected_for_nack():
     pipeline, __ = make_pipeline()
-    pipeline.note_hello("b", lamport=5, all_received=0, sent_seq=3)
+    pipeline.note_hello("b", lamport=5, all_received=0, sent_seq=3, now=0.0)
     gaps = pipeline.gaps_older_than(now=10.0, age=1.0)
     assert gaps == {"b": [1, 2, 3]}
 
@@ -175,10 +175,10 @@ def test_own_lamport_counts_as_own_horizon():
 def test_safe_waits_for_all_received_acks():
     pipeline, delivered = make_pipeline()
     pipeline.ingest(msg("b", 1, 5, ServiceType.SAFE), now=0.0)
-    pipeline.note_hello("c", lamport=9, all_received=0, sent_seq=0)
+    pipeline.note_hello("c", lamport=9, all_received=0, sent_seq=0, now=0.0)
     assert delivered == []  # ordered horizon ok, but no stability ack
-    pipeline.note_hello("b", lamport=9, all_received=6, sent_seq=1)
-    pipeline.note_hello("c", lamport=10, all_received=6, sent_seq=0)
+    pipeline.note_hello("b", lamport=9, all_received=6, sent_seq=1, now=0.0)
+    pipeline.note_hello("c", lamport=10, all_received=6, sent_seq=0, now=0.0)
     assert [m.payload for m in delivered] == ["b1"]
 
 
@@ -187,7 +187,7 @@ def test_my_all_received_is_min_across_peers():
     pipeline.ingest(msg("b", 1, 5, ServiceType.FIFO), now=0.0)
     # c never spoke: horizon 0.
     assert pipeline.my_all_received() == 0
-    pipeline.note_hello("c", lamport=7, all_received=0, sent_seq=0)
+    pipeline.note_hello("c", lamport=7, all_received=0, sent_seq=0, now=0.0)
     assert pipeline.my_all_received() == 5
 
 
@@ -235,8 +235,8 @@ def test_cut_garbage_collects_stable_messages():
     pipeline.ingest(msg("b", 1, 1), now=0.0)  # delivered (fifo)
     pipeline.ingest(msg("b", 3, 3), now=0.0)  # held (gap)
     pipeline.ingest(msg("c", 1, 5, ServiceType.AGREED), now=0.0)  # held (order)
-    pipeline.note_hello("b", lamport=3, all_received=1, sent_seq=3)
-    pipeline.note_hello("c", lamport=5, all_received=1, sent_seq=1)
+    pipeline.note_hello("b", lamport=3, all_received=1, sent_seq=3, now=0.0)
+    pipeline.note_hello("c", lamport=5, all_received=1, sent_seq=1, now=0.0)
     unstable, __, __ = pipeline.cut()
     keys = {(m.sender_daemon, m.seq) for m in unstable}
     assert keys == {("b", 3), ("c", 1)}  # stable (b, 1) dropped
@@ -321,8 +321,8 @@ def test_agreed_total_order_invariant(order, data):
     for i in order2:
         p2.ingest(msgs[i], now=0.0)
     for p in (p1, p2):
-        p.note_hello("b", lamport=100, all_received=100, sent_seq=4)
-        p.note_hello("c", lamport=100, all_received=100, sent_seq=4)
+        p.note_hello("b", lamport=100, all_received=100, sent_seq=4, now=0.0)
+        p.note_hello("c", lamport=100, all_received=100, sent_seq=4, now=0.0)
     assert [m.payload for m in out1] == [m.payload for m in out2]
     assert len(out1) == 8
 
@@ -332,11 +332,11 @@ def test_agreed_total_order_invariant(order, data):
 
 def test_ingest_batch_defers_ordered_release_until_end():
     pipeline, delivered = make_pipeline()
-    pipeline.note_hello("c", lamport=100, all_received=100, sent_seq=0)
+    pipeline.note_hello("c", lamport=100, all_received=100, sent_seq=0, now=0.0)
     pipeline.begin_ingest_batch()
     pipeline.ingest(msg("b", 1, 1, ServiceType.AGREED), now=0.0)
     pipeline.ingest(msg("b", 2, 2, ServiceType.AGREED), now=0.0)
-    pipeline.note_hello("b", lamport=100, all_received=100, sent_seq=2)
+    pipeline.note_hello("b", lamport=100, all_received=100, sent_seq=2, now=0.0)
     # Everything is releasable, but the batch holds the heap drain.
     assert delivered == []
     pipeline.end_ingest_batch()
@@ -366,19 +366,19 @@ def test_ingest_batch_delivery_order_matches_per_ingest():
         batched.ingest(message, now=0.0)
     batched.end_ingest_batch()
     for pipeline in (plain, batched):
-        pipeline.note_hello("b", lamport=100, all_received=100, sent_seq=4)
-        pipeline.note_hello("c", lamport=100, all_received=100, sent_seq=4)
+        pipeline.note_hello("b", lamport=100, all_received=100, sent_seq=4, now=0.0)
+        pipeline.note_hello("c", lamport=100, all_received=100, sent_seq=4, now=0.0)
     assert [m.payload for m in batched_out] == [m.payload for m in plain_out]
     assert len(batched_out) == 8
 
 
 def test_nested_ingest_batches_release_once_at_depth_zero():
     pipeline, delivered = make_pipeline()
-    pipeline.note_hello("c", lamport=100, all_received=100, sent_seq=0)
+    pipeline.note_hello("c", lamport=100, all_received=100, sent_seq=0, now=0.0)
     pipeline.begin_ingest_batch()
     pipeline.begin_ingest_batch()
     pipeline.ingest(msg("b", 1, 1, ServiceType.AGREED), now=0.0)
-    pipeline.note_hello("b", lamport=100, all_received=100, sent_seq=1)
+    pipeline.note_hello("b", lamport=100, all_received=100, sent_seq=1, now=0.0)
     pipeline.end_ingest_batch()
     assert delivered == []  # still one level deep
     pipeline.end_ingest_batch()
@@ -395,15 +395,15 @@ def test_stable_delivered_messages_leave_the_pipeline():
     pipeline.ingest(msg("b", 2, 9, ServiceType.AGREED), now=0.0)  # held
     assert len(delivered) == 2
     # b acks everything; c has acked nothing: the line stays at 0.
-    pipeline.note_hello("b", lamport=9, all_received=9, sent_seq=2)
+    pipeline.note_hello("b", lamport=9, all_received=9, sent_seq=2, now=0.0)
     assert set(pipeline.peers["b"].received) == {1, 2}
     assert pipeline.retransmit([own.seq]) == [own]
     # c catches up: (b, 1) and our own message are delivered and stable,
     # (b, 2) only once c's clock lets it be delivered here.
-    pipeline.note_hello("c", lamport=5, all_received=5, sent_seq=0)
+    pipeline.note_hello("c", lamport=5, all_received=5, sent_seq=0, now=0.0)
     assert set(pipeline.peers["b"].received) == {2}
     assert pipeline.sent_buffer == {}
-    pipeline.note_hello("c", lamport=10, all_received=10, sent_seq=0)
+    pipeline.note_hello("c", lamport=10, all_received=10, sent_seq=0, now=0.0)
     assert len(delivered) == 3 and pipeline.peers["b"].received == {}
     # A late duplicate of a trimmed message is still a duplicate, and a
     # NACK naming it finds nothing to send.
@@ -466,7 +466,8 @@ class LockstepGroup(Lockstep):
             self.step(target, lambda p: p.ingest(payload, now=self.now))
         elif isinstance(payload, Hello):
             self.step(target, lambda p: p.note_hello(
-                source, payload.lamport, payload.all_received, payload.sent_seq
+                source, payload.lamport, payload.all_received, payload.sent_seq,
+                now=self.now,
             ))
         else:
             held = self.real[target].sent_buffer

@@ -21,7 +21,7 @@ from repro.spread.client import SpreadClient
 from repro.spread.config import SpreadConfig
 from repro.spread.daemon import SpreadDaemon
 from repro.spread.events import DataEvent
-from repro.spread.messages import DataMessage, Hello, KIND_APP, Packed
+from repro.spread.messages import DataMessage, Hello, KIND_APP, Nack, Packed
 from repro.types import ServiceType, ViewId
 
 from tests.spread.conftest import Cluster
@@ -185,12 +185,12 @@ def test_delivery_run_counters_attributed():
 
 def _record_sends(network):
     """Wrap ``network.send``; returns the list it appends
-    ``(source, payload)`` to, in wire order."""
+    ``(time, source, destination, payload)`` to, in wire order."""
     sent = []
     original_send = network.send
 
     def recording_send(source, destination, payload, size=None):
-        sent.append((source, payload))
+        sent.append((network.kernel.now, source, destination, payload))
         return original_send(source, destination, payload, size)
 
     network.send = recording_send
@@ -206,17 +206,19 @@ def _burst_then_prompt_hello():
     a.join("g")
     b.join("g")
     cluster.run(1.0)
+    already_sent = cluster.daemons["d0"].pipeline.send_seq
     sent = _record_sends(cluster.network)
     for i in range(8):
         a.multicast(ServiceType.AGREED, "g", b"m%d" % i)
     cluster.run_until(lambda: len(payloads_of(b)) == 8, timeout=30)
-    return sent
+    return "d0", already_sent, sent
 
 
 def _burst_then_periodic_hello():
     """The hello timer fires in the very instant a burst is buffered."""
     cluster = _QuietCluster(packing=True, seed=5)
     d0 = cluster.daemons["d0"]
+    already_sent = d0.pipeline.send_seq
     sent = _record_sends(cluster.network)
     for i in range(4):
         d0.client_multicast(
@@ -226,19 +228,54 @@ def _burst_then_periodic_hello():
     cluster.kernel.run_until(
         lambda: len(payloads_of(cluster.clients[1])) == 4, timeout=30
     )
-    return sent
+    return "d0", already_sent, sent
+
+
+def _peer_data_while_burst_buffered():
+    """Data from d0 and d2 reaches d1 in one instant, and d1 buffers a
+    burst of its own between the two arrivals."""
+    cluster = _QuietCluster(packing=True, seed=5)
+    kernel = cluster.kernel
+    d0, d1, d2 = (cluster.daemons[name] for name in ("d0", "d1", "d2"))
+    m0, m1, m2 = (client.pid for client in cluster.clients)
+    already_sent = d1.pipeline.send_seq
+    sent = _record_sends(cluster.network)
+    d0.client_multicast(m0, ServiceType.AGREED, "g", b"from d0", 1)
+    d0._flush_packed()
+
+    def burst():
+        for i in range(3):
+            d1.client_multicast(m1, ServiceType.AGREED, "g", b"d1-%d" % i, i + 1)
+
+    # Scheduled between the two daemons' sends, at their arrival time
+    # and the network's priority: it runs between the two arrivals.
+    kernel.call_later(DETERMINISTIC_LINK.base_latency, burst)
+    d2.client_multicast(m2, ServiceType.AGREED, "g", b"from d2", 1)
+    d2._flush_packed()
+    kernel.run_until(
+        lambda: all(len(payloads_of(c)) == 5 for c in cluster.clients),
+        timeout=30,
+    )
+    return "d1", already_sent, sent
 
 
 def test_hello_never_advertises_unsent_sequences():
     """Regression: a coalescing daemon must transmit buffered data before
     any hello advertising those sequence numbers, or receivers discard
     the horizon extension and delivery stalls until the next heartbeat.
-    Two inputs: the prompt hello that follows a burst, and the periodic
-    hello timer firing while the burst is still buffered."""
-    for scenario in (_burst_then_prompt_hello, _burst_then_periodic_hello):
-        max_data_seq = 0
-        for source, payload in scenario():
-            if source != "d0":
+    Three inputs: the prompt hello that follows a burst, the periodic
+    hello timer firing while the burst is still buffered, and data from
+    both peers arriving in the instant the daemon's own burst is
+    buffered — which also pays one prompt hello per peer, not one per
+    ingest."""
+    for scenario in (
+        _burst_then_prompt_hello,
+        _burst_then_periodic_hello,
+        _peer_data_while_burst_buffered,
+    ):
+        daemon, max_data_seq, sent = scenario()
+        for __, source, __, payload in sent:
+            if source != daemon:
                 continue
             if isinstance(payload, Packed):
                 max_data_seq = max(
@@ -248,6 +285,60 @@ def test_hello_never_advertises_unsent_sequences():
                 max_data_seq = max(max_data_seq, payload.seq)
             elif isinstance(payload, Hello):
                 assert payload.sent_seq <= max_data_seq, scenario.__name__
+    # The last scenario's instant: d1 sends its burst, then exactly one
+    # hello per view peer, advertising the whole burst.
+    instant = min(when for when, source, __, __ in sent if source == "d1")
+    in_instant = [
+        (destination, payload) for when, source, destination, payload in sent
+        if source == "d1" and when == instant
+    ]
+    assert [type(p) for __, p in in_instant] == [Packed, Packed, Hello, Hello]
+    assert sorted(d for d, __ in in_instant[2:]) == ["d0", "d2"]
+    burst_top = max(m.seq for m in in_instant[0][1].messages)
+    assert all(p.sent_seq == burst_top for __, p in in_instant[2:])
+
+
+def test_hello_that_overtakes_its_data_sends_no_nack():
+    """A hello that overtakes the Packed datagram it advertises (a sim
+    link delays a large envelope longer than a small hello) reveals a
+    gap.  The gap ages from the hello's arrival, so a NACK timer tick
+    that comes before the data, but less than nack_timeout after the
+    hello, asks for nothing — the data is already on its way."""
+    cluster = _QuietCluster(packing=True, seed=5)
+    kernel, network = cluster.kernel, cluster.network
+    d0, d1 = cluster.daemons["d0"], cluster.daemons["d1"]
+    nack_timeout = cluster.config.nack_timeout
+    sent = _record_sends(network)
+    recording_send = network.send
+    held = []
+
+    def hold_packed_to_d1(source, destination, payload, size=None):
+        if (source, destination, type(payload)) == ("d0", "d1", Packed) and not held:
+            held.append(payload)
+            kernel.call_later(
+                nack_timeout / 2,
+                lambda: recording_send(source, destination, payload, size),
+            )
+            return
+        recording_send(source, destination, payload, size)
+
+    network.send = hold_packed_to_d1
+    # d1's next gap check falls while the envelope is held back.
+    d1.timers.start("nack", delay=nack_timeout / 4)
+    for i in range(4):
+        d0.client_multicast(
+            cluster.clients[0].pid, ServiceType.AGREED, "g", b"o%d" % i, i + 1
+        )
+    kernel.run(until=kernel.now + 4 * nack_timeout)
+    assert not [p for __, s, __, p in sent if s == "d1" and isinstance(p, Nack)]
+    assert d0.retransmissions == 0
+    assert held, "the burst never travelled as one envelope"
+    top = max(m.seq for m in held[0].messages)
+    to_d1 = [p for __, s, d, p in sent if (s, d) == ("d0", "d1")]
+    # The hello advertising the burst reached the wire before the burst.
+    assert isinstance(to_d1[0], Hello) and to_d1[0].sent_seq == top
+    assert to_d1.index(held[0]) > 0
+    assert payloads_of(cluster.clients[1]) == [b"o%d" % i for i in range(4)]
 
 
 def test_view_change_flushes_pack_buffers():
